@@ -25,6 +25,7 @@ from .channel_models import (
     DiscreteChannelModel,
     LinkDistribution,
     ValidationError,
+    column_laws,
     descriptor_hash,
     enumerate_states,
     from_descriptor,
@@ -73,6 +74,7 @@ __all__ = [
     "build_vhat",
     "build_w",
     "canonicalize",
+    "column_laws",
     "delay_bound",
     "descriptor_hash",
     "enumerate_states",

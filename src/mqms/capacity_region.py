@@ -5,9 +5,11 @@ For a direction ``alpha >= 0`` the region's support value is
     h(alpha) = sum_s pi_s sum_k max_n alpha[n] * C_s[n, k],
 
 because the best server allocation for a fixed state assigns every server
-independently to the queue maximizing its weighted capacity.  One
-inequality ``alpha . rate <= h(alpha)`` per canonical direction describes
-the full region.  This module computes support values and the rate points
+independently to the queue maximizing its weighted capacity.  Summing
+per server first, h(alpha) = sum_k E[max_n alpha[n] * C[n, k]] depends on
+the channel law only through each server's column law, for every joint
+law (``column_laws``).  One inequality ``alpha . rate <= h(alpha)`` per
+canonical direction describes the full region.  This module computes support values and the rate points
 attaining them, assembles the inequality list, and evaluates membership
 margins used both for verdicts and for occupancy bounds.
 """
@@ -23,11 +25,11 @@ from .alpha_sets import build_vhat
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
-    DEFAULT_STATE_CAP,
+    column_laws,
     descriptor_hash,
     enumerate_states,
-    per_server_column_distribution,
     validate,
+    validate_discrete,
 )
 
 BRUTE_FORCE_CAP = 4096
@@ -78,73 +80,48 @@ def _check_direction(alpha, N: int) -> np.ndarray:
     return a
 
 
-def support_function(model: DiscreteChannelModel, alpha, cap: int = DEFAULT_STATE_CAP) -> float:
+def support_function(model: DiscreteChannelModel, alpha) -> float:
     """Largest value of alpha . rate over the region.
 
-    Factored and bernoulli models are evaluated per server against the
-    exact column law (cost K * (M+1)^N); explicit models sum over their
-    joint states.
+    Evaluated per server against its column law, sum_k E[max_n alpha[n] C[n,k]],
+    at cost sum_k S_k * N for S_k column states of server k.
     """
-    validate(model)
+    laws = column_laws(model)
     a = _check_direction(alpha, model.N)
-    if model.kind == "explicit_joint":
-        total = 0.0
-        for mat, prob in model.states:
-            C = np.asarray(mat, dtype=float)
-            total += prob * float((a[:, None] * C).max(axis=0).sum())
-        return total
-    total = 0.0
-    for k in range(model.K):
-        for col, prob in per_server_column_distribution(model, k, cap=cap):
-            best = 0.0
-            for n in range(model.N):
-                w = a[n] * col[n]
-                if w > best:
-                    best = w
-            total += prob * best
-    return total
+    return sum(float(probs @ (values * a).max(axis=1)) for values, probs in laws)
 
 
-def _winner(weights, tie_rule: str) -> int:
-    take_later = tie_rule == "highest_index"
-    best, best_w = 0, weights[0]
-    for n in range(1, len(weights)):
-        w = weights[n]
-        if w > best_w or (take_later and w == best_w):
-            best, best_w = n, w
-    return best
+def max_weight_argmax(weights, tie_rule: str = "lowest_index") -> np.ndarray:
+    """Index of the largest weight along the last axis, ties broken by tie_rule.
+
+    This is the one max-weight decision of a server: support_vertex applies
+    it to alpha-weighted column states, mw_allocate to backlog-weighted
+    capacities and as_lcq_allocate to the backlogs of connected queues.
+    """
+    w = np.asarray(weights)
+    if tie_rule == "lowest_index":
+        return w.argmax(axis=-1)
+    if tie_rule == "highest_index":
+        return w.shape[-1] - 1 - w[..., ::-1].argmax(axis=-1)
+    raise ValueError(f"unknown tie rule {tie_rule!r}")
 
 
-def support_vertex(
-    model: DiscreteChannelModel,
-    alpha,
-    tie_rule: str = "lowest_index",
-    cap: int = DEFAULT_STATE_CAP,
-) -> np.ndarray:
+def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_index") -> np.ndarray:
     """Expected per-queue service under the allocation maximizing alpha-weight.
 
     Every server in every state goes to the queue with the largest
     alpha[n] * capacity, ties broken deterministically by ``tie_rule``.
     The returned rate point r satisfies alpha . r = support_function(alpha)
-    and lies in the region.
+    and lies in the region.  Contributions are summed server by server, in
+    column-law order.
     """
-    validate(model)
+    laws = column_laws(model)
     a = _check_direction(alpha, model.N)
-    if tie_rule not in ("lowest_index", "highest_index"):
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
-    r = np.zeros(model.N)
-    if model.kind == "explicit_joint":
-        for mat, prob in model.states:
-            for k in range(model.K):
-                col = [mat[n][k] for n in range(model.N)]
-                n_star = _winner([a[n] * col[n] for n in range(model.N)], tie_rule)
-                r[n_star] += prob * col[n_star]
-        return r
-    for k in range(model.K):
-        for col, prob in per_server_column_distribution(model, k, cap=cap):
-            n_star = _winner([a[n] * col[n] for n in range(model.N)], tie_rule)
-            r[n_star] += prob * col[n_star]
-    return r
+    values = np.concatenate([v for v, _ in laws])
+    probs = np.concatenate([p for _, p in laws])
+    winner = max_weight_argmax(values * a, tie_rule)
+    served = values[np.arange(len(values)), winner]
+    return np.bincount(winner, weights=probs * served, minlength=model.N)
 
 
 def onoff_support(p, queue_subset) -> float:
@@ -186,11 +163,7 @@ def onoff_region(p) -> StabilityRegion:
     return StabilityRegion(N=N, inequalities=tuple(ineqs), provenance=descriptor_hash(model))
 
 
-def build_region(
-    model: DiscreteChannelModel,
-    method: str = "auto",
-    cap: int = DEFAULT_STATE_CAP,
-) -> StabilityRegion:
+def build_region(model: DiscreteChannelModel, method: str = "auto") -> StabilityRegion:
     """Assemble the full inequality list for a discrete model.
 
     method "vhat" evaluates the support function over every canonical
@@ -198,7 +171,7 @@ def build_region(
     inequalities, identical direction set since M = 1); "auto" picks
     "onoff" for bernoulli models and "vhat" otherwise.
     """
-    validate(model)
+    validate_discrete(model)
     if method == "auto":
         method = "onoff" if model.kind == "bernoulli" else "vhat"
     if method == "onoff":
@@ -207,8 +180,8 @@ def build_region(
         return onoff_region(np.array(model.p))
     if method != "vhat":
         raise ValueError(f"unknown region method {method!r}")
-    directions = build_vhat(model.M, model.N, cap=cap)
-    ineqs = tuple((alpha, support_function(model, alpha, cap=cap)) for alpha in directions)
+    directions = build_vhat(model.M, model.N)
+    ineqs = tuple((alpha, support_function(model, alpha)) for alpha in directions)
     return StabilityRegion(N=model.N, inequalities=ineqs, provenance=descriptor_hash(model))
 
 

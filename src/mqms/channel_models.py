@@ -4,7 +4,7 @@ A channel state is an N x K matrix of per-link capacities in packets/slot.
 Discrete models carry integer capacities in {0, ..., M} and support exact
 enumeration of the joint state space; continuous models carry nonnegative
 real capacities sampled per link.  Models are immutable after construction
-and safe to share across threads; all sampling goes through a caller-owned
+and safe to share; all sampling goes through a caller-owned
 ``numpy.random.Generator`` so runs are reproducible.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,6 @@ class DiscreteChannelModel:
         cleaned = []
         for C, prob in states:
             prob = float(prob)
-            if prob < 0:
-                raise ValidationError(f"negative probability {prob}")
             if prob == 0.0:
                 continue
             mat = tuple(tuple(int(x) for x in row) for row in C)
@@ -173,16 +172,10 @@ def validate(model) -> None:
             for k, pmf in enumerate(row):
                 if len(pmf) != model.M + 1:
                     raise ValidationError(f"dimension mismatch: link ({n},{k}) pmf length {len(pmf)}")
-                if any(q < 0 for q in pmf):
-                    raise ValidationError(f"negative probability in link ({n},{k}) pmf")
-                if abs(sum(pmf) - 1.0) > PMF_TOL:
-                    raise ValidationError(f"pmf not normalized: link ({n},{k}) sums to {sum(pmf)}")
+                check_pmf(pmf, f"link ({n},{k}) pmf")
     elif model.kind == "explicit_joint":
-        total = 0.0
         seen = set()
-        for mat, prob in model.states:
-            if prob < 0:
-                raise ValidationError(f"negative probability {prob}")
+        for mat, _ in model.states:
             if len(mat) != model.N or any(len(row) != model.K for row in mat):
                 raise ValidationError("dimension mismatch: state matrix shape differs from (N, K)")
             for row in mat:
@@ -192,13 +185,33 @@ def validate(model) -> None:
             if mat in seen:
                 raise ValidationError("duplicate state matrix in explicit_joint model")
             seen.add(mat)
-            total += prob
-        if abs(total - 1.0) > PMF_TOL:
-            raise ValidationError(f"pmf not normalized: state probabilities sum to {total}")
+        check_pmf([prob for _, prob in model.states], "state probabilities")
     else:
         raise ValidationError(f"unknown model kind {model.kind!r}")
     if model.M < 1:
         raise ValidationError(f"max capacity M must be >= 1, got {model.M}")
+
+
+def check_pmf(pmf, what: str) -> None:
+    """Raise ValidationError unless pmf is finite, nonnegative and sums to 1.
+
+    Every comparison is written so that NaN fails it.
+    """
+    if not all(q >= 0 for q in pmf):
+        raise ValidationError(f"negative or NaN probability in {what}")
+    total = sum(pmf)
+    if not abs(total - 1.0) <= PMF_TOL:
+        raise ValidationError(f"pmf not normalized: {what} sums to {total}")
+
+
+def validate_discrete(model) -> None:
+    """validate(model), rejecting continuous models, which have no finite state space."""
+    if not isinstance(model, DiscreteChannelModel):
+        raise ValidationError(
+            f"a discrete channel model is required, got {type(model).__name__}; "
+            "continuous models have a fluid region only"
+        )
+    validate(model)
 
 
 def _check_grid_shape(grid, N, K) -> None:
@@ -211,16 +224,16 @@ def _validate_continuous(model: ContinuousChannelModel) -> None:
     for n, row in enumerate(model.links):
         for k, d in enumerate(row):
             if d.kind == "exponential":
-                if d.mean <= 0:
-                    raise ValidationError(f"link ({n},{k}) exponential mean must be > 0")
+                if not 0 < d.mean < math.inf:
+                    raise ValidationError(f"link ({n},{k}) exponential mean must be finite and > 0")
             elif d.kind == "uniform":
-                if d.high <= 0:
-                    raise ValidationError(f"link ({n},{k}) uniform upper bound must be > 0")
+                if not 0 < d.high < math.inf:
+                    raise ValidationError(f"link ({n},{k}) uniform upper bound must be finite and > 0")
             elif d.kind == "empirical":
                 if len(d.values) == 0:
                     raise ValidationError(f"link ({n},{k}) empirical table is empty")
-                if any(v < 0 for v in d.values):
-                    raise ValidationError(f"link ({n},{k}) empirical table has negative values")
+                if not all(0 <= v < math.inf for v in d.values):
+                    raise ValidationError(f"link ({n},{k}) empirical table has negative or non-finite values")
             else:
                 raise ValidationError(f"unknown link distribution kind {d.kind!r}")
 
@@ -300,6 +313,30 @@ def per_server_column_distribution(model: DiscreteChannelModel, k: int, cap: int
             prob *= pr
         out.append((tuple(v for v, _ in combo), prob))
     return out
+
+
+def column_laws(model: DiscreteChannelModel) -> list:
+    """Per-server column laws of any discrete model, as arrays.
+
+    Entry k is ``(values, probs)``: ``values`` (S_k, N) holds columns
+    (C[0,k], ..., C[N-1,k]) and ``probs`` (S_k,) their probabilities.  Any
+    sum over servers of a per-server expectation, such as the support value
+    sum_k E[max_n alpha_n C[n,k]], depends on the channel law only through
+    these marginals, whatever the dependence between servers.  Explicit
+    models slice their joint states (columns may repeat); factored and
+    bernoulli models use per_server_column_distribution.
+    """
+    validate_discrete(model)
+    if model.kind == "explicit_joint":
+        mats = np.array([mat for mat, _ in model.states], dtype=np.int64)
+        probs = np.array([prob for _, prob in model.states])
+        return [(mats[:, :, k], probs) for k in range(model.K)]
+    laws = []
+    for k in range(model.K):
+        law = per_server_column_distribution(model, k)
+        values = np.array([col for col, _ in law], dtype=np.int64)
+        laws.append((values, np.array([prob for _, prob in law])))
+    return laws
 
 
 def link_means(model) -> np.ndarray:

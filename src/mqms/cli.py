@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
     load_model,
+    validate_discrete,
 )
 from .fairness_opt import UtilitySpec, solve_fairness
 from .fluid_region import boundary_trace
@@ -51,6 +51,8 @@ def _round12(obj):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return obj
 
 
@@ -104,10 +106,6 @@ def _load_arrivals(path: str) -> ArrivalModel:
         return arrivals_from_descriptor(json.load(fh))
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("MQMS_THREADS", "1"))
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -135,8 +133,6 @@ def _cmd_region(args) -> int:
     }
     h = _announce(cfg)
     model = load_model(args.model)
-    if isinstance(model, ContinuousChannelModel):
-        raise ValidationError("region requires a discrete model; use fluid-boundary instead")
     region = build_region(model, method=args.method)
     if args.format == "csv":
         header = [f"alpha_{n+1}" for n in range(region.N)] + ["beta"]
@@ -178,16 +174,14 @@ def _cmd_simulate(args) -> int:
     cfg = {
         "subcommand": "simulate", "model": args.model, "arrivals": args.arrivals,
         "policy": args.policy, "slots": args.slots, "seed": args.seed,
-        "reps": args.reps, "tie_rule": args.tie_rule, "threads": args.threads,
-        "version": __version__,
+        "reps": args.reps, "tie_rule": args.tie_rule, "version": __version__,
     }
     h = _announce(cfg)
     model = load_model(args.model)
     arrivals = _load_arrivals(args.arrivals)
     result = run_sim(
         model, arrivals, policy=args.policy, T=args.slots, seed=args.seed,
-        replications=args.reps, tie_rule=args.tie_rule, threads=args.threads,
-        record_trace=args.trace is not None,
+        replications=args.reps, tie_rule=args.tie_rule, record_trace=args.trace is not None,
     )
     agg = result.aggregate()
     region = build_region(model)
@@ -233,6 +227,7 @@ def _cmd_delay_bound(args) -> int:
     }
     h = _announce(cfg)
     model = load_model(args.model)
+    validate_discrete(model)
     arrivals = _load_arrivals(args.arrivals)
     if args.delta is not None:
         delta = args.delta
@@ -312,6 +307,7 @@ def oracle_check(model: DiscreteChannelModel, state_cap: int = 4096) -> dict:
     every canonical direction, and for ON-OFF models also with the subset
     closed form.  Returns the per-direction deviations and the maximum.
     """
+    validate_discrete(model)
     directions = build_vhat(model.M, model.N)
     deviations = []
     for alpha in directions:
@@ -390,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--tie-rule", choices=["lowest_index", "highest_index"], default="lowest_index")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--trace", help="write replication 0's trace CSV here")
     p.add_argument("--out", help="summary JSON path (default stdout)")
     p.set_defaults(func=_cmd_simulate)

@@ -41,21 +41,21 @@ class UtilitySpec:
     @classmethod
     def weighted_linear(cls, weights, caps=None) -> "UtilitySpec":
         weights = tuple(float(w) for w in weights)
-        if any(w < 0 for w in weights):
-            raise ValueError("linear utility weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError("linear utility weights must be finite and nonnegative")
         return cls(kind="weighted_linear", caps=_caps_tuple(caps, len(weights)), weights=weights)
 
     @classmethod
     def log_shifted(cls, n_queues: int, epsilon: float = 1e-6, caps=None) -> "UtilitySpec":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         return cls(kind="log_shifted", caps=_caps_tuple(caps, n_queues), epsilon=float(epsilon))
 
     @classmethod
     def alpha_fair(cls, n_queues: int, a: float, caps=None) -> "UtilitySpec":
         a = float(a)
-        if a < 0 or a == 1.0:
-            raise ValueError("fairness exponent must be >= 0 and != 1")
+        if not 0 <= a < math.inf or a == 1.0:
+            raise ValueError("fairness exponent must be finite, >= 0 and != 1")
         return cls(kind="alpha_fair", caps=_caps_tuple(caps, n_queues), a=a)
 
     @property
@@ -89,8 +89,8 @@ def _caps_tuple(caps, n: int) -> tuple:
     caps = tuple(float(c) for c in caps)
     if len(caps) != n:
         raise ValueError(f"need {n} caps, got {len(caps)}")
-    if any(c < 0 for c in caps):
-        raise ValueError("caps must be nonnegative")
+    if not all(c >= 0 for c in caps):
+        raise ValueError("caps must be nonnegative (infinity allowed), not NaN")
     return caps
 
 

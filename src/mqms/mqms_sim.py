@@ -5,21 +5,29 @@ Queues evolve by
 with service determined by a per-slot allocation matrix: each server picks
 exactly one queue.  The max-weight policy gives server k to the queue
 maximizing X[n](t-1) * C[n, k](t); for ON-OFF channels the equivalent
-longest-connected-queue rule is provided as well.  Runs are reproducible:
+longest-connected-queue rule is provided as well; on such channels it
+delivers exactly the service of max-weight with lowest-index ties, which is
+how ``run`` simulates it.  Runs are reproducible:
 replication i draws everything from ``default_rng(seed + i)``, sampling
 the whole channel block first and then the arrival block.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .channel_models import DiscreteChannelModel, ValidationError, sample_states, validate
+from .capacity_region import max_weight_argmax
+from .channel_models import (
+    DiscreteChannelModel,
+    ValidationError,
+    check_pmf,
+    sample_states,
+    validate_discrete,
+)
 
 
 # -- arrival processes -----------------------------------------------------
@@ -41,6 +49,18 @@ class QueueArrivals:
     batch: int = 0
     prob: float = 0.0
     pmf: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "deterministic":
+            if self.rate_num < 0 or self.rate_den < 1:
+                raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
+        elif self.kind == "bernoulli_batch":
+            if self.batch < 0 or not 0.0 <= self.prob <= 1.0:
+                raise ValidationError(f"bad bernoulli_batch parameters ({self.batch}, {self.prob})")
+        elif self.kind == "bounded_pmf":
+            check_pmf(self.pmf, "arrival pmf")
+        else:
+            raise ValidationError(f"unknown arrival kind {self.kind!r}")
 
     @property
     def mean(self) -> float:
@@ -73,9 +93,10 @@ class QueueArrivals:
 
 def _exact_rate(rate) -> tuple[int, int]:
     # str round-trip keeps decimal inputs exact: 0.3 -> 3/10, not the binary float
-    frac = Fraction(Decimal(str(rate))) if not isinstance(rate, Fraction) else rate
-    if frac < 0:
-        raise ValidationError(f"negative arrival rate {rate}")
+    try:
+        frac = Fraction(Decimal(str(rate))) if not isinstance(rate, Fraction) else rate
+    except (ArithmeticError, ValueError):
+        raise ValidationError(f"arrival rate {rate!r} is not a finite number") from None
     return frac.numerator, frac.denominator
 
 
@@ -97,26 +118,16 @@ class ArrivalModel:
     def bernoulli_batch(cls, batches, probs) -> "ArrivalModel":
         if len(batches) != len(probs):
             raise ValidationError("dimension mismatch: batches vs probs")
-        qs = []
-        for b, q in zip(batches, probs):
-            b = int(b)
-            q = float(q)
-            if b < 0 or not 0.0 <= q <= 1.0:
-                raise ValidationError(f"bad bernoulli_batch parameters ({b}, {q})")
-            qs.append(QueueArrivals(kind="bernoulli_batch", batch=b, prob=q))
-        return cls(queues=tuple(qs))
+        return cls(queues=tuple(
+            QueueArrivals(kind="bernoulli_batch", batch=int(b), prob=float(q))
+            for b, q in zip(batches, probs)
+        ))
 
     @classmethod
     def bounded_pmf(cls, pmfs) -> "ArrivalModel":
-        qs = []
-        for pmf in pmfs:
-            pmf = tuple(float(x) for x in pmf)
-            if any(x < 0 for x in pmf):
-                raise ValidationError("negative probability in arrival pmf")
-            if abs(sum(pmf) - 1.0) > 1e-12:
-                raise ValidationError(f"pmf not normalized: sums to {sum(pmf)}")
-            qs.append(QueueArrivals(kind="bounded_pmf", pmf=pmf))
-        return cls(queues=tuple(qs))
+        return cls(queues=tuple(
+            QueueArrivals(kind="bounded_pmf", pmf=tuple(float(x) for x in pmf)) for pmf in pmfs
+        ))
 
     @property
     def N(self) -> int:
@@ -167,11 +178,17 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
         elif kind == "bounded_pmf":
             qs.append(QueueArrivals(kind=kind, pmf=tuple(float(x) for x in spec["pmf"])))
         else:
-            raise ValidationError(f"unknown arrival kind {kind!r}")
+            qs.append(QueueArrivals(kind=kind))  # rejected by its own checks
     return ArrivalModel(queues=tuple(qs))
 
 
 # -- per-slot operations ---------------------------------------------------
+
+
+def _allocation(weights, tie_rule: str) -> np.ndarray:
+    """Allocation matrix giving server k to the max-weight queue of column k."""
+    winner = max_weight_argmax(np.asarray(weights).T, tie_rule)
+    return (np.arange(len(weights))[:, None] == winner).astype(np.int64)
 
 
 def mw_allocate(X, C, tie_rule: str = "lowest_index") -> np.ndarray:
@@ -182,45 +199,24 @@ def mw_allocate(X, C, tie_rule: str = "lowest_index") -> np.ndarray:
     the queue update wastes the capacity harmlessly).
     """
     X = np.asarray(X)
-    C = np.asarray(C)
     if (X < 0).any():
         raise ValueError("queue lengths must be nonnegative")
-    N, K = C.shape
-    take_later = tie_rule == "highest_index"
-    I = np.zeros((N, K), dtype=np.int64)
-    for k in range(K):
-        best, best_w = 0, X[0] * C[0, k]
-        for n in range(1, N):
-            w = X[n] * C[n, k]
-            if w > best_w or (take_later and w == best_w):
-                best, best_w = n, w
-        I[best, k] = 1
-    return I
+    return _allocation(X[:, None] * np.asarray(C), tie_rule)
 
 
-def as_lcq_allocate(X, C, server_order=None) -> np.ndarray:
+def as_lcq_allocate(X, C) -> np.ndarray:
     """Longest-connected-queue allocation for ON-OFF channels.
 
-    Servers are visited in ``server_order`` (default 0..K-1) and each goes
-    to the connected queue (C[n, k] = 1) with the largest backlog at the
-    start of the slot, ties to the lowest index; a server with no connected
-    queue parks on queue 0 with zero effect.  For binary channels the
-    delivered service per queue coincides with mw_allocate.
+    Each server goes to the connected queue (C[n, k] = 1) with the largest
+    backlog at the start of the slot, ties to the lowest index; a server
+    with no connected queue parks on queue 0 with zero effect.  For binary
+    channels the delivered service per queue coincides with mw_allocate.
     """
     X = np.asarray(X)
     C = np.asarray(C)
     if not np.isin(C, (0, 1)).all():
         raise ValueError("longest-connected-queue requires a binary channel matrix")
-    N, K = C.shape
-    order = range(K) if server_order is None else server_order
-    I = np.zeros((N, K), dtype=np.int64)
-    for k in order:
-        best, best_x = -1, -1
-        for n in range(N):
-            if C[n, k] and X[n] > best_x:
-                best, best_x = n, X[n]
-        I[max(best, 0), k] = 1
-    return I
+    return _allocation(np.where(C == 1, X[:, None], -1), "lowest_index")
 
 
 def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
@@ -283,14 +279,12 @@ class RunResult:
         }
 
 
-def _simulate_one(model, arrivals, policy, T, seed, rep, tie_rule, server_order, record_trace):
+def _simulate_one(model, arrivals, T, seed, rep, tie_rule, record_trace):
     rng = np.random.default_rng(seed + rep)
     C_all = sample_states(model, rng, T)
     A_all = arrivals.sample(rng, T)
     N, K = model.N, model.K
     take_later = tie_rule == "highest_index"
-    order = list(range(K)) if server_order is None else list(server_order)
-    mw = policy == "mw"
 
     C_list = C_all.tolist()
     A_list = A_all.tolist()
@@ -305,23 +299,13 @@ def _simulate_one(model, arrivals, policy, T, seed, rep, tie_rule, server_order,
         C = C_list[t]
         A = A_list[t]
         served = [0] * N
-        if mw:
-            for k in range(K):
-                best, best_w = 0, X[0] * C[0][k]
-                for n in range(1, N):
-                    w = X[n] * C[n][k]
-                    if w > best_w or (take_later and w == best_w):
-                        best, best_w = n, w
-                served[best] += C[best][k]
-        else:
-            for k in order:
-                best, best_x = -1, -1
-                for n in range(N):
-                    if C[n][k] and X[n] > best_x:
-                        best, best_x = n, X[n]
-                if best < 0:
-                    best = 0
-                served[best] += C[best][k]
+        for k in range(K):
+            best, best_w = 0, X[0] * C[0][k]
+            for n in range(1, N):
+                w = X[n] * C[n][k]
+                if w > best_w or (take_later and w == best_w):
+                    best, best_w = n, w
+            served[best] += C[best][k]
         agg = 0
         for n in range(N):
             dep = served[n] if served[n] < X[n] else X[n]
@@ -361,39 +345,34 @@ def run(
     seed: int = 0,
     replications: int = 1,
     tie_rule: str = "lowest_index",
-    server_order=None,
-    threads: int = 1,
     record_trace: bool = False,
 ) -> RunResult:
     """Simulate T slots from empty queues, one rng stream per replication.
 
     Replication i uses ``default_rng(seed + i)`` and samples its whole
-    channel block before its arrival block, so results are reproducible
-    and independent of how replications are scheduled across threads.
-    The trace (slot, queue lengths, departures, arrivals) is recorded for
+    channel block before its arrival block, so each replication is
+    reproducible on its own.  On ON-OFF channels longest-connected-queue
+    delivers exactly max-weight's service with lowest-index ties, so
+    ``policy="as_lcq"`` runs the max-weight loop with that tie rule.  The
+    trace (slot, queue lengths, departures, arrivals) is recorded for
     replication 0 only.
     """
-    validate(model)
+    validate_discrete(model)
     if arrivals.N != model.N:
         raise ValidationError(f"dimension mismatch: {arrivals.N} arrival queues vs N={model.N}")
     if policy not in ("mw", "as_lcq"):
         raise ValueError(f"unknown policy {policy!r}")
-    if policy == "as_lcq" and model.M > 1:
-        raise ValidationError("as_lcq requires ON-OFF channels (M = 1)")
+    if policy == "as_lcq":
+        if model.M > 1:
+            raise ValidationError("as_lcq requires ON-OFF channels (M = 1)")
+        tie_rule = "lowest_index"
     if T < 1:
         raise ValueError("horizon must be at least one slot")
 
-    def job(rep):
-        return _simulate_one(
-            model, arrivals, policy, T, seed, rep,
-            tie_rule, server_order, record_trace and rep == 0,
-        )
-
-    if threads > 1 and replications > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(replications)))
-    else:
-        results = [job(rep) for rep in range(replications)]
+    results = [
+        _simulate_one(model, arrivals, T, seed, rep, tie_rule, record_trace and rep == 0)
+        for rep in range(replications)
+    ]
     stats = tuple(s for s, _ in results)
     trace = results[0][1] if record_trace else None
     return RunResult(replications=stats, trace=trace)

@@ -116,7 +116,7 @@ def test_criterion_4_occupancy_bound_and_instability():
         assert delta >= 0.05
         arrivals = ArrivalModel.bernoulli_batch([1, 1], lam)
         bound = delay_bound(2, arrivals.a_max_sq, model.M, model.K, delta)
-        res = run(model, arrivals, policy="mw", T=T, seed=1234, replications=reps, threads=2)
+        res = run(model, arrivals, policy="mw", T=T, seed=1234, replications=reps)
         worst = max(s.avg_aggregate_occupancy for s in res.replications)
         print(f"  interior: delta={delta:.4f}, bound={bound:.1f}, worst avg occupancy={worst:.2f}")
         for s in res.replications:
@@ -127,7 +127,7 @@ def test_criterion_4_occupancy_bound_and_instability():
         assert delta_hot <= -0.05
         threshold = 0.5 * abs(delta_hot) * T * 0.5
         arrivals_hot = ArrivalModel.bernoulli_batch([1, 1], lam_hot)
-        res_hot = run(model, arrivals_hot, policy="mw", T=T, seed=4321, replications=reps, threads=2)
+        res_hot = run(model, arrivals_hot, policy="mw", T=T, seed=4321, replications=reps)
         smallest = min(sum(s.final_queue) for s in res_hot.replications)
         print(f"  overload: delta={delta_hot:.4f}, threshold={threshold:.0f}, smallest final={smallest}")
         for s in res_hot.replications:

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from mqms import (
+    ContinuousChannelModel,
     DiscreteChannelModel,
+    LinkDistribution,
     StabilityRegion,
+    ValidationError,
     brute_force_support,
     build_region,
     build_vhat,
@@ -115,6 +118,18 @@ def test_vertex_attains_support_and_stays_inside(rng):
 
 
 # -- regions -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [
+    DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
+    DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=(((float("nan"), 1.0),),)),
+    DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 0.6), (((0,),), 0.6))),
+    ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]]),
+], ids=["bernoulli-p-above-1", "factored-nan", "explicit-unnormalized", "continuous"])
+@pytest.mark.parametrize("fn", [support_function, support_vertex])
+def test_support_validates_models_built_without_classmethods(model, fn):
+    with pytest.raises(ValidationError):
+        fn(model, (1,))
 
 
 def test_build_region_symmetric_pair():

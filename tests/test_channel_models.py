@@ -49,6 +49,34 @@ def test_validate_rejects_dimension_mismatch():
         validate(model)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteChannelModel.factored([[[NAN, 1.0]]]),
+    lambda: DiscreteChannelModel.factored([[[0.5, 0.5]], [[NAN, NAN]]]),
+    lambda: DiscreteChannelModel.explicit_joint([([[1]], NAN), ([[0]], 1.0)]),
+    lambda: from_descriptor(json.loads('{"N": 1, "K": 1, "kind": "factored", "pmfs": [[[NaN, 1.0]]]}')),
+], ids=["factored", "factored-all-nan", "explicit_joint", "json-NaN"])
+def test_discrete_models_reject_nan(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+@pytest.mark.parametrize("link", [
+    LinkDistribution("exponential", mean=NAN),
+    LinkDistribution("exponential", mean=INF),
+    LinkDistribution("uniform", high=NAN),
+    LinkDistribution("uniform", high=INF),
+    LinkDistribution("empirical", values=(NAN, 1.0)),
+    LinkDistribution("empirical", values=(INF, 1.0)),
+], ids=["exp-nan", "exp-inf", "uniform-nan", "uniform-inf", "empirical-nan", "empirical-inf"])
+def test_continuous_links_reject_non_finite(link):
+    with pytest.raises(ValidationError):
+        ContinuousChannelModel.of([[link]])
+
+
 def test_zero_probability_states_dropped():
     model = DiscreteChannelModel.explicit_joint(
         [([[1]], 0.5), ([[0]], 0.5), ([[2]], 0.0)],

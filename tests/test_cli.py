@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mqms import DiscreteChannelModel
 from mqms.cli import main, oracle_check
+
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 
 @pytest.fixture
@@ -173,12 +176,29 @@ def test_oracle_check_explicit_toy_model_is_exact():
     assert report["max_abs_deviation"] == 0.0
 
 
-def test_threads_default_honors_environment(monkeypatch):
-    monkeypatch.setenv("MQMS_THREADS", "4")
-    from mqms.cli import _build_parser
+def test_oracle_check_subcommand_on_factored_demo(capsys):
+    code = main(["oracle-check", "--model", str(DEMO_MODELS / "factored_2x2_m2.json")])
+    summary, payload = capsys.readouterr().out.split("\n", 1)
+    assert code == 0
+    assert summary == "support_function == brute_force on 5/5 directions"
+    assert json.loads(payload)["ok"] is True
 
-    args = _build_parser().parse_args(["simulate", "--model", "m", "--arrivals", "a"])
-    assert args.threads == 4
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--lambda", "0.1,0.1"],
+    ["simulate", "--slots", "10"],
+    ["delay-bound"],
+    ["delay-bound", "--delta", "0.1"],
+    ["fairness"],
+    ["oracle-check"],
+    ["region"],
+], ids=["check", "simulate", "delay-bound", "delay-bound-delta", "fairness", "oracle-check", "region"])
+def test_continuous_model_on_discrete_subcommand_exits_2(argv, exp_model_path, arrivals_path, capsys):
+    argv = argv[:1] + ["--model", exp_model_path] + argv[1:]
+    if argv[0] in ("simulate", "delay-bound"):
+        argv += ["--arrivals", arrivals_path]
+    assert main(argv) == 2
+    assert "discrete channel model is required" in capsys.readouterr().err
 
 
 def test_outputs_are_byte_identical_across_runs(bern_model_path, arrivals_path, tmp_path):

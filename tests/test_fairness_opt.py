@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_log_epsilon_must_be_positive():
 def test_alpha_fair_excludes_one():
     with pytest.raises(ValueError):
         UtilitySpec.alpha_fair(2, a=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UtilitySpec.log_shifted(2, epsilon=float("nan")),
+    lambda: UtilitySpec.log_shifted(2, epsilon=float("inf")),
+    lambda: UtilitySpec.weighted_linear([float("nan"), 1.0]),
+    lambda: UtilitySpec.weighted_linear([float("inf"), 1.0]),
+    lambda: UtilitySpec.log_shifted(2, caps=[float("nan"), 1.0]),
+    lambda: UtilitySpec.alpha_fair(2, float("nan")),
+], ids=["epsilon-nan", "epsilon-inf", "weight-nan", "weight-inf", "cap-nan", "exponent-nan"])
+def test_utility_spec_rejects_non_finite(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_infinite_caps_are_allowed():
+    assert UtilitySpec.log_shifted(2, caps=[math.inf, 1.0]).caps == (math.inf, 1.0)
 
 
 def test_caps_fold_into_objective():
