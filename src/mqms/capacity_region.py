@@ -73,8 +73,8 @@ def _check_direction(alpha, N: int) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     if a.shape != (N,):
         raise ValueError(f"direction must have length {N}, got shape {a.shape}")
-    if (a < 0).any():
-        raise ValueError("direction coordinates must be nonnegative")
+    if not (np.isfinite(a) & (a >= 0)).all():
+        raise ValueError("direction coordinates must be finite and nonnegative")
     if not a.any():
         raise ValueError("zero vector is not a direction")
     return a

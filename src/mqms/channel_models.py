@@ -90,7 +90,7 @@ class DiscreteChannelModel:
             prob = float(prob)
             if prob == 0.0:
                 continue
-            mat = tuple(tuple(int(x) for x in row) for row in C)
+            mat = tuple(tuple(as_integer(x, "capacity") for x in row) for row in C)
             cleaned.append((mat, prob))
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
@@ -99,7 +99,7 @@ class DiscreteChannelModel:
         if M is None:
             M = max(x for mat, _ in cleaned for row in mat for x in row)
             M = max(M, 1)
-        model = cls(N=N, K=K, M=int(M), kind="explicit_joint", states=tuple(cleaned))
+        model = cls(N=N, K=K, M=as_integer(M, "M"), kind="explicit_joint", states=tuple(cleaned))
         validate(model)
         return model
 
@@ -202,6 +202,16 @@ def check_pmf(pmf, what: str) -> None:
     total = sum(pmf)
     if not abs(total - 1.0) <= PMF_TOL:
         raise ValidationError(f"pmf not normalized: {what} sums to {total}")
+
+
+def as_integer(x, what: str) -> int:
+    """x as an int; ValidationError unless it is an integral number (2.0 passes)."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
 def validate_discrete(model) -> None:

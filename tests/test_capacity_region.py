@@ -53,6 +53,14 @@ def test_support_rejects_bad_directions():
         support_function(SYM, (1, 1, 1))
 
 
+@pytest.mark.parametrize("alpha", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, -float("inf"))],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("fn", [support_function, support_vertex, brute_force_support])
+def test_support_rejects_non_finite_directions(fn, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        fn(SYM, alpha)
+
+
 def test_support_homogeneity(rng):
     for _ in range(5):
         model = random_discrete(rng)

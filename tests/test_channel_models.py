@@ -77,6 +77,20 @@ def test_continuous_links_reject_non_finite(link):
         ContinuousChannelModel.of([[link]])
 
 
+@pytest.mark.parametrize("states, M", [
+    ([([[1.5]], 0.5), ([[0]], 0.5)], None),
+    ([([[1]], 0.5), ([[0]], 0.5)], 2.5),
+], ids=["capacity", "M"])
+def test_explicit_joint_rejects_non_integral_values(states, M):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        DiscreteChannelModel.explicit_joint(states, M=M)
+
+
+def test_explicit_joint_accepts_integral_floats():
+    model = DiscreteChannelModel.explicit_joint([([[2.0]], 0.5), ([[0]], 0.5)], M=2.0)
+    assert model.states[0][0] == ((2,),) and model.M == 2
+
+
 def test_zero_probability_states_dropped():
     model = DiscreteChannelModel.explicit_joint(
         [([[1]], 0.5), ([[0]], 0.5), ([[2]], 0.0)],

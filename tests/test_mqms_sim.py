@@ -8,6 +8,7 @@ from mqms import (
     ArrivalModel,
     DiscreteChannelModel,
     QueueArrivals,
+    SimStats,
     ValidationError,
     arrivals_from_descriptor,
     as_lcq_allocate,
@@ -17,7 +18,9 @@ from mqms import (
     sample_states,
     step,
 )
-from conftest import random_bernoulli
+from mqms import mqms_sim
+from mqms.capacity_region import max_weight_argmax
+from conftest import random_bernoulli, random_explicit, random_factored
 
 MODEL_2x2 = DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]])
 
@@ -198,7 +201,50 @@ def test_arrival_constructors_are_validated(make):
         make()
 
 
+def test_bernoulli_batch_rejects_non_integral_batch():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ArrivalModel.bernoulli_batch([1.5], [0.5])
+    assert ArrivalModel.bernoulli_batch([2.0], [0.5]).queues[0].batch == 2
+
+
+def test_arrival_descriptor_rejects_non_integral_batch():
+    spec = {"kind": "bernoulli_batch", "batch": 1.5, "prob": 0.5}
+    with pytest.raises(ValidationError, match="must be an integer"):
+        arrivals_from_descriptor({"queues": [spec]})
+    arr = arrivals_from_descriptor({"queues": [dict(spec, batch=2.0)]})
+    assert arr.mean_rates().tolist() == [1.0]
+
+
 # -- full runs -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("policy", ["mw", "as_lcq"])
+def test_run_rejects_unknown_tie_rule_before_sampling(monkeypatch, policy):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the tie rule")
+
+    monkeypatch.setattr(mqms_sim, "sample_states", no_sampling)
+    with pytest.raises(ValueError) as expected:
+        max_weight_argmax([1, 2], "bogus")
+    with pytest.raises(ValueError) as got:
+        run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), policy=policy, T=10, tie_rule="bogus")
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("reps", [1, mqms_sim._BATCH_MIN_REPS])
+def test_run_rejects_backlogs_that_could_overflow_int64(reps):
+    # backlogs, weights X * C and occupancy sums are bounded by
+    # T * cap * max(T, M): a run with that bound at the int64 maximum runs,
+    # one slot more is refused, in both slot loops
+    int64_max = np.iinfo(np.int64).max
+    M = int64_max // 7
+    assert 7 * M == int64_max
+    model = DiscreteChannelModel.explicit_joint([([[M]], 0.5), ([[0]], 0.5)])
+    arr = ArrivalModel.bernoulli_batch([1], [0.5])
+    res = run(model, arr, T=7, replications=reps)
+    assert all(s.total_arrivals == (s.total_departures[0] + s.final_queue[0],) for s in res.replications)
+    with pytest.raises(ValidationError, match="overflow"):
+        run(model, arr, T=8, replications=reps)
 
 
 def test_run_zero_arrivals_stays_empty():
@@ -252,6 +298,49 @@ def test_run_matches_per_slot_operations():
         assert (X == res.trace[t, 1:3]).all()
         assert (dep == res.trace[t, 3:5]).all()
         assert (A_all[t] == res.trace[t, 5:7]).all()
+
+
+@pytest.mark.parametrize("R", [3, mqms_sim._BATCH_MIN_REPS])
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+@pytest.mark.parametrize("kind", ["factored", "explicit_joint"])
+def test_run_replications_match_per_slot_replay(rng, kind, tie_rule, R):
+    # every replication r of a multi-replication run, replayed alone from
+    # default_rng(seed + r) through the scalar per-slot ops, on multi-level
+    # channels where the tie rule matters; R = 3 runs the scalar loop and
+    # R = _BATCH_MIN_REPS the batched one
+    for _ in range(4):
+        N, K, M = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        if kind == "factored":
+            model = random_factored(rng, N, K, M)
+        else:
+            model = random_explicit(rng, N, K, M, int(rng.integers(2, 9)))
+        arr = ArrivalModel.bounded_pmf([(w / w.sum()).tolist() for w in rng.random((N, M + 1)) + 0.05])
+        T, seed = 300, int(rng.integers(1000))
+        res = run(model, arr, T=T, seed=seed, replications=R, tie_rule=tie_rule, record_trace=True)
+        for r in range(R):
+            stream = np.random.default_rng(seed + r)
+            C_all = sample_states(model, stream, T)
+            A_all = arr.sample(stream, T)
+            X = np.zeros(N, dtype=np.int64)
+            rows = []
+            for t in range(T):
+                X, dep = step(X, C_all[t], mw_allocate(X, C_all[t], tie_rule), A_all[t])
+                rows.append(np.concatenate([[t + 1], X, dep, A_all[t]]))
+            rows = np.array(rows)
+            X_all, dep_all = rows[:, 1 : 1 + N], rows[:, 1 + N : 1 + 2 * N]
+            assert res.replications[r] == SimStats(
+                replication=r,
+                seed=seed,
+                horizon=T,
+                avg_aggregate_occupancy=int(X_all.sum()) / T,
+                per_queue_avg=tuple(int(x) / T for x in X_all.sum(axis=0)),
+                throughput=tuple(int(d) / T for d in dep_all.sum(axis=0)),
+                final_queue=tuple(X.tolist()),
+                total_arrivals=tuple(A_all.sum(axis=0).tolist()),
+                total_departures=tuple(dep_all.sum(axis=0).tolist()),
+            )
+            if r == 0:
+                assert (res.trace == rows).all()
 
 
 @pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
