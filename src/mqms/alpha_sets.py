@@ -4,8 +4,11 @@ The region of stabilizable arrival rates is cut out by half-spaces
 ``alpha . rate <= beta``.  Only finitely many directions ``alpha`` are
 needed: candidate coordinates are products of N-1 capacity values (the set
 W), and a partition-ratio filter keeps exactly the directions whose
-hyperplanes can touch the region on a maximal face.  Everything here runs
-in exact integer/rational arithmetic; no float equality is ever tested.
+hyperplanes can touch the region on a maximal face.  The filter is decided
+as connectivity of a small graph on the nonzero coordinates, with an edge
+wherever two coordinates stand in a capacity ratio n/m (m, n <= M).  It
+runs on integers only: rational inputs are scaled to integers first, and
+no float equality is ever tested.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ def canonicalize(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(a // g for a in coords)
 
 
-def _ratio_set(M: int) -> frozenset[Fraction]:
-    return frozenset(Fraction(n, m) for m in range(1, M + 1) for n in range(1, M + 1))
-
-
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -76,43 +75,38 @@ def _to_fraction(x) -> Fraction:
         return Fraction(float(x))  # exact: a float is a binary rational
 
 
-def _passes_partition_filter(alpha: Sequence[Fraction], ratios: frozenset[Fraction]) -> bool:
-    """True iff every bipartition with nonzero parts links up through a capacity ratio.
+def _ratio_connected(alpha: Sequence[int], M: int) -> bool:
+    """True iff the nonzero integer coordinates form one connected ratio graph.
 
-    For each unordered split of the coordinates into two nonempty groups,
-    both containing at least one nonzero entry, there must be a nonzero
-    entry on each side whose ratio equals n/m for nonzero capacities
-    m, n <= M.  Splits with an all-zero side impose nothing.  Swapping the
-    sides inverts the ratio, and the ratio set is closed under inversion,
-    so only the 2^(N-1) - 1 unordered bipartitions are visited (coordinate
-    0 stays on the first side).
+    Nonzero coordinates a and b are adjacent when a/b = n/m for capacities
+    m, n in 1..M, that is when the reduced ratio p/q has p, q <= M, or
+    max(a, b) // gcd(a, b) <= M.  The partition-ratio filter asks every
+    split of the nonzero coordinates into two nonempty sides to have an
+    adjacent pair across it (zero coordinates join either side and impose
+    nothing).  A graph has an edge across every cut exactly when it is
+    connected: a component that misses some vertex is itself a cut with no
+    crossing edge.  So one graph search, O(N^2) ratio tests, replaces the
+    2^(N-1) cuts.  At least one coordinate must be nonzero.
     """
-    N = len(alpha)
-    nonzero = [a != 0 for a in alpha]
-    for mask in range(2 ** (N - 1)):
-        left = [0] + [i for i in range(1, N) if (mask >> (i - 1)) & 1]
-        if len(left) == N:
-            continue
-        in_left = [False] * N
-        for i in left:
-            in_left[i] = True
-        right = [i for i in range(1, N) if not in_left[i]]
-        left_nz = [i for i in left if nonzero[i]]
-        right_nz = [j for j in right if nonzero[j]]
-        if not left_nz or not right_nz:
-            continue
-        if not any(alpha[i] / alpha[j] in ratios for i in left_nz for j in right_nz):
-            return False
-    return True
+    unreached = [a for a in alpha if a]
+    frontier = [unreached.pop()]
+    while frontier:
+        a = frontier.pop()
+        rest = []
+        for b in unreached:
+            (frontier if max(a, b) // math.gcd(a, b) <= M else rest).append(b)
+        unreached = rest
+    return not unreached
 
 
 def in_v(alpha: Sequence, M: int) -> bool:
     """Whether a nonnegative direction survives the partition-ratio filter.
 
-    Accepts real coordinates; floats are converted to exact rationals, so
-    the equality test ``alpha_i * m == alpha_j * n`` is never subject to
-    rounding.  Positive scalings of the same vector agree whenever the
-    scaling is exact (integers, or powers of two for float inputs).
+    Accepts real coordinates; floats are converted to exact rationals and
+    scaled to integers by the lcm of their denominators, so the ratio test
+    is never subject to rounding.  Positive scalings of the same vector
+    agree whenever the scaling is exact (integers, or powers of two for
+    float inputs).
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
@@ -121,14 +115,15 @@ def in_v(alpha: Sequence, M: int) -> bool:
         raise ValueError("direction coordinates must be nonnegative")
     if all(c == 0 for c in coords):
         raise ValueError("zero vector is not a direction")
-    return _passes_partition_filter(coords, _ratio_set(M))
+    scale = math.lcm(*(c.denominator for c in coords))
+    return _ratio_connected([int(c * scale) for c in coords], M)
 
 
 def build_vhat(M: int, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, ...]]:
     """The scaling-free direction set: one inequality per element.
 
     Enumerates the candidate space (every coordinate from build_w, zero
-    vector excluded), keeps directions passing the partition filter,
+    vector excluded), keeps directions whose ratio graph is connected,
     canonicalizes by gcd, and deduplicates scalar multiples.  The result
     is sorted and contains every standard basis vector.
     """
@@ -138,12 +133,8 @@ def build_vhat(M: int, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, .
     total = len(W) ** N
     if total > cap:
         raise ValueError(f"enumeration cap exceeded: |W|^N = {total} > {cap}")
-    ratios = _ratio_set(M)
     out = set()
     for cand in itertools.product(W, repeat=N):
-        if all(a == 0 for a in cand):
-            continue
-        fracs = [Fraction(a) for a in cand]
-        if _passes_partition_filter(fracs, ratios):
+        if any(cand) and _ratio_connected(cand, M):
             out.add(canonicalize(cand))
     return sorted(out)

@@ -195,8 +195,8 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     lam = np.asarray(rates, dtype=float)
     if lam.shape != (region.N,):
         raise ValueError(f"rate point must have length {region.N}")
-    if (lam < 0).any():
-        raise ValueError("rates must be nonnegative")
+    if not (np.isfinite(lam) & (lam >= 0)).all():
+        raise ValueError("rates must be finite and nonnegative")
     if not region.inequalities:
         raise ValueError("region has no inequalities")
     delta = np.inf

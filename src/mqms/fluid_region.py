@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity_region import _check_direction
 from .channel_models import ContinuousChannelModel, link_means, sample_states, validate
 
 
@@ -53,11 +54,7 @@ def mc_support_function(
     Returns (estimate, standard error).  Deterministic for a fixed seed.
     """
     validate(model)
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (model.N,):
-        raise ValueError(f"direction must have length {model.N}")
-    if (a < 0).any() or not a.any():
-        raise ValueError("direction must be nonnegative and nonzero")
+    a = _check_direction(alpha, model.N)
     if samples < 1:
         raise ValueError("need at least one sample")
     block = sample_states(model, np.random.default_rng(seed), samples)
@@ -104,6 +101,8 @@ def boundary_trace(
         raise ValueError("boundary tracing is defined for N = 2 only")
     if directions < 3:
         raise ValueError("need at least 3 directions")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     block = sample_states(model, np.random.default_rng(seed), samples)
     thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)

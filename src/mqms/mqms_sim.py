@@ -241,7 +241,9 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
 
 
 def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:
-    """Occupancy bound (N * a_max_sq + (M*K)^2) / (2 * delta) for interior rates."""
+    """Occupancy bound (N * a_max_sq + (M*K)^2) / (2 * delta) for a margin 0 < delta < inf."""
+    if not delta < np.inf:
+        raise ValueError(f"margin must be finite, got {delta}")
     if delta <= 0:
         raise ValueError("rate not strictly interior; bound undefined")
     return (N * a_max_sq + (M * K) ** 2) / (2.0 * delta)
@@ -395,6 +397,8 @@ def run(
         tie_rule = "lowest_index"
     if T < 1:
         raise ValueError("horizon must be at least one slot")
+    if replications < 1:
+        raise ValueError("need at least one replication")
     cap = max(q.cap for q in arrivals.queues)
     if T * cap * max(T, model.M) > np.iinfo(np.int64).max:
         raise ValidationError("backlogs could overflow 64-bit integers; shorten T or lower the arrival caps")

@@ -55,13 +55,13 @@ REFERENCE_TABLE = {
     (2, 1): (3, 3),
     (2, 2): (5, 8),
     (2, 3): (9, 15),
-    (2, 4): (12, 24),
+    (2, 4): (13, 24),  # all 13 needed: test_alpha_sets.py::test_n2_m4_every_direction_is_needed
     (3, 1): (7, 7),
     (3, 2): (25, 63),
     (3, 3): (109, 342),
     (3, 4): (253, 1330),
 }
-BINDING_CELLS = {(2, 1), (2, 2), (2, 3), (3, 1)}
+BINDING_CELLS = {(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)}
 
 
 def test_criterion_1_direction_table():
@@ -71,12 +71,8 @@ def test_criterion_1_direction_table():
             assert wn_count(M, N) - 1 == ref_wn, f"candidate-space count off at {(N, M)}"
             tag = "MATCH" if enum == ref_vhat else "MISMATCH"
             print(f"  cell (N={N}, M={M}): enumerated {enum}, reference {ref_vhat} -> {tag}")
-            if (N, M) in BINDING_CELLS:
-                assert enum == ref_vhat, f"hand-verified cell {(N, M)} must match"
-            elif (N, M) != (2, 4):
-                assert enum == ref_vhat, f"cell {(N, M)} diverged from the reference value"
-            # (2, 4) is recorded but never hard-fails: the reference value 12
-            # is not reproduced by direct enumeration (which yields 13)
+            kind = "hand-verified cell" if (N, M) in BINDING_CELLS else "cell"
+            assert enum == ref_vhat, f"{kind} {(N, M)} diverged from the reference value"
 
 
 def test_criterion_2_onoff_closed_form():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqms import build_vhat, build_w, canonicalize, in_v, wn_count
+from mqms import DiscreteChannelModel, build_region, build_vhat, build_w, canonicalize, in_v, wn_count
 
 
 def naive_in_v(alpha, M):
@@ -212,7 +212,7 @@ def test_vhat_complete_over_candidate_space():
 
 
 def test_vhat_counts_match_naive_oracle():
-    for (M, N) in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)]:
+    for (M, N) in [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4)]:
         W = build_w(M, N)
         survivors = {
             canonicalize(c)
@@ -220,6 +220,51 @@ def test_vhat_counts_match_naive_oracle():
             if any(c) and naive_in_v(c, M)
         }
         assert sorted(survivors) == build_vhat(M, N)
+
+
+def _witness_model(alpha):
+    """K = 1, M = 4 model on whose region the inequality for alpha is a facet.
+
+    Oblique (p, q): the one state C = (q, p), whose region is the
+    time-sharing triangle p r1 + q r2 <= p q.  Axis e_n: the two
+    equiprobable states (1, 0) and (0, 1), whose region is the box
+    [0, 1/2]^2.
+    """
+    p, q = alpha
+    if p and q:
+        return [((q, p), Fraction(1))]
+    return [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 2))]
+
+
+def test_n2_m4_every_direction_is_needed():
+    # for each of the 13 directions at (N, M) = (2, 4) there is a model in
+    # that cell and a rate point that meets the other 12 inequalities but
+    # breaks this one, so no direction is redundant; all arithmetic is exact
+    vhat = build_vhat(4, 2)
+    assert len(vhat) == 13
+    for alpha in vhat:
+        states = _witness_model(alpha)
+        model = DiscreteChannelModel.explicit_joint(
+            [([[c] for c in C], float(prob)) for C, prob in states], M=4
+        )
+        region = build_region(model)
+        assert [a for a, _ in region.inequalities] == vhat
+        beta = {}
+        for a, b in region.inequalities:
+            exact = sum(prob * max(a[0] * C[0], a[1] * C[1]) for C, prob in states)
+            assert Fraction(b) == exact, (alpha, a, b)
+            beta[a] = exact
+        p, q = alpha
+        if p and q:  # just beyond the midpoint of the facet
+            point = (Fraction(q, 2) * Fraction(101, 100), Fraction(p, 2) * Fraction(101, 100))
+        else:  # just beyond the box side, on the axis
+            point = (Fraction(6, 10) * p, Fraction(6, 10) * q)
+        for a in vhat:
+            lhs = a[0] * point[0] + a[1] * point[1]
+            if a == alpha:
+                assert lhs > beta[a], (alpha, point)
+            else:
+                assert lhs <= beta[a], (alpha, a, point)
 
 
 def test_vhat_enumeration_cap():

@@ -242,8 +242,9 @@ def test_margin_outside_point():
 
 def test_margin_rejects_negative_rates():
     region = build_region(SYM)
-    with pytest.raises(ValueError):
-        membership_margin(region, [-0.1, 0.1])
+    for rates in ([-0.1, 0.1], [np.nan, 0.1], [0.1, np.inf], [-np.inf, 0.1]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            membership_margin(region, rates)
 
 
 # -- brute-force oracle -----------------------------------------------------------

@@ -201,6 +201,24 @@ def test_continuous_model_on_discrete_subcommand_exits_2(argv, exp_model_path, a
     assert "discrete channel model is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--lambda", "nan,0.1"],
+    ["check", "--lambda", "0.1,inf"],
+    ["simulate", "--slots", "10", "--reps", "0"],
+    ["simulate", "--slots", "10", "--reps", "-1"],
+    ["delay-bound", "--delta", "nan"],
+    ["delay-bound", "--delta", "inf"],
+], ids=["check-nan", "check-inf", "simulate-reps-0", "simulate-reps-minus-1", "delay-bound-nan", "delay-bound-inf"])
+def test_invalid_numbers_exit_2(argv, bern_model_path, arrivals_path, capsys):
+    argv = argv[:1] + ["--model", bern_model_path] + argv[1:]
+    if argv[0] in ("simulate", "delay-bound"):
+        argv += ["--arrivals", arrivals_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err and "internal error" not in captured.err
+
+
 def test_outputs_are_byte_identical_across_runs(bern_model_path, arrivals_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["simulate", "--model", bern_model_path, "--arrivals", arrivals_path,

@@ -53,6 +53,12 @@ def test_mc_support_rejects_zero_direction():
         mc_support_function(exponential_pair(1, 1), (0, 0), 100)
 
 
+@pytest.mark.parametrize("alpha", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0)])
+def test_mc_support_rejects_non_finite_or_negative_direction(alpha):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        mc_support_function(exponential_pair(1, 1), alpha, 100)
+
+
 def test_mc_support_homogeneity_under_common_randomness():
     model = exponential_pair(2.0, 1.0)
     base, _ = mc_support_function(model, (0.3, 0.7), 50_000, seed=5)
@@ -158,3 +164,9 @@ def test_trace_requires_two_queues():
 def test_trace_requires_enough_directions():
     with pytest.raises(ValueError, match="directions"):
         boundary_trace(exponential_pair(1, 1), directions=2, samples=10)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_trace_requires_at_least_one_sample(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        boundary_trace(exponential_pair(1, 1), directions=5, samples=samples)

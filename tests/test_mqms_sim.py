@@ -136,8 +136,12 @@ def test_delay_bound_decreasing_in_margin():
 
 
 def test_delay_bound_requires_interior_rate():
-    with pytest.raises(ValueError, match="not strictly interior"):
-        delay_bound(2, 4.0, 1, 2, 0.0)
+    for delta in (0.0, -0.1, -np.inf):
+        with pytest.raises(ValueError, match="not strictly interior"):
+            delay_bound(2, 4.0, 1, 2, delta)
+    for delta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            delay_bound(2, 4.0, 1, 2, delta)
 
 
 # -- arrival models ----------------------------------------------------------------
@@ -229,6 +233,16 @@ def test_run_rejects_unknown_tie_rule_before_sampling(monkeypatch, policy):
     with pytest.raises(ValueError) as got:
         run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), policy=policy, T=10, tie_rule="bogus")
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_run_rejects_fewer_than_one_replication_before_sampling(monkeypatch, reps):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the replication count")
+
+    monkeypatch.setattr(mqms_sim, "sample_states", no_sampling)
+    with pytest.raises(ValueError, match="at least one replication"):
+        run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), T=10, replications=reps)
 
 
 @pytest.mark.parametrize("reps", [1, mqms_sim._BATCH_MIN_REPS])
