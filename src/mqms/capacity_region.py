@@ -16,6 +16,7 @@ margins used both for verdicts and for occupancy bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -115,13 +116,28 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     and lies in the region.  Contributions are summed server by server, in
     column-law order.
     """
+    return _vertex_oracle(model, tie_rule)(alpha)
+
+
+def _vertex_oracle(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
+    """support_vertex as a function of alpha, with the model's law built once.
+
+    Validates the model and stacks its column laws up front, so a caller
+    that asks for many vertices of one model (Frank-Wolfe asks once per
+    iteration) pays for the law once.
+    """
     laws = column_laws(model)
-    a = _check_direction(alpha, model.N)
     values = np.concatenate([v for v, _ in laws])
     probs = np.concatenate([p for _, p in laws])
-    winner = max_weight_argmax(values * a, tie_rule)
-    served = values[np.arange(len(values)), winner]
-    return np.bincount(winner, weights=probs * served, minlength=model.N)
+    rows = np.arange(len(values))
+
+    def vertex(alpha) -> np.ndarray:
+        a = _check_direction(alpha, model.N)
+        winner = max_weight_argmax(values * a, tie_rule)
+        served = values[rows, winner]
+        return np.bincount(winner, weights=probs * served, minlength=model.N)
+
+    return vertex
 
 
 def onoff_support(p, queue_subset) -> float:
@@ -199,11 +215,16 @@ def membership_margin(region: StabilityRegion, rates) -> float:
         raise ValueError("rates must be finite and nonnegative")
     if not region.inequalities:
         raise ValueError("region has no inequalities")
+    # alpha . rates overflows for finite rates near the float limit.  Rates
+    # and betas are then divided by a power of two, which is exact, so the
+    # margin keeps its digits; below the threshold nothing is scaled.
+    scale = 2.0 ** -math.frexp(lam.max())[1] if lam.max() > 2.0**512 else 1.0
+    lam = lam * scale
     delta = np.inf
     for alpha, beta in region.inequalities:
         a = np.asarray(alpha, dtype=float)
-        delta = min(delta, (beta - float(a @ lam)) / float(a.sum()))
-    return float(delta)
+        delta = min(delta, (beta * scale - float(a @ lam)) / float(a.sum()))
+    return float(delta / scale)
 
 
 def brute_force_support(

@@ -4,7 +4,9 @@ Subcommands: vhat, region, check, simulate, delay-bound, fluid-boundary,
 fairness, oracle-check.  Every run prints its fully resolved configuration
 (defaults included) to stderr, and every output embeds the configuration
 hash and tool version, so any artifact can be regenerated byte-for-byte.
-Exit codes: 0 success, 2 bad input or validation failure, 1 internal error.
+Exit codes: 0 success, 2 bad input or validation failure, 1 internal error,
+3 a solver ran but missed its tolerance (``fairness``; the output is still
+written).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _announce(cfg: dict) -> str:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_round12(payload), indent=2) + "\n"
+    text = json.dumps(_round12(payload), indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -292,12 +294,13 @@ def _cmd_fairness(args) -> int:
         "objective": sol.objective,
         "gap": sol.gap,
         "iterations": sol.iterations,
+        "converged": sol.converged,
         "binding_constraints": [list(a) for a in sol.binding],
         "config_hash": h,
         "version": __version__,
     }
     _emit_json(payload, args.out)
-    return 0
+    return 0 if sol.converged else 3
 
 
 def oracle_check(model: DiscreteChannelModel, state_cap: int = 4096) -> dict:

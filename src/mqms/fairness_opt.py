@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_region import StabilityRegion, build_region, membership_margin, support_vertex
+from .capacity_region import StabilityRegion, _vertex_oracle, build_region, membership_margin, support_vertex
 from .channel_models import DiscreteChannelModel
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
+# Each line-search round evaluates the objective at this many evenly spaced
+# steps in one batch and keeps the two cells around the first maximum, so
+# the bracket shrinks 32-fold per round: 8 rounds reach _LINE_SEARCH_TOL.
+_LINE_SEARCH_POINTS = 65
+_LINE_SEARCH_TOL = 1e-12
+_GRID = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
 
 
 @dataclass(frozen=True)
@@ -63,13 +69,17 @@ class UtilitySpec:
         return len(self.caps)
 
     def value(self, r) -> float:
+        return float(self._values(r))
+
+    def _values(self, r) -> np.ndarray:
+        """The capped objective of every rate vector along the last axis of r."""
         rc = np.minimum(np.asarray(r, dtype=float), self.caps)
         if self.kind == "weighted_linear":
-            return float(np.dot(self.weights, rc))
+            return np.dot(rc, self.weights)
         if self.kind == "log_shifted":
-            return float(np.log(rc + self.epsilon).sum())
+            return np.log(rc + self.epsilon).sum(axis=-1)
         rc = np.maximum(rc, GRAD_FLOOR)
-        return float((rc ** (1.0 - self.a)).sum() / (1.0 - self.a))
+        return (rc ** (1.0 - self.a)).sum(axis=-1) / (1.0 - self.a)
 
     def gradient(self, r) -> np.ndarray:
         """Supergradient of the capped objective; zero on the flat side of the cap."""
@@ -102,26 +112,24 @@ class FairnessSolution:
     iterations: int
     slacks: tuple          # beta - alpha . r_star per region inequality
     binding: tuple         # directions whose slack is ~zero
+    converged: bool        # gap <= tol; False when max_iters ran out first
     trajectory: tuple = ()
 
 
-def _golden_section_step(phi, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-12) -> float:
-    """Argmax of a concave 1-D function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    return (a + b) / 2.0
+def _line_search_step(phi) -> float:
+    """First argmax on [0, 1] of a concave phi that takes an array of steps.
+
+    Each round evaluates phi on _LINE_SEARCH_POINTS evenly spaced steps of
+    the bracket and keeps the cells on either side of the first maximum,
+    which hold the argmax of a concave function.  Taking the first maximum
+    prefers the smaller step on ties, so a constant phi gives 0.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > _LINE_SEARCH_TOL:
+        grid = lo + (hi - lo) * _GRID
+        i = int(np.argmax(phi(grid)))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _LINE_SEARCH_POINTS - 1)]
+    return float(grid[i])
 
 
 def solve_fairness(
@@ -138,18 +146,22 @@ def solve_fairness(
     Each iteration asks the support-vertex oracle for the best rate point
     in the gradient direction, checks the linearization gap (an upper
     bound on the remaining suboptimality), and moves with either the
-    open-loop step 2/(iter+2) or an exact golden-section line search
+    open-loop step 2/(iter+2) or an exact line search
     (``step_rule="line_search"``, needed when gaps far below the problem's
-    curvature are requested).  Stops when the gap drops to ``tol``.
+    curvature are requested).  Stops when the gap drops to ``tol``, or
+    after ``max_iters`` iterations with ``converged`` False.
     """
     if utilities.N != model.N:
         raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     if step_rule not in ("open_loop", "line_search"):
         raise ValueError(f"unknown step rule {step_rule!r}")
     if region is None:
         region = build_region(model)
+    vertex = _vertex_oracle(model)
 
     r = np.zeros(model.N)
     gap = math.inf
@@ -162,7 +174,7 @@ def solve_fairness(
         if not grad.any():
             gap = 0.0
             break
-        v = support_vertex(model, grad)
+        v = vertex(grad)
         gap = float(grad @ (v - r))
         if keep_trace:
             trace.append((r.copy(), utilities.value(r), gap))
@@ -171,7 +183,7 @@ def solve_fairness(
             break
         d = v - r
         if step_rule == "line_search":
-            gamma = _golden_section_step(lambda g: utilities.value(r + g * d))
+            gamma = _line_search_step(lambda g: utilities._values(r + g[:, None] * d))
         else:
             gamma = 2.0 / (it + 2.0)
         r = r + gamma * d
@@ -190,6 +202,7 @@ def solve_fairness(
         iterations=iters,
         slacks=slacks,
         binding=binding,
+        converged=gap <= tol,
         trajectory=tuple(trace),
     )
 

@@ -11,6 +11,7 @@ from mqms import (
     brute_force_support,
     build_region,
     build_vhat,
+    enumerate_states,
     link_means,
     membership_margin,
     onoff_region,
@@ -123,6 +124,28 @@ def test_vertex_attains_support_and_stays_inside(rng):
             h = support_function(model, alpha)
             assert abs(float(np.dot(alpha, r)) - h) <= 1e-9 * max(1.0, h)
             assert membership_margin(region, r) >= -1e-9
+
+
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+def test_vertex_matches_per_state_argmax(rng, tie_rule):
+    # literal reference: walk every joint state and give each server to its
+    # best queue, scanning queues in tie-rule order
+    for _ in range(12):
+        model = random_discrete(rng)
+        order = range(model.N) if tie_rule == "lowest_index" else range(model.N - 1, -1, -1)
+        states = enumerate_states(model)
+        alphas = list(build_vhat(model.M, model.N)) + [rng.random(model.N) + 0.01 for _ in range(3)]
+        for alpha in alphas:
+            expected = np.zeros(model.N)
+            for mat, prob in states:
+                for k in range(model.K):
+                    best = None
+                    for n in order:
+                        if best is None or alpha[n] * mat[n][k] > alpha[best] * mat[best][k]:
+                            best = n
+                    expected[best] += prob * mat[best][k]
+            got = support_vertex(model, alpha, tie_rule=tie_rule)
+            assert np.abs(got - expected).max() <= 1e-12
 
 
 # -- regions -------------------------------------------------------------------
@@ -245,6 +268,21 @@ def test_margin_rejects_negative_rates():
     for rates in ([-0.1, 0.1], [np.nan, 0.1], [0.1, np.inf], [-np.inf, 0.1]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             membership_margin(region, rates)
+
+
+def test_margin_is_finite_for_huge_finite_rates():
+    region = build_region(DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]]))
+    top = np.finfo(float).max
+    for rates in ([1e308, 1e308], [top, top], [top, 0.0]):
+        with np.errstate(all="raise"):
+            delta = membership_margin(region, rates)
+        assert np.isfinite(delta) and delta <= -1e307
+    # where alpha . rates cannot overflow, the power-of-two rescale of huge
+    # rates gives the unscaled formula bit for bit
+    for rates in ([3e200, 1e-3], [2.0**600, 0.7], [1e300, 1e299]):
+        lam = np.array(rates)
+        plain = min((beta - float(np.dot(alpha, lam))) / sum(alpha) for alpha, beta in region.inequalities)
+        assert membership_margin(region, rates) == plain
 
 
 # -- brute-force oracle -----------------------------------------------------------

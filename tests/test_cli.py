@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,15 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads without the NaN and Infinity tokens Python accepts by default."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_vhat_subcommand(capsys):
@@ -151,6 +162,29 @@ def test_fairness_subcommand(capsys, bern_model_path):
     assert [1, 1] in payload["binding_constraints"]
 
 
+def test_fairness_reports_convergence_and_exits_3_when_capped(capsys, bern_model_path, tmp_path):
+    argv = ["fairness", "--model", bern_model_path, "--utility", "log", "--tol", "1e-6"]
+    assert main(argv + ["--line-search"]) == 0
+    assert strict_json(capsys.readouterr().out)["converged"] is True
+
+    out = tmp_path / "capped.json"
+    assert main(argv + ["--max-iters", "3", "--out", str(out)]) == 3
+    payload = strict_json(out.read_text())
+    assert payload["converged"] is False
+    assert payload["iterations"] == 3 and payload["gap"] > 1e-6
+
+
+def test_check_huge_finite_rates_prints_a_finite_margin(capsys):
+    model = str(DEMO_MODELS / "bern_2x2_p05.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", "--model", model, "--lambda", "1e308,1e308"])
+    payload = strict_json(capsys.readouterr().out)
+    assert code == 0
+    assert math.isfinite(payload["delta"]) and payload["delta"] < 0
+    assert payload["verdict"] == "outside"
+
+
 def test_oracle_check_subcommand(capsys, bern_model_path):
     code = main(["oracle-check", "--model", bern_model_path])
     out = capsys.readouterr().out
@@ -208,7 +242,10 @@ def test_continuous_model_on_discrete_subcommand_exits_2(argv, exp_model_path, a
     ["simulate", "--slots", "10", "--reps", "-1"],
     ["delay-bound", "--delta", "nan"],
     ["delay-bound", "--delta", "inf"],
-], ids=["check-nan", "check-inf", "simulate-reps-0", "simulate-reps-minus-1", "delay-bound-nan", "delay-bound-inf"])
+    ["fairness", "--max-iters", "0"],
+    ["fairness", "--tol", "nan"],
+], ids=["check-nan", "check-inf", "simulate-reps-0", "simulate-reps-minus-1", "delay-bound-nan", "delay-bound-inf",
+        "fairness-max-iters-0", "fairness-tol-nan"])
 def test_invalid_numbers_exit_2(argv, bern_model_path, arrivals_path, capsys):
     argv = argv[:1] + ["--model", bern_model_path] + argv[1:]
     if argv[0] in ("simulate", "delay-bound"):

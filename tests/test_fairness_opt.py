@@ -14,7 +14,9 @@ from mqms import (
     support_function,
     support_vertex,
 )
-from conftest import random_bernoulli
+from mqms import capacity_region
+from mqms.fairness_opt import _line_search_step
+from conftest import random_bernoulli, random_factored
 
 SYM = DiscreteChannelModel.bernoulli([[0.5], [0.5]])
 
@@ -161,6 +163,76 @@ def test_open_loop_converges_at_coarser_tolerance():
     sol = solve_fairness(SYM, spec, tol=1e-3, max_iters=10_000)
     assert sol.gap <= 1e-3
     assert np.allclose(sol.r_star, [0.375, 0.375], atol=0.02)
+
+
+def test_solution_reports_convergence():
+    spec = UtilitySpec.log_shifted(2, epsilon=1e-6)
+    sol = solve_fairness(SYM, spec, tol=1e-6, step_rule="line_search")
+    assert sol.converged is True and sol.gap <= 1e-6
+    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=5)
+    assert capped.converged is False
+    assert capped.iterations == 5 and capped.gap > 1e-6
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iters": 0},
+    {"max_iters": -1},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"tol": 0.0},
+], ids=["max-iters-0", "max-iters-minus-1", "tol-nan", "tol-inf", "tol-0"])
+def test_solve_rejects_bad_budget_or_tolerance(kwargs):
+    with pytest.raises(ValueError):
+        solve_fairness(SYM, UtilitySpec.log_shifted(2), **kwargs)
+
+
+def test_solve_builds_the_channel_law_once(rng, monkeypatch):
+    model = random_factored(rng, 3, 2, 2)
+    region = build_region(model)
+    calls = []
+    real = capacity_region.column_laws
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(capacity_region, "column_laws", counted)
+    sol = solve_fairness(model, UtilitySpec.log_shifted(3), tol=1e-9, max_iters=50, region=region)
+    assert sol.iterations > 1
+    assert len(calls) == 1
+
+
+# Near a smooth maximum phi is flat to float64 precision over a few 1e-8 of
+# step (its drop curvature * dg**2 / 2 stays below an ulp), so no search that
+# compares phi values can place the step closer; kinks, plateaus and ends are
+# located to the line-search tolerance.
+SMOOTH, SHARP = 1e-7, 1e-9
+
+
+@pytest.mark.parametrize("spec, r, v, atol", [
+    (UtilitySpec.log_shifted(2, epsilon=1e-6), [0.5, 0.0], [0.0, 0.5], SMOOTH),      # max at 1/2
+    (UtilitySpec.log_shifted(2, epsilon=0.0625), [0.5, 0.0], [0.0, 0.25], SMOOTH),   # 7/16
+    (UtilitySpec.log_shifted(2, epsilon=2**-10), [0.5, 0.0], [0.0, 0.25], SMOOTH),  # 1/2 - 2^-10, off the grid
+    (UtilitySpec.log_shifted(2, epsilon=1e-6), [0.1, 0.1], [0.4, 0.3], SHARP),       # increasing: 1
+    (UtilitySpec.alpha_fair(2, 2.0), [0.9, 0.0], [0.0, 0.1], SMOOTH),               # 3/4
+    (UtilitySpec.alpha_fair(2, 0.5), [0.0, 0.25], [0.25, 0.0], SMOOTH),             # 1/2
+    (UtilitySpec.weighted_linear([2.0, 1.0], caps=[0.25, 1.0]), [0.0, 0.5], [0.5, 0.0], SHARP),  # kink at 1/2
+    (UtilitySpec.weighted_linear([1.0, 0.0], caps=[0.1875, 1.0]), [0.0, 0.3], [0.5, 0.0], SHARP),  # plateau from 3/8
+    (UtilitySpec.weighted_linear([1.0, 1.0]), [0.0, 0.5], [0.5, 0.0], SHARP),         # constant
+    (UtilitySpec.weighted_linear([1.0, 1.0], caps=[0.1, 0.1]), [0.2, 0.3], [0.5, 0.6], SHARP),  # constant, capped
+], ids=["log-half", "log-7/16", "log-off-grid", "log-increasing", "alpha2-3/4", "alpha05-half",
+        "capped-kink", "capped-plateau", "linear-constant", "capped-constant"])
+def test_line_search_matches_dense_scan(spec, r, v, atol):
+    r, d = np.array(r), np.array(v) - np.array(r)
+    phi = lambda g: spec._values(r + np.asarray(g)[..., None] * d)
+    grid = np.linspace(0.0, 1.0, 2**20 + 1)  # holds every argmax above exactly
+    values = phi(grid)
+    dense = grid[int(np.argmax(values))]
+    gamma = _line_search_step(phi)
+    assert abs(gamma - dense) <= atol
+    assert phi(gamma) >= max(values[0], values[-1]) - 1e-12
+    if np.ptp(values) == 0.0:
+        assert gamma == 0.0
 
 
 # -- fw_gap -----------------------------------------------------------------------
