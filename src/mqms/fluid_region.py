@@ -35,8 +35,47 @@ class BoundaryCurve:
     samples: int
 
 
-def _support_on_block(block: np.ndarray, alpha: np.ndarray) -> tuple[float, float]:
-    vals = (alpha[None, :, None] * block).max(axis=1).sum(axis=1)
+def _link_rows(block: np.ndarray) -> np.ndarray:
+    """A (S, N, K) sample block as contiguous per-link rows, shape (N, K, S)."""
+    return np.ascontiguousarray(block.transpose(1, 2, 0))
+
+
+def _add_servers(peaks: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a (K, S) array, bit-identical to ``peaks.T.sum(axis=1)``.
+
+    It adds in the order of numpy's reduction over a contiguous axis: left
+    to right below 8 terms; from 8 terms on, 8 interleaved accumulators
+    combined as a tree, with any remainder added last, and blocks of more
+    than 128 terms split in two first.  The total starts from +0.0, as the
+    reduction does.
+    """
+    K, S = peaks.shape
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        total = _add_servers(peaks[:half])
+        total += _add_servers(peaks[half:])
+        return total
+    total = np.zeros(S)
+    if K < 8:
+        for row in peaks:
+            total += row
+        return total
+    acc = peaks[:8].copy()
+    for i in range(8, K - K % 8, 8):
+        acc += peaks[i : i + 8]
+    total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in peaks[K - K % 8 :]:
+        total += row
+    return total
+
+
+def _support_on_block(rows: np.ndarray, alpha: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S)."""
+    peaks = np.multiply(rows[0], alpha[0])
+    scaled = np.empty_like(peaks)
+    for n in range(1, len(rows)):
+        np.maximum(peaks, np.multiply(rows[n], alpha[n], out=scaled), out=peaks)
+    vals = _add_servers(peaks)
     n = len(vals)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
@@ -57,8 +96,8 @@ def mc_support_function(
     a = _check_direction(alpha, model.N)
     if samples < 1:
         raise ValueError("need at least one sample")
-    block = sample_states(model, np.random.default_rng(seed), samples)
-    return _support_on_block(block, a)
+    rows = _link_rows(sample_states(model, np.random.default_rng(seed), samples))
+    return _support_on_block(rows, a)
 
 
 def exp_2q_boundary(mu1: float, mu2: float, lambda1: float) -> float:
@@ -69,10 +108,10 @@ def exp_2q_boundary(mu1: float, mu2: float, lambda1: float) -> float:
     dropping from mu2 at lambda1 = 0 to zero when queue 1 saturates the
     server at lambda1 = mu1.
     """
-    if mu1 <= 0 or mu2 <= 0:
-        raise ValueError("exponential means must be positive")
-    if lambda1 < 0:
-        raise ValueError("rates must be nonnegative")
+    if not (math.isfinite(mu1) and math.isfinite(mu2) and mu1 > 0 and mu2 > 0):
+        raise ValueError("exponential means must be finite and positive")
+    if not (math.isfinite(lambda1) and lambda1 >= 0):
+        raise ValueError("rates must be finite and nonnegative")
     if lambda1 > mu1:
         raise ValueError("outside single-queue capacity")
     s = math.sqrt(1.0 - lambda1 / mu1)
@@ -103,19 +142,21 @@ def boundary_trace(
         raise ValueError("need at least 3 directions")
     if samples < 1:
         raise ValueError("need at least one sample")
-    block = sample_states(model, np.random.default_rng(seed), samples)
-    thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    est = np.empty(directions)
-    se = np.empty(directions)
-    for d in range(directions):
-        est[d], se[d] = _support_on_block(block, np.array([cos_t[d], sin_t[d]]))
-
     means = link_means(model)
     box1, box2 = float(means[0].sum()), float(means[1].sum())
     if lambda1_values is None:
         lambda1_values = np.linspace(0.0, box1, 201)
     lam1 = np.asarray(lambda1_values, dtype=float)
+    if not (np.isfinite(lam1) & (lam1 >= 0)).all():
+        raise ValueError("lambda1 values must be finite and nonnegative")
+
+    rows = _link_rows(sample_states(model, np.random.default_rng(seed), samples))
+    thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    est = np.empty(directions)
+    se = np.empty(directions)
+    for d in range(directions):
+        est[d], se[d] = _support_on_block(rows, np.array([cos_t[d], sin_t[d]]))
 
     # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t
     cand = (est[None, :] - lam1[:, None] * cos_t[None, :]) / sin_t[None, :]

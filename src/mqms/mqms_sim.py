@@ -292,6 +292,10 @@ class RunResult:
 # 1x1, 5 on 2x2 and 1 on 8x8, so fewer replications run the scalar loop.
 _BATCH_MIN_REPS = 8
 
+# The scalar loop turns its blocks into Python lists this many slots at a
+# time: a whole 8x8 block as nested lists would take about 1.8 kB per slot.
+_SCALAR_CHUNK = 4096
+
 
 def _blocks(model, arrivals, T, seed, R):
     """Replication r's channel block (T, N, K), then its arrival block (T, N)."""
@@ -327,6 +331,13 @@ def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
     return X, occupancy, A.sum(axis=0, dtype=np.int64), X0, A[:, 0]
 
 
+def _slot_lists(C_r, A_r):
+    """Each slot's channel matrix and arrivals as Python lists, converted _SCALAR_CHUNK slots at a time."""
+    for start in range(0, len(A_r), _SCALAR_CHUNK):
+        stop = start + _SCALAR_CHUNK
+        yield from zip(C_r[start:stop].tolist(), A_r[start:stop].tolist())
+
+
 def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
     """One replication at a time, slot by slot on Python ints."""
     N, K = model.N, model.K
@@ -339,7 +350,7 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
         X = [0] * N
         occupancy = [0] * N
         trace = X0 if r == 0 else None
-        for t, (C, A) in enumerate(zip(C_r.tolist(), A_r.tolist())):
+        for t, (C, A) in enumerate(_slot_lists(C_r, A_r)):
             served = [0] * N
             for k in range(K):
                 best, best_w = 0, X[0] * C[0][k]

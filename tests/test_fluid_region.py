@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -8,13 +9,43 @@ from mqms import (
     boundary_trace,
     exp_2q_boundary,
     mc_support_function,
+    sample_states,
 )
+from mqms import fluid_region
 
 
 def exponential_pair(mu1, mu2):
     return ContinuousChannelModel.of(
         [[LinkDistribution("exponential", mean=mu1)], [LinkDistribution("exponential", mean=mu2)]]
     )
+
+
+def random_continuous(rng, N, K):
+    kinds = ("exponential", "uniform", "empirical")
+    links = []
+    for _ in range(N):
+        row = []
+        for kind in rng.choice(kinds, K):
+            if kind == "exponential":
+                row.append(LinkDistribution("exponential", mean=float(rng.uniform(0.2, 3.0))))
+            elif kind == "uniform":
+                row.append(LinkDistribution("uniform", high=float(rng.uniform(0.2, 3.0))))
+            else:
+                values = np.round(rng.uniform(0.0, 3.0, int(rng.integers(1, 6))), 2)
+                row.append(LinkDistribution("empirical", values=tuple(values.tolist())))
+        links.append(row)
+    return ContinuousChannelModel.of(links)
+
+
+def broadcast_support(block, alpha):
+    # the (S, N, K) broadcast that _support_on_block replaces, kept as its oracle
+    vals = (alpha[None, :, None] * block).max(axis=1).sum(axis=1)
+    n = len(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+
+
+def bits(pair):
+    return np.asarray(pair, dtype=float).tobytes()
 
 
 def max_of_exponentials_mean(u, v):
@@ -73,6 +104,66 @@ def test_mc_support_is_seed_deterministic():
     assert a == b
 
 
+# -- link-row evaluation against the broadcast oracle ------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_support_on_block_is_bit_identical_to_broadcast(rng, N, K):
+    for _ in range(5):
+        model = random_continuous(rng, N, K)
+        block = sample_states(model, rng, int(rng.choice([1, 2, 3, 500])))
+        alpha = rng.uniform(0.0, 2.0, N) * rng.choice([0.0, 1.0, 1e-3, 1e3], N)
+        alpha[0] += 0.1
+        rows = fluid_region._link_rows(block)
+        assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
+
+
+@pytest.mark.parametrize("K", [8, 9, 15, 16, 17, 33, 129, 200])
+def test_support_on_block_adds_many_servers_in_numpy_order(rng, K):
+    # from 8 servers on numpy sums pairwise; the link-row sum follows the
+    # same order, so the contract stays bit for bit
+    for N in (1, 2, 3):
+        model = random_continuous(rng, N, K)
+        block = sample_states(model, rng, 300)
+        alpha = rng.uniform(0.1, 2.0, N)
+        rows = fluid_region._link_rows(block)
+        assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
+
+
+@pytest.mark.parametrize("K", [2, 9])
+def test_support_on_block_matches_broadcast_on_zero_links(rng, K):
+    # mostly zero links, and -0.0, a valid direction coordinate and
+    # empirical value
+    block = np.where(rng.random((40, 2, K)) < 0.5, -0.0, 0.0)
+    block[:20] *= rng.exponential(1.0, (20, 2, K)) * (rng.random((20, 2, K)) < 0.2)
+    rows = fluid_region._link_rows(block)
+    for alpha in ([1.0, -0.0], [-0.0, 2.0], [0.5, 0.5]):
+        alpha = np.array(alpha)
+        assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
+
+
+def test_trace_estimates_equal_mc_support_function(rng, monkeypatch):
+    # every direction of a trace is the support estimate of that direction
+    # from the same seed, exactly
+    model = random_continuous(rng, 2, 3)
+    calls = []
+    support = fluid_region._support_on_block
+
+    def recording(rows, alpha):
+        calls.append(support(rows, alpha))
+        return calls[-1]
+
+    monkeypatch.setattr(fluid_region, "_support_on_block", recording)
+    D, samples, seed = 9, 2_000, 31
+    boundary_trace(model, directions=D, samples=samples, seed=seed, lambda1_values=[0.0])
+    traced = calls[:]
+    assert len(traced) == D
+    thetas = np.arange(1, D + 1) * (math.pi / 2.0) / (D + 1)
+    for t, est in zip(thetas, traced):
+        assert bits(mc_support_function(model, (math.cos(t), math.sin(t)), samples, seed)) == bits(est)
+
+
 # -- closed-form two-queue boundary ---------------------------------------------
 
 
@@ -88,6 +179,21 @@ def test_boundary_closed_form_midpoint_value():
 def test_boundary_closed_form_rejects_overload():
     with pytest.raises(ValueError, match="outside single-queue capacity"):
         exp_2q_boundary(2.0, 1.0, 2.5)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(np.nan, 1.0, 0.5), (2.0, np.nan, 0.5), (np.inf, 1.0, 0.5), (2.0, np.inf, 0.5), (-1.0, 1.0, 0.5)],
+)
+def test_boundary_closed_form_rejects_bad_means(args):
+    with pytest.raises(ValueError, match="finite and positive"):
+        exp_2q_boundary(*args)
+
+
+@pytest.mark.parametrize("lambda1", [np.nan, np.inf, -0.5])
+def test_boundary_closed_form_rejects_bad_rate(lambda1):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        exp_2q_boundary(2.0, 1.0, lambda1)
 
 
 # -- traced envelopes --------------------------------------------------------------
@@ -170,3 +276,9 @@ def test_trace_requires_enough_directions():
 def test_trace_requires_at_least_one_sample(samples):
     with pytest.raises(ValueError, match="at least one sample"):
         boundary_trace(exponential_pair(1, 1), directions=5, samples=samples)
+
+
+@pytest.mark.parametrize("values", [[np.nan], [-1.0], [0.5, np.inf], [0.0, -np.inf]])
+def test_trace_rejects_non_finite_or_negative_lambda1(values):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        boundary_trace(exponential_pair(1, 1), directions=5, samples=10, lambda1_values=values)

@@ -357,6 +357,33 @@ def test_run_replications_match_per_slot_replay(rng, kind, tie_rule, R):
                 assert (res.trace == rows).all()
 
 
+@pytest.mark.parametrize("chunk", [7, None])
+def test_scalar_run_spanning_several_chunks_matches_per_slot_replay(rng, monkeypatch, chunk):
+    # the scalar loop converts its blocks to lists a chunk of slots at a
+    # time; a horizon over several chunks, with a partial last one, must
+    # replay exactly, at a tiny chunk and at the real one
+    if chunk is not None:
+        monkeypatch.setattr(mqms_sim, "_SCALAR_CHUNK", chunk)
+    T = 2 * mqms_sim._SCALAR_CHUNK + 3 if chunk is None else 60
+    model = random_factored(rng, 2, 2, 2)
+    arr = ArrivalModel.bernoulli_batch([2, 1], [0.45, 0.6])
+    seed, R = 5, 2
+    res = run(model, arr, T=T, seed=seed, replications=R, record_trace=True)
+    for r in range(R):
+        stream = np.random.default_rng(seed + r)
+        C_all = sample_states(model, stream, T)
+        A_all = arr.sample(stream, T)
+        X = np.zeros(2, dtype=np.int64)
+        occupancy = np.zeros(2, dtype=np.int64)
+        for t in range(T):
+            X, dep = step(X, C_all[t], mw_allocate(X, C_all[t]), A_all[t])
+            occupancy += X
+            if r == 0:
+                assert (res.trace[t, 1:] == np.concatenate([X, dep, A_all[t]])).all()
+        assert res.replications[r].final_queue == tuple(X.tolist())
+        assert res.replications[r].per_queue_avg == tuple(int(s) / T for s in occupancy)
+
+
 @pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
 def test_run_as_lcq_matches_per_slot_lcq(rng, tie_rule):
     # as_lcq runs the max-weight loop; replaying the LCQ rule slot by slot
