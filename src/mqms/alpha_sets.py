@@ -127,8 +127,6 @@ def build_vhat(M: int, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, .
     canonicalizes by gcd, and deduplicates scalar multiples.  The result
     is sorted and contains every standard basis vector.
     """
-    if N == 1:
-        return [(1,)]
     W = build_w(M, N)
     total = len(W) ** N
     if total > cap:

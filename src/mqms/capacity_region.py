@@ -29,7 +29,6 @@ from .channel_models import (
     column_laws,
     descriptor_hash,
     enumerate_states,
-    validate,
     validate_discrete,
 )
 
@@ -122,9 +121,9 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
 def _vertex_oracle(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
     """support_vertex as a function of alpha, with the model's law built once.
 
-    Validates the model and stacks its column laws up front, so a caller
-    that asks for many vertices of one model (Frank-Wolfe asks once per
-    iteration) pays for the law once.
+    Stacks the model's column laws up front, so a caller that asks for
+    many vertices of one model (Frank-Wolfe asks once per iteration) pays
+    for the law once.
     """
     laws = column_laws(model)
     values = np.concatenate([v for v, _ in laws])
@@ -165,39 +164,24 @@ def onoff_region(p) -> StabilityRegion:
     For every nonempty queue set Q:  sum_{n in Q} rate_n <= onoff_support(p, Q),
     encoded with the 0/1 indicator of Q as the direction.
     """
-    p = np.asarray(p, dtype=float)
-    if (p < 0).any() or (p > 1).any():
-        raise ValidationError("negative probability or >1 in ON-OFF matrix")
-    N = p.shape[0]
-    ineqs = []
-    for mask in range(1, 2**N):
-        alpha = tuple((mask >> n) & 1 for n in range(N))
-        Q = [n for n in range(N) if alpha[n]]
-        ineqs.append((alpha, onoff_support(p, Q)))
-    ineqs.sort(key=lambda ab: ab[0])
-    model = DiscreteChannelModel.bernoulli(p.tolist())
-    return StabilityRegion(N=N, inequalities=tuple(ineqs), provenance=descriptor_hash(model))
+    return build_region(DiscreteChannelModel.bernoulli(p))
 
 
-def build_region(model: DiscreteChannelModel, method: str = "auto") -> StabilityRegion:
+def build_region(model: DiscreteChannelModel) -> StabilityRegion:
     """Assemble the full inequality list for a discrete model.
 
-    method "vhat" evaluates the support function over every canonical
-    direction; "onoff" uses the bernoulli closed form (2^N - 1 subset
-    inequalities, identical direction set since M = 1); "auto" picks
-    "onoff" for bernoulli models and "vhat" otherwise.
+    One inequality per canonical direction.  Bernoulli models take their
+    betas from the ON-OFF closed form, since with M = 1 the directions are
+    exactly the 0/1 indicators of the nonempty queue sets; every other
+    model evaluates the support function.
     """
     validate_discrete(model)
-    if method == "auto":
-        method = "onoff" if model.kind == "bernoulli" else "vhat"
-    if method == "onoff":
-        if model.kind != "bernoulli":
-            raise ValidationError("onoff fast path requires a bernoulli model")
-        return onoff_region(np.array(model.p))
-    if method != "vhat":
-        raise ValueError(f"unknown region method {method!r}")
     directions = build_vhat(model.M, model.N)
-    ineqs = tuple((alpha, support_function(model, alpha)) for alpha in directions)
+    if model.kind == "bernoulli":
+        p = np.array(model.p)
+        ineqs = tuple((alpha, onoff_support(p, [n for n, a in enumerate(alpha) if a])) for alpha in directions)
+    else:
+        ineqs = tuple((alpha, support_function(model, alpha)) for alpha in directions)
     return StabilityRegion(N=model.N, inequalities=ineqs, provenance=descriptor_hash(model))
 
 
@@ -240,7 +224,6 @@ def brute_force_support(
     the literal maximum.  No per-server decomposition is used, so this
     cross-checks the fast path.  Only for small instances.
     """
-    validate(model)
     a = _check_direction(alpha, model.N)
     n_alloc = model.N ** model.K
     if n_alloc > alloc_cap:

@@ -3,8 +3,9 @@
 A channel state is an N x K matrix of per-link capacities in packets/slot.
 Discrete models carry integer capacities in {0, ..., M} and support exact
 enumeration of the joint state space; continuous models carry nonnegative
-real capacities sampled per link.  Models are immutable after construction
-and safe to share; all sampling goes through a caller-owned
+real capacities sampled per link.  A model checks itself once, when it is
+built, and is immutable afterwards, so the library never checks it again
+and it is safe to share; all sampling goes through a caller-owned
 ``numpy.random.Generator`` so runs are reproducible.
 """
 
@@ -54,29 +55,33 @@ class DiscreteChannelModel:
     pmfs: tuple = ()     # factored only
     p: tuple = ()        # bernoulli only
 
+    def __post_init__(self):
+        # nested fields become tuples, so the checked model cannot change afterwards
+        object.__setattr__(self, "p", _as_tuple2(self.p))
+        object.__setattr__(
+            self, "pmfs", tuple(tuple(tuple(float(q) for q in link) for link in row) for row in self.pmfs)
+        )
+        object.__setattr__(self, "states", tuple(
+            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in mat), float(prob))
+            for mat, prob in self.states
+        ))
+        object.__setattr__(self, "M", as_integer(self.M, "M"))
+        validate(self)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def bernoulli(cls, p) -> "DiscreteChannelModel":
         """ON-OFF model from an N x K matrix of success probabilities."""
-        p = _as_tuple2(p)
-        model = cls(N=len(p), K=len(p[0]) if p else 0, M=1, kind="bernoulli", p=p)
-        validate(model)
-        return model
+        return cls(N=len(p), K=len(p[0]) if len(p) else 0, M=1, kind="bernoulli", p=p)
 
     @classmethod
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
-        pmfs = tuple(tuple(tuple(float(q) for q in link) for link in row) for row in pmfs)
-        N = len(pmfs)
-        K = len(pmfs[0]) if N else 0
         lengths = {len(link) for row in pmfs for link in row}
         if len(lengths) != 1:
             raise ValidationError("dimension mismatch: link pmfs have unequal lengths")
-        M = lengths.pop() - 1
-        model = cls(N=N, K=K, M=M, kind="factored", pmfs=pmfs)
-        validate(model)
-        return model
+        return cls(N=len(pmfs), K=len(pmfs[0]), M=lengths.pop() - 1, kind="factored", pmfs=pmfs)
 
     @classmethod
     def explicit_joint(cls, states, M: int | None = None) -> "DiscreteChannelModel":
@@ -85,23 +90,12 @@ class DiscreteChannelModel:
         Zero-probability states are dropped here so downstream enumeration
         never carries them.  M defaults to the largest entry seen.
         """
-        cleaned = []
-        for C, prob in states:
-            prob = float(prob)
-            if prob == 0.0:
-                continue
-            mat = tuple(tuple(as_integer(x, "capacity") for x in row) for row in C)
-            cleaned.append((mat, prob))
+        cleaned = [(C, prob) for C, prob in states if float(prob) != 0.0]
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
-        N = len(cleaned[0][0])
-        K = len(cleaned[0][0][0])
         if M is None:
-            M = max(x for mat, _ in cleaned for row in mat for x in row)
-            M = max(M, 1)
-        model = cls(N=N, K=K, M=as_integer(M, "M"), kind="explicit_joint", states=tuple(cleaned))
-        validate(model)
-        return model
+            M = max(1, max(as_integer(x, "capacity") for C, _ in cleaned for row in C for x in row))
+        return cls(N=len(cleaned[0][0]), K=len(cleaned[0][0][0]), M=M, kind="explicit_joint", states=cleaned)
 
 
 @dataclass(frozen=True)
@@ -116,6 +110,9 @@ class LinkDistribution:
     mean: float = 0.0
     high: float = 0.0
     values: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
 
     def expected_value(self) -> float:
         if self.kind == "exponential":
@@ -136,12 +133,13 @@ class ContinuousChannelModel:
     kind: str = "continuous"
     links: tuple = ()  # links[n][k] is a LinkDistribution
 
+    def __post_init__(self):
+        object.__setattr__(self, "links", tuple(tuple(row) for row in self.links))
+        validate(self)
+
     @classmethod
     def of(cls, links) -> "ContinuousChannelModel":
-        links = tuple(tuple(row) for row in links)
-        model = cls(N=len(links), K=len(links[0]) if links else 0, links=links)
-        validate(model)
-        return model
+        return cls(N=len(links), K=len(links[0]) if len(links) else 0, links=links)
 
     def link_means(self) -> np.ndarray:
         return np.array(
@@ -215,13 +213,12 @@ def as_integer(x, what: str) -> int:
 
 
 def validate_discrete(model) -> None:
-    """validate(model), rejecting continuous models, which have no finite state space."""
+    """Reject anything but a discrete model; continuous models have no finite state space."""
     if not isinstance(model, DiscreteChannelModel):
         raise ValidationError(
             f"a discrete channel model is required, got {type(model).__name__}; "
             "continuous models have a fluid region only"
         )
-    validate(model)
 
 
 def _check_grid_shape(grid, N, K) -> None:
@@ -274,7 +271,6 @@ def enumerate_states(model: DiscreteChannelModel, cap: int = DEFAULT_STATE_CAP):
     int arrays of shape (N, K).  Raises ValidationError when the joint
     state space exceeds ``cap``.
     """
-    validate(model)
     if model.kind == "explicit_joint":
         if len(model.states) > cap:
             raise ValidationError(f"state-space cap exceeded: {len(model.states)} > {cap}")
@@ -304,7 +300,6 @@ def per_server_column_distribution(model: DiscreteChannelModel, k: int, cap: int
     independent, so any per-server expectation can be taken against this
     column law alone.  Returns a list of (tuple of length N, probability).
     """
-    validate(model)
     if model.kind == "explicit_joint":
         raise ValidationError("per-server column law undefined for explicit_joint; use enumerate_states")
     if not 0 <= k < model.K:
@@ -353,7 +348,6 @@ def link_means(model) -> np.ndarray:
     """E[C[n,k]] for every link, as an (N, K) array."""
     if isinstance(model, ContinuousChannelModel):
         return model.link_means()
-    validate(model)
     if model.kind == "bernoulli":
         return np.array(model.p, dtype=float)
     if model.kind == "factored":

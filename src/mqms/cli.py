@@ -115,27 +115,19 @@ def _cmd_vhat(args) -> int:
     cfg = {"subcommand": "vhat", "N": args.N, "M": args.M, "cap": args.cap, "version": __version__}
     h = _announce(cfg)
     directions = build_vhat(args.M, args.N, cap=args.cap)
-    payload = {
-        "N": args.N,
-        "M": args.M,
-        "vhat": [list(a) for a in directions],
-        "vhat_size": len(directions),
-        "wn_minus_zero": wn_count(args.M, args.N) - 1,
-        "config_hash": h,
-        "version": __version__,
-    }
+    payload = {"N": args.N, "M": args.M, "vhat": [list(a) for a in directions], "vhat_size": len(directions)}
+    if args.N > 1:  # for N = 1 the candidate set W = {1} holds no zero vector
+        payload["wn_minus_zero"] = wn_count(args.M, args.N) - 1
+    payload.update({"config_hash": h, "version": __version__})
     _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_region(args) -> int:
-    cfg = {
-        "subcommand": "region", "model": args.model, "format": args.format,
-        "method": args.method, "version": __version__,
-    }
+    cfg = {"subcommand": "region", "model": args.model, "format": args.format, "version": __version__}
     h = _announce(cfg)
     model = load_model(args.model)
-    region = build_region(model, method=args.method)
+    region = build_region(model)
     if args.format == "csv":
         header = [f"alpha_{n+1}" for n in range(region.N)] + ["beta"]
         rows = [list(alpha) + [beta] for alpha, beta in region.inequalities]
@@ -371,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="compute the stability-region inequalities")
     p.add_argument("--model", required=True, help="model descriptor JSON")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--method", choices=["auto", "vhat", "onoff"], default="auto")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_region)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import _check_direction
-from .channel_models import ContinuousChannelModel, link_means, sample_states, validate
+from .channel_models import ContinuousChannelModel, link_means, sample_states
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def mc_support_function(
 
     Returns (estimate, standard error).  Deterministic for a fixed seed.
     """
-    validate(model)
     a = _check_direction(alpha, model.N)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -135,7 +134,6 @@ def boundary_trace(
     directions are handled exactly through the per-queue mean-capacity
     bounds; the curve is clamped at zero.
     """
-    validate(model)
     if model.N != 2:
         raise ValueError("boundary tracing is defined for N = 2 only")
     if directions < 3:

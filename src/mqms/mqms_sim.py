@@ -297,11 +297,10 @@ _BATCH_MIN_REPS = 8
 _SCALAR_CHUNK = 4096
 
 
-def _blocks(model, arrivals, T, seed, R):
-    """Replication r's channel block (T, N, K), then its arrival block (T, N)."""
-    for r in range(R):
-        rng = np.random.default_rng(seed + r)
-        yield sample_states(model, rng, T), arrivals.sample(rng, T)
+def _blocks(model, arrivals, T, seed):
+    """One replication's channel block (T, N, K), then its arrival block (T, N), from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return sample_states(model, rng, T), arrivals.sample(rng, T)
 
 
 def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
@@ -311,9 +310,10 @@ def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
     # blocks in the smallest signed types holding 0..M and 0..cap, which mix with int64 exactly
     C = np.empty((T, R, K, N), dtype=np.min_scalar_type(-model.M - 1))
     A = np.empty((T, R, N), dtype=np.min_scalar_type(-cap - 1))
-    for r, (C_r, A_r) in enumerate(_blocks(model, arrivals, T, seed, R)):
+    for r in range(R):
+        C_r, A[:, r] = _blocks(model, arrivals, T, seed + r)
         C[:, r] = C_r.transpose(0, 2, 1)
-        A[:, r] = A_r
+        del C_r  # free this replication's block before the next one is sampled
 
     queues = np.arange(N)
     X = np.zeros((R, N), dtype=np.int64)
@@ -344,7 +344,8 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
     take_later = tie_rule == "highest_index"
     X_all, occupancy_all, arrived = (np.zeros((R, N), dtype=np.int64) for _ in range(3))
     X0, A0 = np.empty((T, N), dtype=np.int64) if record_trace else None, None
-    for r, (C_r, A_r) in enumerate(_blocks(model, arrivals, T, seed, R)):
+    for r in range(R):
+        C_r, A_r = _blocks(model, arrivals, T, seed + r)
         if r == 0:
             A0 = A_r
         X = [0] * N
@@ -365,6 +366,7 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
             if trace is not None:
                 trace[t] = X
         X_all[r], occupancy_all[r], arrived[r] = X, occupancy, A_r.sum(axis=0)
+        del C_r, A_r  # free this replication's blocks before the next ones are sampled
     return X_all, occupancy_all, arrived, X0, A0
 
 

@@ -151,16 +151,17 @@ def test_vertex_matches_per_state_argmax(rng, tie_rule):
 # -- regions -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("model", [
-    DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
-    DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=(((float("nan"), 1.0),),)),
-    DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 0.6), (((0,),), 0.6))),
-    ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]]),
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
+    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=(((float("nan"), 1.0),),)),
+    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 0.6), (((0,),), 0.6))),
+    lambda: ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]]),
 ], ids=["bernoulli-p-above-1", "factored-nan", "explicit-unnormalized", "continuous"])
 @pytest.mark.parametrize("fn", [support_function, support_vertex])
-def test_support_validates_models_built_without_classmethods(model, fn):
+def test_support_validates_models_built_without_classmethods(make, fn):
+    # invalid models fail when built; the continuous one when it reaches a discrete support
     with pytest.raises(ValidationError):
-        fn(model, (1,))
+        fn(make(), (1,))
 
 
 def test_build_region_symmetric_pair():
@@ -183,12 +184,15 @@ def test_build_region_m2_has_five_inequalities(rng):
 
 
 def test_build_region_methods_agree_for_onoff(rng):
-    model = random_bernoulli(rng, 2, 2)
-    a = build_region(model, method="vhat")
-    b = build_region(model, method="onoff")
-    assert [alpha for alpha, _ in a.inequalities] == [alpha for alpha, _ in b.inequalities]
-    for (_, x), (_, y) in zip(a.inequalities, b.inequalities):
-        assert abs(x - y) <= 1e-12
+    # bernoulli regions come from the ON-OFF closed form; it must equal the
+    # support function on every canonical direction
+    for N, K in [(1, 1), (2, 2), (3, 2), (4, 3)]:
+        model = random_bernoulli(rng, N, K)
+        region = build_region(model)
+        directions = build_vhat(1, N)
+        assert [alpha for alpha, _ in region.inequalities] == directions
+        for alpha, beta in region.inequalities:
+            assert abs(beta - support_function(model, alpha)) <= 1e-12
 
 
 def test_region_contains_basis_directions_and_positive_betas(rng):

@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 
 from mqms import (
+    ArrivalModel,
     ContinuousChannelModel,
     DiscreteChannelModel,
     LinkDistribution,
+    UtilitySpec,
     ValidationError,
+    boundary_trace,
+    build_region,
     descriptor_hash,
     enumerate_states,
     from_descriptor,
     link_means,
     per_server_column_distribution,
+    run,
     sample_state,
     sample_states,
+    solve_fairness,
+    support_vertex,
     to_descriptor,
     validate,
 )
+from mqms import capacity_region, channel_models, fairness_opt, fluid_region, mqms_sim
 from conftest import random_factored
 
 
@@ -44,9 +52,69 @@ def test_validate_rejects_negative_probability():
 
 
 def test_validate_rejects_dimension_mismatch():
-    model = DiscreteChannelModel(N=2, K=2, M=1, kind="bernoulli", p=((0.5, 0.5),))
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        validate(model)
+        DiscreteChannelModel(N=2, K=2, M=1, kind="bernoulli", p=((0.5, 0.5),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
+    lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)),
+    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
+    lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
+], ids=["bernoulli", "factored", "explicit_joint", "continuous"])
+def test_raw_invalid_model_fails_when_built(make):
+    # without a check in the constructor, sample_states and descriptor_hash took these as given
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_built_model_keeps_its_own_copy_of_nested_inputs():
+    p, pmfs, C, values = [[0.5, 0.25]], [[[0.5, 0.5]]], [[1]], [1.0, 2.0]
+    states = [(C, 0.5), ([[0]], 0.5)]
+    links = [[LinkDistribution("empirical", values=values)]]
+    models = [
+        DiscreteChannelModel(N=1, K=2, M=1, kind="bernoulli", p=p),
+        DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=pmfs),
+        DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=states),
+        ContinuousChannelModel(N=1, K=1, links=links),
+    ]
+    before = [to_descriptor(m) for m in models]
+    p[0][0], pmfs[0][0][0], C[0][0], values[0] = 2.0, 7.0, 5, -1.0
+    states.append(([[1]], 0.5))
+    links[0].append(LinkDistribution("uniform", high=1.0))
+    assert [to_descriptor(m) for m in models] == before
+    for m in models:
+        hash(m)  # TypeError if a nested field were still a list
+
+
+def test_built_models_are_not_checked_again(rng, monkeypatch):
+    discrete = random_factored(rng, N=2, K=2, M=2)
+    onoff = DiscreteChannelModel.bernoulli([[0.5, 0.2], [0.1, 0.9]])
+    continuous = ContinuousChannelModel.of(
+        [[LinkDistribution("exponential", mean=1.0)], [LinkDistribution("uniform", high=2.0)]]
+    )
+    arrivals = ArrivalModel.bernoulli_batch([1, 1], [0.2, 0.2])
+    calls = []
+    real = channel_models.validate
+
+    def counted(model):
+        calls.append(model)
+        real(model)
+
+    for module in (channel_models, capacity_region, fairness_opt, fluid_region, mqms_sim):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counted)
+    DiscreteChannelModel.bernoulli([[0.5]])
+    assert len(calls) == 1  # the counter sees the constructor's check
+    calls.clear()
+    build_region(discrete)
+    build_region(onoff)
+    support_vertex(discrete, (1, 2))
+    solve_fairness(discrete, UtilitySpec.log_shifted(2), max_iters=5)
+    for reps in (1, mqms_sim._BATCH_MIN_REPS):
+        run(discrete, arrivals, T=20, replications=reps)
+    boundary_trace(continuous, directions=5, samples=50)
+    assert calls == []
 
 
 NAN = float("nan")

@@ -66,6 +66,12 @@ def test_vhat_subcommand(capsys):
     assert payload["wn_minus_zero"] == 8
     assert [1, 2] in payload["vhat"]
     assert "config_hash" in payload and "version" in payload
+    # one queue: W = {1} has no zero vector to subtract, so the count is left out
+    code, payload = run_json(capsys, ["vhat", "--N", "1", "--M", "3"])
+    assert code == 0
+    assert payload["vhat"] == [[1]] and payload["vhat_size"] == 1
+    assert "wn_minus_zero" not in payload
+    assert main(["vhat", "--N", "1", "--M", "0"]) == 2
 
 
 def test_region_json(capsys, bern_model_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -382,6 +383,27 @@ def test_scalar_run_spanning_several_chunks_matches_per_slot_replay(rng, monkeyp
                 assert (res.trace[t, 1:] == np.concatenate([X, dep, A_all[t]])).all()
         assert res.replications[r].final_queue == tuple(X.tolist())
         assert res.replications[r].per_queue_avg == tuple(int(s) / T for s in occupancy)
+
+
+def test_scalar_run_frees_each_replication_before_sampling_the_next(monkeypatch):
+    # a run of three replications may peak no higher than a run of one, give
+    # or take half a channel block; holding replication r-1's block while r
+    # is sampled costs a whole one.  A small list chunk keeps the blocks the
+    # largest allocations.
+    monkeypatch.setattr(mqms_sim, "_SCALAR_CHUNK", 64)
+    N, T = 8, 4000
+    model = DiscreteChannelModel.bernoulli(np.full((N, N), 0.5).tolist())
+    arr = ArrivalModel.bernoulli_batch([1] * N, [0.05] * N)
+    block = T * N * N * np.dtype(np.int64).itemsize
+    peaks = {}
+    for R in (1, 3):
+        tracemalloc.start()
+        try:
+            mqms_sim._simulate_scalar(model, arr, T, 0, R, "lowest_index", False)
+            peaks[R] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] <= peaks[1] + block / 2
 
 
 @pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
