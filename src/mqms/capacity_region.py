@@ -148,6 +148,10 @@ def onoff_support(p, queue_subset) -> float:
     an ON link.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"p must be an N x K matrix, got shape {p.shape}")
+    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("success probabilities must lie in [0, 1]")
     Q = sorted(set(int(n) for n in queue_subset))
     if not Q:
         raise ValueError("queue subset must be nonempty")

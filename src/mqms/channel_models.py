@@ -22,6 +22,10 @@ import numpy as np
 PMF_TOL = 1e-12
 DEFAULT_STATE_CAP = 10_000_000
 
+# bernoulli blocks draw their float64 uniforms this many at a time (512 kB),
+# so the transient stays small against the one-byte-per-link-slot block
+_BERNOULLI_CHUNK_DRAWS = 1 << 16
+
 
 class ValidationError(ValueError):
     """A model violates one of its structural invariants."""
@@ -370,6 +374,16 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
     Slots are sampled independently from the stationary law (the models
     carry no temporal correlation).  Links are filled in fixed row-major
     order so a given generator state always produces the same block.
+
+    Discrete blocks come in ``np.min_scalar_type(-M - 1)``, the smallest
+    signed integer type holding 0..M (int8 while M < 128), which mixes
+    with int64 exactly; continuous blocks are float64.  The values are
+    those of the literal draws: per link ``rng.choice(M + 1, size, p=pmf)``
+    for factored models, one ``rng.random((size, N, K)) < p`` for
+    bernoulli models and ``rng.choice`` over the states for explicit_joint
+    ones.  Factored links search the cdf that ``choice`` builds without
+    its per-call checks, and bernoulli uniforms are drawn a chunk of slots
+    at a time, which continues the same stream.
     """
     N, K = model.N, model.K
     if isinstance(model, ContinuousChannelModel):
@@ -385,18 +399,26 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
                     out[:, n, k] = rng.choice(np.asarray(d.values, dtype=float), size=size)
         return out
 
+    dtype = np.min_scalar_type(-model.M - 1)
     if model.kind == "bernoulli":
         p = np.array(model.p, dtype=float)
-        return (rng.random((size, N, K)) < p).astype(np.int64)
+        out = np.empty((size, N, K), dtype=dtype)
+        chunk = max(1, _BERNOULLI_CHUNK_DRAWS // (N * K))
+        for start in range(0, size, chunk):
+            stop = min(start + chunk, size)
+            np.less(rng.random((stop - start, N, K)), p, out=out[start:stop])
+        return out
     if model.kind == "factored":
-        out = np.empty((size, N, K), dtype=np.int64)
+        out = np.empty((size, N, K), dtype=dtype)
         for n in range(N):
             for k in range(K):
                 pmf = np.asarray(model.pmfs[n][k], dtype=float)
-                out[:, n, k] = rng.choice(model.M + 1, size=size, p=pmf / pmf.sum())
+                cdf = (pmf / pmf.sum()).cumsum()
+                cdf /= cdf[-1]
+                out[:, n, k] = cdf.searchsorted(rng.random(size), side="right")
         return out
     probs = np.array([pr for _, pr in model.states])
-    mats = np.array([mat for mat, _ in model.states], dtype=np.int64)
+    mats = np.array([mat for mat, _ in model.states], dtype=dtype)
     idx = rng.choice(len(probs), size=size, p=probs / probs.sum())
     return mats[idx]
 

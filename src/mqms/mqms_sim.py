@@ -12,7 +12,10 @@ replication i draws everything from ``default_rng(seed + i)``, sampling
 the whole channel block first and then the arrival block.  From 8
 replications on, ``run`` advances them all in one slot loop over (R, K, N)
 arrays, whose blocks take about T*R*(K+1)*N bytes while M and the arrival
-caps are < 128; fewer replications run one at a time on Python ints.
+caps are < 128; fewer replications run one at a time on Python ints, read
+through memoryviews of a (T, K, N) copy of the channel block in the same
+compact type.  On 2x2 ON-OFF channels the two loops break even at 7 to 8
+replications.
 """
 
 from __future__ import annotations
@@ -286,15 +289,12 @@ class RunResult:
         }
 
 
-# The batched slot loop pays about 10 us of numpy call overhead per slot
-# whatever R is, while a replication-slot of the scalar loop costs 1-3 us
-# on systems up to 2x2.  Batching breaks even at about 8 replications on
-# 1x1, 5 on 2x2 and 1 on 8x8, so fewer replications run the scalar loop.
+# The batched slot loop pays 6-10 us of numpy call overhead per slot
+# whatever R is, while a replication-slot of the scalar loop costs about
+# 0.6 us on 1x1, 1 us on 2x2 and 5 us on 8x8.  On ON-OFF channels batching
+# breaks even at about 10 replications on 1x1, 7 to 8 on 2x2, 4 on 4x4 and
+# 2 on 8x8, so fewer replications run the scalar loop.
 _BATCH_MIN_REPS = 8
-
-# The scalar loop turns its blocks into Python lists this many slots at a
-# time: a whole 8x8 block as nested lists would take about 1.8 kB per slot.
-_SCALAR_CHUNK = 4096
 
 
 def _blocks(model, arrivals, T, seed):
@@ -331,42 +331,41 @@ def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
     return X, occupancy, A.sum(axis=0, dtype=np.int64), X0, A[:, 0]
 
 
-def _slot_lists(C_r, A_r):
-    """Each slot's channel matrix and arrivals as Python lists, converted _SCALAR_CHUNK slots at a time."""
-    for start in range(0, len(A_r), _SCALAR_CHUNK):
-        stop = start + _SCALAR_CHUNK
-        yield from zip(C_r[start:stop].tolist(), A_r[start:stop].tolist())
-
-
 def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
-    """One replication at a time, slot by slot on Python ints."""
+    """One replication at a time, slot by slot on Python ints read from flat memoryviews."""
     N, K = model.N, model.K
+    KN = K * N
     take_later = tie_rule == "highest_index"
     X_all, occupancy_all, arrived = (np.zeros((R, N), dtype=np.int64) for _ in range(3))
     X0, A0 = np.empty((T, N), dtype=np.int64) if record_trace else None, None
     for r in range(R):
         C_r, A_r = _blocks(model, arrivals, T, seed + r)
-        if r == 0:
+        if r == 0 and record_trace:
             A0 = A_r
+        # one contiguous (T, K, N) copy: server k's column of slot t starts at (t*K + k)*N
+        C = memoryview(C_r.transpose(0, 2, 1).ravel())
+        del C_r
+        A = memoryview(A_r.reshape(-1))
         X = [0] * N
         occupancy = [0] * N
         trace = X0 if r == 0 else None
-        for t, (C, A) in enumerate(_slot_lists(C_r, A_r)):
+        for t in range(T):
             served = [0] * N
-            for k in range(K):
-                best, best_w = 0, X[0] * C[0][k]
+            for c in range(t * KN, (t + 1) * KN, N):
+                best, best_w = 0, X[0] * C[c]
                 for n in range(1, N):
-                    w = X[n] * C[n][k]
+                    w = X[n] * C[c + n]
                     if w > best_w or (take_later and w == best_w):
                         best, best_w = n, w
-                served[best] += C[best][k]
+                served[best] += C[c + best]
+            a = t * N
             for n in range(N):
-                X[n] += A[n] - (served[n] if served[n] < X[n] else X[n])
+                X[n] += A[a + n] - (served[n] if served[n] < X[n] else X[n])
                 occupancy[n] += X[n]
             if trace is not None:
                 trace[t] = X
         X_all[r], occupancy_all[r], arrived[r] = X, occupancy, A_r.sum(axis=0)
-        del C_r, A_r  # free this replication's blocks before the next ones are sampled
+        del C, A, A_r  # free this replication's blocks before the next ones are sampled
     return X_all, occupancy_all, arrived, X0, A0
 
 

@@ -246,6 +246,21 @@ def test_onoff_closed_form_matches_support(rng):
             assert abs(support_function(model, alpha) - onoff_support(p, Q)) <= 1e-12
 
 
+
+@pytest.mark.parametrize(
+    ("p", "match"),
+    [
+        ([[1.5]], r"\[0, 1\]"),
+        ([[float("nan")]], r"\[0, 1\]"),
+        ([[-0.5, 0.2]], r"\[0, 1\]"),
+        ([0.5, 0.5], "N x K matrix"),
+        ([[[0.5]]], "N x K matrix"),
+    ],
+)
+def test_onoff_support_rejects_bad_probabilities(p, match):
+    with pytest.raises(ValueError, match=match):
+        onoff_support(p, [0])
+
 # -- membership margin ----------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from mqms import (
     validate,
 )
 from mqms import capacity_region, channel_models, fairness_opt, fluid_region, mqms_sim
-from conftest import random_factored
+from conftest import random_bernoulli, random_explicit, random_factored
 
 
 def test_validate_accepts_wellformed_bernoulli():
@@ -264,6 +264,53 @@ def test_sampling_is_seed_reproducible():
     assert (a == b).all()
     one = sample_state(model, np.random.default_rng(99))
     assert (one == a[0]).all()
+
+
+def _literal_sample(model, rng, T):
+    # the documented stream, drawn the plain way: per-link rng.choice in
+    # row-major link order, one rng.random((T, N, K)) < p, or rng.choice
+    # over the states
+    N, K = model.N, model.K
+    if model.kind == "bernoulli":
+        return rng.random((T, N, K)) < np.array(model.p)
+    if model.kind == "factored":
+        out = np.empty((T, N, K), dtype=np.int64)
+        for n in range(N):
+            for k in range(K):
+                pmf = np.array(model.pmfs[n][k])
+                out[:, n, k] = rng.choice(model.M + 1, size=T, p=pmf / pmf.sum())
+        return out
+    probs = np.array([prob for _, prob in model.states])
+    idx = rng.choice(len(probs), size=T, p=probs / probs.sum())
+    return np.array([mat for mat, _ in model.states])[idx]
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "factored", "explicit_joint"])
+def test_sample_states_replays_the_literal_stream(rng, monkeypatch, kind):
+    # values, dtype and the generator's next draw, at horizons on both sides
+    # of a (shrunk) bernoulli sampling chunk
+    monkeypatch.setattr(channel_models, "_BERNOULLI_CHUNK_DRAWS", 60)
+    for M in (1, 2, 3, 200):
+        if kind == "bernoulli" and M > 1:
+            continue
+        for _ in range(4):
+            N, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            if kind == "bernoulli":
+                model = random_bernoulli(rng, N, K)
+            elif kind == "factored":
+                model = random_factored(rng, N, K, M)
+            else:
+                n_states = int(rng.integers(2, min(8, (M + 1) ** (N * K)) + 1))
+                model = random_explicit(rng, N, K, M, n_states)
+            chunk = max(1, 60 // (N * K))
+            for T in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 2}):
+                seed = int(rng.integers(1 << 30))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_states(model, got_rng, T)
+                want = _literal_sample(model, want_rng, T)
+                assert got.dtype == np.min_scalar_type(-M - 1)
+                assert got.shape == (T, N, K) and (got == want).all()
+                assert got_rng.random() == want_rng.random()
 
 
 def test_empirical_frequencies_converge(rng):

@@ -19,7 +19,7 @@ from mqms import (
     sample_states,
     step,
 )
-from mqms import mqms_sim
+from mqms import channel_models, mqms_sim
 from mqms.capacity_region import max_weight_argmax
 from conftest import random_bernoulli, random_explicit, random_factored
 
@@ -359,20 +359,22 @@ def test_run_replications_match_per_slot_replay(rng, kind, tie_rule, R):
 
 
 @pytest.mark.parametrize("chunk", [7, None])
-def test_scalar_run_spanning_several_chunks_matches_per_slot_replay(rng, monkeypatch, chunk):
-    # the scalar loop converts its blocks to lists a chunk of slots at a
-    # time; a horizon over several chunks, with a partial last one, must
-    # replay exactly, at a tiny chunk and at the real one
+def test_scalar_run_spanning_several_sample_chunks_matches_literal_replay(monkeypatch, chunk):
+    # bernoulli blocks are sampled a chunk of slots at a time; a horizon over
+    # several chunks, with a partial last one, must replay exactly against
+    # one literal rng.random((T, N, K)) < p draw, at a tiny chunk and at the
+    # real one
+    p = np.array([[0.3, 0.8], [0.6, 0.45]])
+    model = DiscreteChannelModel.bernoulli(p.tolist())
     if chunk is not None:
-        monkeypatch.setattr(mqms_sim, "_SCALAR_CHUNK", chunk)
-    T = 2 * mqms_sim._SCALAR_CHUNK + 3 if chunk is None else 60
-    model = random_factored(rng, 2, 2, 2)
-    arr = ArrivalModel.bernoulli_batch([2, 1], [0.45, 0.6])
+        monkeypatch.setattr(channel_models, "_BERNOULLI_CHUNK_DRAWS", chunk * p.size)
+    T = 2 * channel_models._BERNOULLI_CHUNK_DRAWS // p.size + 3 if chunk is None else 60
+    arr = ArrivalModel.bernoulli_batch([2, 1], [0.3, 0.35])
     seed, R = 5, 2
     res = run(model, arr, T=T, seed=seed, replications=R, record_trace=True)
     for r in range(R):
         stream = np.random.default_rng(seed + r)
-        C_all = sample_states(model, stream, T)
+        C_all = (stream.random((T, 2, 2)) < p).astype(np.int64)
         A_all = arr.sample(stream, T)
         X = np.zeros(2, dtype=np.int64)
         occupancy = np.zeros(2, dtype=np.int64)
@@ -385,16 +387,15 @@ def test_scalar_run_spanning_several_chunks_matches_per_slot_replay(rng, monkeyp
         assert res.replications[r].per_queue_avg == tuple(int(s) / T for s in occupancy)
 
 
-def test_scalar_run_frees_each_replication_before_sampling_the_next(monkeypatch):
+def test_scalar_run_frees_each_replication_before_sampling_the_next():
     # a run of three replications may peak no higher than a run of one, give
     # or take half a channel block; holding replication r-1's block while r
-    # is sampled costs a whole one.  A small list chunk keeps the blocks the
-    # largest allocations.
-    monkeypatch.setattr(mqms_sim, "_SCALAR_CHUNK", 64)
+    # is sampled costs a whole one
     N, T = 8, 4000
     model = DiscreteChannelModel.bernoulli(np.full((N, N), 0.5).tolist())
     arr = ArrivalModel.bernoulli_batch([1] * N, [0.05] * N)
-    block = T * N * N * np.dtype(np.int64).itemsize
+    block = T * N * N * np.dtype(np.int8).itemsize
+    mqms_sim._simulate_scalar(model, arr, 10, 0, 1, "lowest_index", False)  # one-time allocations
     peaks = {}
     for R in (1, 3):
         tracemalloc.start()
@@ -404,6 +405,25 @@ def test_scalar_run_frees_each_replication_before_sampling_the_next(monkeypatch)
         finally:
             tracemalloc.stop()
     assert peaks[3] <= peaks[1] + block / 2
+
+
+@pytest.mark.parametrize(("R", "bytes_per_link_slot"), [(1, 4), (mqms_sim._BATCH_MIN_REPS, 1.75)])
+def test_run_peak_memory_per_link_slot(R, bytes_per_link_slot):
+    # a factored 8x8, M = 2 run samples one-byte channel blocks.  The scalar
+    # loop holds a sampled block, its (T, K, N) copy and the int64 arrival
+    # block (8/N bytes per link-slot), about 3 bytes per link-slot; the
+    # batched loop holds all R blocks plus one replication being sampled.
+    # An int64 block alone takes 8 bytes per link-slot.
+    N, T = 8, 20_000
+    model = random_factored(np.random.default_rng(3), N, N, 2)
+    arr = ArrivalModel.bernoulli_batch([1] * N, [0.1] * N)
+    tracemalloc.start()
+    try:
+        run(model, arr, T=T, seed=0, replications=R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_link_slot * T * R * N * N
 
 
 @pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
