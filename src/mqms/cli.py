@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: vhat, region, check, simulate, delay-bound, fluid-boundary,
-fairness, oracle-check.  Every run prints its fully resolved configuration
-(defaults included) to stderr, and every output embeds the configuration
-hash and tool version, so any artifact can be regenerated byte-for-byte.
+fairness, oracle-check.  Each subcommand only computes its result; ``main``
+resolves the configuration (every argument, defaults included, but the
+output paths, plus the version), prints it to stderr, stamps its hash and
+the tool version into the output and writes it, so any artifact can be
+regenerated byte-for-byte.
 Exit codes: 0 success, 2 bad input or validation failure, 1 internal error,
 3 a solver ran but missed its tolerance (``fairness``; the output is still
 written).
@@ -58,40 +60,19 @@ def _round12(obj):
     return obj
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def _announce(cfg: dict) -> str:
-    print(f"config: {json.dumps(cfg, sort_keys=True)}", file=sys.stderr)
-    return _config_hash(cfg)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_round12(payload), indent=2, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(header: list[str], rows, out: str | None, meta: str) -> None:
-    lines = [f"# {meta}", ",".join(header)]
+def _csv(header: list[str], rows, stamp: str) -> str:
+    """CSV text under a '# stamp' line; floats at 12 significant digits."""
+    lines = [f"# {stamp}", ",".join(header)]
     for row in rows:
-        cells = []
-        for x in row:
-            if isinstance(x, float):
-                cells.append(f"{x:.12g}")
-            else:
-                cells.append(str(x))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
+        lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {path}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -109,68 +90,40 @@ def _load_arrivals(path: str) -> ArrivalModel:
 
 
 # -- subcommands -----------------------------------------------------------
+# Each takes the parsed arguments and the "config_hash=... version=..." stamp
+# for CSV headers, and returns (JSON payload dict or CSV text, exit code).
 
 
-def _cmd_vhat(args) -> int:
-    cfg = {"subcommand": "vhat", "N": args.N, "M": args.M, "cap": args.cap, "version": __version__}
-    h = _announce(cfg)
+def _cmd_vhat(args, stamp):
     directions = build_vhat(args.M, args.N, cap=args.cap)
     payload = {"N": args.N, "M": args.M, "vhat": [list(a) for a in directions], "vhat_size": len(directions)}
     if args.N > 1:  # for N = 1 the candidate set W = {1} holds no zero vector
         payload["wn_minus_zero"] = wn_count(args.M, args.N) - 1
-    payload.update({"config_hash": h, "version": __version__})
-    _emit_json(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_region(args) -> int:
-    cfg = {"subcommand": "region", "model": args.model, "format": args.format, "version": __version__}
-    h = _announce(cfg)
-    model = load_model(args.model)
-    region = build_region(model)
+def _cmd_region(args, stamp):
+    region = build_region(load_model(args.model))
     if args.format == "csv":
         header = [f"alpha_{n+1}" for n in range(region.N)] + ["beta"]
         rows = [list(alpha) + [beta] for alpha, beta in region.inequalities]
-        _emit_csv(header, rows, args.out, f"config_hash={h} version={__version__}")
-    else:
-        payload = region.to_dict()
-        payload.update({"config_hash": h, "version": __version__})
-        _emit_json(payload, args.out)
-    return 0
+        return _csv(header, rows, stamp), 0
+    return region.to_dict(), 0
 
 
-def _cmd_check(args) -> int:
-    cfg = {
-        "subcommand": "check", "model": args.model, "lambda": args.rates,
-        "version": __version__,
-    }
-    h = _announce(cfg)
+def _cmd_check(args, stamp):
     model = load_model(args.model)
-    rates = _parse_rates(args.rates)
+    rates = _parse_rates(getattr(args, "lambda"))
     region = build_region(model)
     delta = membership_margin(region, rates)
-    payload = {
-        "lambda": rates,
-        "delta": delta,
-        "verdict": region.verdict(rates),
-        "config_hash": h,
-        "version": __version__,
-    }
-    _emit_json(payload, args.out)
-    return 0
+    return {"lambda": rates, "delta": delta, "verdict": region.verdict(rates)}, 0
 
 
 def _verdict_to_stability(verdict: str) -> str:
     return {"interior": "stable", "boundary": "boundary", "outside": "unstable"}[verdict]
 
 
-def _cmd_simulate(args) -> int:
-    cfg = {
-        "subcommand": "simulate", "model": args.model, "arrivals": args.arrivals,
-        "policy": args.policy, "slots": args.slots, "seed": args.seed,
-        "reps": args.reps, "tie_rule": args.tie_rule, "version": __version__,
-    }
-    h = _announce(cfg)
+def _cmd_simulate(args, stamp):
     model = load_model(args.model)
     arrivals = _load_arrivals(args.arrivals)
     result = run_sim(
@@ -196,8 +149,6 @@ def _cmd_simulate(args) -> int:
             }
             for s in result.replications
         ],
-        "config_hash": h,
-        "version": __version__,
     }
     if delta > 0:
         payload["bound"] = delay_bound(model.N, arrivals.a_max_sq, model.M, model.K, delta)
@@ -209,17 +160,11 @@ def _cmd_simulate(args) -> int:
             + [f"arrived_{n+1}" for n in range(N)]
         )
         rows = [[int(x) for x in row] for row in result.trace]
-        _emit_csv(header, rows, args.trace, f"config_hash={h} version={__version__}")
-    _emit_json(payload, args.out)
-    return 0
+        _write(_csv(header, rows, stamp), args.trace)
+    return payload, 0
 
 
-def _cmd_delay_bound(args) -> int:
-    cfg = {
-        "subcommand": "delay-bound", "model": args.model, "arrivals": args.arrivals,
-        "delta": args.delta, "version": __version__,
-    }
-    h = _announce(cfg)
+def _cmd_delay_bound(args, stamp):
     model = load_model(args.model)
     validate_discrete(model)
     arrivals = _load_arrivals(args.arrivals)
@@ -232,19 +177,11 @@ def _cmd_delay_bound(args) -> int:
     payload = {
         "N": model.N, "M": model.M, "K": model.K,
         "a_max_sq": arrivals.a_max_sq, "delta": delta, "bound": bound,
-        "config_hash": h, "version": __version__,
     }
-    _emit_json(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_fluid_boundary(args) -> int:
-    cfg = {
-        "subcommand": "fluid-boundary", "model": args.model,
-        "directions": args.directions, "samples": args.samples, "seed": args.seed,
-        "version": __version__,
-    }
-    h = _announce(cfg)
+def _cmd_fluid_boundary(args, stamp):
     model = load_model(args.model)
     if not isinstance(model, ContinuousChannelModel):
         raise ValidationError("fluid-boundary requires a continuous model")
@@ -253,19 +190,10 @@ def _cmd_fluid_boundary(args) -> int:
         [float(l1), float(l2), float(se)]
         for l1, l2, se in zip(curve.lambda1, curve.lambda2, curve.stderr)
     ]
-    _emit_csv(["lambda1", "lambda2", "stderr"], rows, args.out, f"config_hash={h} version={__version__}")
-    return 0
+    return _csv(["lambda1", "lambda2", "stderr"], rows, stamp), 0
 
 
-def _cmd_fairness(args) -> int:
-    cfg = {
-        "subcommand": "fairness", "model": args.model, "utility": args.utility,
-        "caps": args.caps, "weights": args.weights, "epsilon": args.epsilon,
-        "fairness_alpha": args.fairness_alpha, "tol": args.tol,
-        "max_iters": args.max_iters, "line_search": args.line_search,
-        "version": __version__,
-    }
-    h = _announce(cfg)
+def _cmd_fairness(args, stamp):
     model = load_model(args.model)
     caps = _parse_rates(args.caps) if args.caps else None
     if args.utility == "linear":
@@ -277,10 +205,7 @@ def _cmd_fairness(args) -> int:
         spec = UtilitySpec.alpha_fair(model.N, args.fairness_alpha, caps=caps)
     else:
         raise ValidationError(f"unknown utility {args.utility!r}")
-    sol = solve_fairness(
-        model, spec, tol=args.tol, max_iters=args.max_iters,
-        step_rule="line_search" if args.line_search else "open_loop",
-    )
+    sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters)
     payload = {
         "r_star": sol.r_star.tolist(),
         "objective": sol.objective,
@@ -288,11 +213,8 @@ def _cmd_fairness(args) -> int:
         "iterations": sol.iterations,
         "converged": sol.converged,
         "binding_constraints": [list(a) for a in sol.binding],
-        "config_hash": h,
-        "version": __version__,
     }
-    _emit_json(payload, args.out)
-    return 0 if sol.converged else 3
+    return payload, 0 if sol.converged else 3
 
 
 def oracle_check(model: DiscreteChannelModel, state_cap: int = 4096) -> dict:
@@ -326,20 +248,12 @@ def oracle_check(model: DiscreteChannelModel, state_cap: int = 4096) -> dict:
     return report
 
 
-def _cmd_oracle_check(args) -> int:
-    cfg = {
-        "subcommand": "oracle-check", "model": args.model, "state_cap": args.state_cap,
-        "version": __version__,
-    }
-    h = _announce(cfg)
-    model = load_model(args.model)
-    report = oracle_check(model, state_cap=args.state_cap)
+def _cmd_oracle_check(args, stamp):
+    report = oracle_check(load_model(args.model), state_cap=args.state_cap)
     n = report["directions_checked"]
     status = "==" if report["ok"] else "!="
     print(f"support_function {status} brute_force on {n}/{n} directions")
-    report.update({"config_hash": h, "version": __version__})
-    _emit_json(report, args.out)
-    return 0 if report["ok"] else 1
+    return report, 0 if report["ok"] else 1
 
 
 # -- parser ------------------------------------------------------------------
@@ -368,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="membership margin and verdict for a rate point")
     p.add_argument("--model", required=True)
-    p.add_argument("--lambda", dest="rates", required=True, help="comma-separated rates")
+    p.add_argument("--lambda", required=True, help="comma-separated rates")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_check)
 
@@ -408,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fairness-alpha", type=float, default=2.0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--line-search", action="store_true", help="exact line search instead of 2/(k+2)")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_fairness)
 
@@ -422,10 +335,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the resolved config is every argument but the output paths, plus the version
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out", "trace")}
+    cfg["version"] = __version__
+    text = json.dumps(cfg, sort_keys=True)
+    print(f"config: {text}", file=sys.stderr)
+    config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     try:
-        return args.func(args)
+        output, code = args.func(args, f"config_hash={config_hash} version={__version__}")
+        if isinstance(output, dict):
+            output = _round12({**output, "config_hash": config_hash, "version": __version__})
+            output = json.dumps(output, indent=2, allow_nan=False) + "\n"
+        _write(output, args.out)
+        return code
     except (ValidationError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

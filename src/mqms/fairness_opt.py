@@ -137,7 +137,7 @@ def solve_fairness(
     utilities: UtilitySpec,
     tol: float = 1e-6,
     max_iters: int = 10_000,
-    step_rule: str = "open_loop",
+    step_rule: str = "line_search",
     region: StabilityRegion | None = None,
     keep_trace: bool = False,
 ) -> FairnessSolution:
@@ -145,11 +145,10 @@ def solve_fairness(
 
     Each iteration asks the support-vertex oracle for the best rate point
     in the gradient direction, checks the linearization gap (an upper
-    bound on the remaining suboptimality), and moves with either the
-    open-loop step 2/(iter+2) or an exact line search
-    (``step_rule="line_search"``, needed when gaps far below the problem's
-    curvature are requested).  Stops when the gap drops to ``tol``, or
-    after ``max_iters`` iterations with ``converged`` False.
+    bound on the remaining suboptimality), and moves by an exact line
+    search along the segment to that vertex (``step_rule="line_search"``,
+    the one rule).  Stops when the gap drops to ``tol``, or after
+    ``max_iters`` iterations with ``converged`` False.
     """
     if utilities.N != model.N:
         raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
@@ -157,7 +156,7 @@ def solve_fairness(
         raise ValueError("tolerance must be finite and positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if step_rule not in ("open_loop", "line_search"):
+    if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
     if region is None:
         region = build_region(model)
@@ -182,11 +181,7 @@ def solve_fairness(
         if gap <= tol:
             break
         d = v - r
-        if step_rule == "line_search":
-            gamma = _line_search_step(lambda g: utilities._values(r + g[:, None] * d))
-        else:
-            gamma = 2.0 / (it + 2.0)
-        r = r + gamma * d
+        r = r + _line_search_step(lambda g: utilities._values(r + g[:, None] * d)) * d
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
     slacks = tuple(

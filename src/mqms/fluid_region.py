@@ -40,42 +40,13 @@ def _link_rows(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.transpose(1, 2, 0))
 
 
-def _add_servers(peaks: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a (K, S) array, bit-identical to ``peaks.T.sum(axis=1)``.
-
-    It adds in the order of numpy's reduction over a contiguous axis: left
-    to right below 8 terms; from 8 terms on, 8 interleaved accumulators
-    combined as a tree, with any remainder added last, and blocks of more
-    than 128 terms split in two first.  The total starts from +0.0, as the
-    reduction does.
-    """
-    K, S = peaks.shape
-    if K > 128:
-        half = K // 2 - K // 2 % 8
-        total = _add_servers(peaks[:half])
-        total += _add_servers(peaks[half:])
-        return total
-    total = np.zeros(S)
-    if K < 8:
-        for row in peaks:
-            total += row
-        return total
-    acc = peaks[:8].copy()
-    for i in range(8, K - K % 8, 8):
-        acc += peaks[i : i + 8]
-    total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in peaks[K - K % 8 :]:
-        total += row
-    return total
-
-
 def _support_on_block(rows: np.ndarray, alpha: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S)."""
     peaks = np.multiply(rows[0], alpha[0])
     scaled = np.empty_like(peaks)
     for n in range(1, len(rows)):
         np.maximum(peaks, np.multiply(rows[n], alpha[n], out=scaled), out=peaks)
-    vals = _add_servers(peaks)
+    vals = np.add.reduce(peaks, axis=0, initial=0.0)  # servers added left to right
     n = len(vals)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqms import DiscreteChannelModel
+from mqms import DiscreteChannelModel, __version__
 from mqms.cli import main, oracle_check
 
 DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
@@ -160,7 +161,7 @@ def test_fairness_subcommand(capsys, bern_model_path):
     code, payload = run_json(
         capsys,
         ["fairness", "--model", bern_model_path, "--utility", "log", "--tol", "1e-6",
-         "--max-iters", "10000", "--line-search"],
+         "--max-iters", "10000"],
     )
     assert code == 0
     assert payload["r_star"] == pytest.approx([0.375, 0.375], abs=1e-3)
@@ -170,14 +171,14 @@ def test_fairness_subcommand(capsys, bern_model_path):
 
 def test_fairness_reports_convergence_and_exits_3_when_capped(capsys, bern_model_path, tmp_path):
     argv = ["fairness", "--model", bern_model_path, "--utility", "log", "--tol", "1e-6"]
-    assert main(argv + ["--line-search"]) == 0
+    assert main(argv) == 0
     assert strict_json(capsys.readouterr().out)["converged"] is True
 
     out = tmp_path / "capped.json"
-    assert main(argv + ["--max-iters", "3", "--out", str(out)]) == 3
+    assert main(argv + ["--max-iters", "2", "--out", str(out)]) == 3
     payload = strict_json(out.read_text())
     assert payload["converged"] is False
-    assert payload["iterations"] == 3 and payload["gap"] > 1e-6
+    assert payload["iterations"] == 2 and payload["gap"] > 1e-6
 
 
 def test_check_huge_finite_rates_prints_a_finite_margin(capsys):
@@ -276,10 +277,44 @@ def test_outputs_are_byte_identical_across_runs(bern_model_path, arrivals_path, 
     assert va.read_bytes() == vb.read_bytes()
 
 
-def test_resolved_config_is_printed(capsys, bern_model_path):
-    main(["check", "--model", bern_model_path, "--lambda", "0.1,0.1"])
-    err = capsys.readouterr().err
-    assert err.startswith("config: ")
+@pytest.mark.parametrize("subcommand", [
+    "vhat", "region", "check", "simulate", "delay-bound", "fluid-boundary", "fairness", "oracle-check",
+])
+def test_resolved_config_is_printed(subcommand, capsys, bern_model_path, exp_model_path, arrivals_path, tmp_path):
+    # the config is every argument, defaults included, but the output paths,
+    # plus the version; the printed line and the output's hash both come from it
+    bern, exp, arrivals = bern_model_path, exp_model_path, arrivals_path
+    argv, expected = {
+        "vhat": (["--N", "2", "--M", "2"], {"N": 2, "M": 2, "cap": 10_000_000}),
+        "region": (["--model", bern], {"model": bern, "format": "json"}),
+        "check": (["--model", bern, "--lambda", "0.1,0.1"], {"model": bern, "lambda": "0.1,0.1"}),
+        "simulate": (
+            ["--model", bern, "--arrivals", arrivals, "--slots", "10", "--trace", str(tmp_path / "trace.csv")],
+            {"model": bern, "arrivals": arrivals, "policy": "mw", "slots": 10, "seed": 0, "reps": 1,
+             "tie_rule": "lowest_index"},
+        ),
+        "delay-bound": (["--model", bern, "--arrivals", arrivals], {"model": bern, "arrivals": arrivals, "delta": None}),
+        "fluid-boundary": (
+            ["--model", exp, "--directions", "5", "--samples", "100"],
+            {"model": exp, "directions": 5, "samples": 100, "seed": 0},
+        ),
+        "fairness": (
+            ["--model", bern],
+            {"model": bern, "utility": "log", "caps": None, "weights": None, "epsilon": 1e-6,
+             "fairness_alpha": 2.0, "tol": 1e-6, "max_iters": 10_000},
+        ),
+        "oracle-check": (["--model", bern], {"model": bern, "state_cap": 4096}),
+    }[subcommand]
+    cfg = json.dumps({"subcommand": subcommand, **expected, "version": __version__}, sort_keys=True)
+    config_hash = hashlib.sha256(cfg.encode()).hexdigest()[:16]
+    out = tmp_path / "out"
+    assert main([subcommand, *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == f"config: {cfg}"
+    if subcommand == "fluid-boundary":
+        assert out.read_text().splitlines()[0] == f"# config_hash={config_hash} version={__version__}"
+    else:
+        payload = json.loads(out.read_text())
+        assert (payload["config_hash"], payload["version"]) == (config_hash, __version__)
 
 
 def test_seed_default_is_announced(capsys, bern_model_path, arrivals_path):

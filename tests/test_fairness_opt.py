@@ -145,10 +145,9 @@ def test_objective_is_monotone_with_line_search():
 def test_iterates_stay_inside_region():
     region = build_region(SYM)
     spec = UtilitySpec.log_shifted(2, epsilon=1e-6)
-    for rule in ("open_loop", "line_search"):
-        sol = solve_fairness(SYM, spec, tol=1e-8, max_iters=300, step_rule=rule, keep_trace=True)
-        for r, _, _ in sol.trajectory:
-            assert membership_margin(region, r) >= -1e-9
+    sol = solve_fairness(SYM, spec, tol=1e-8, max_iters=300, step_rule="line_search", keep_trace=True)
+    for r, _, _ in sol.trajectory:
+        assert membership_margin(region, r) >= -1e-9
 
 
 def test_solution_respects_caps_and_region():
@@ -158,20 +157,13 @@ def test_solution_respects_caps_and_region():
     assert membership_margin(build_region(SYM), sol.r_star) >= -1e-7
 
 
-def test_open_loop_converges_at_coarser_tolerance():
-    spec = UtilitySpec.log_shifted(2, epsilon=1e-6)
-    sol = solve_fairness(SYM, spec, tol=1e-3, max_iters=10_000)
-    assert sol.gap <= 1e-3
-    assert np.allclose(sol.r_star, [0.375, 0.375], atol=0.02)
-
-
 def test_solution_reports_convergence():
     spec = UtilitySpec.log_shifted(2, epsilon=1e-6)
     sol = solve_fairness(SYM, spec, tol=1e-6, step_rule="line_search")
     assert sol.converged is True and sol.gap <= 1e-6
-    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=5)
+    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=2)
     assert capped.converged is False
-    assert capped.iterations == 5 and capped.gap > 1e-6
+    assert capped.iterations == 2 and capped.gap > 1e-6
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -180,7 +172,8 @@ def test_solution_reports_convergence():
     {"tol": float("nan")},
     {"tol": float("inf")},
     {"tol": 0.0},
-], ids=["max-iters-0", "max-iters-minus-1", "tol-nan", "tol-inf", "tol-0"])
+    {"step_rule": "open_loop"},
+], ids=["max-iters-0", "max-iters-minus-1", "tol-nan", "tol-inf", "tol-0", "step-rule-open-loop"])
 def test_solve_rejects_bad_budget_or_tolerance(kwargs):
     with pytest.raises(ValueError):
         solve_fairness(SYM, UtilitySpec.log_shifted(2), **kwargs)
