@@ -381,8 +381,13 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
     those of the literal draws: per link ``rng.choice(M + 1, size, p=pmf)``
     for factored models, one ``rng.random((size, N, K)) < p`` for
     bernoulli models and ``rng.choice`` over the states for explicit_joint
-    ones.  Factored links search the cdf that ``choice`` builds without
-    its per-call checks, and bernoulli uniforms are drawn a chunk of slots
+    ones.  Factored links draw ``size`` uniforms u and look them up in the
+    cdf that ``choice`` builds, without its per-call checks: the state is
+    the number of cdf entries <= u, which is ``searchsorted(u, "right")``.
+    While the block is int8 (M < 128) that number is counted as the sum of
+    ``u >= edge`` over the interior edges cdf[:-1] (the last entry is 1.0,
+    above every u), which is faster than the search up to there; wider
+    blocks keep the search.  Bernoulli uniforms are drawn a chunk of slots
     at a time, which continues the same stream.
     """
     N, K = model.N, model.K
@@ -415,7 +420,14 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
                 pmf = np.asarray(model.pmfs[n][k], dtype=float)
                 cdf = (pmf / pmf.sum()).cumsum()
                 cdf /= cdf[-1]
-                out[:, n, k] = cdf.searchsorted(rng.random(size), side="right")
+                u = rng.random(size)
+                if dtype == np.int8:  # counting beats the search up to M = 127, not at 200
+                    count = (u >= cdf[0]).view(np.int8)
+                    for edge in cdf[1:-1]:
+                        count += u >= edge
+                    out[:, n, k] = count
+                else:
+                    out[:, n, k] = cdf.searchsorted(u, side="right")
         return out
     probs = np.array([pr for _, pr in model.states])
     mats = np.array([mat for mat, _ in model.states], dtype=dtype)

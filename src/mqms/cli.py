@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -126,12 +127,12 @@ def _verdict_to_stability(verdict: str) -> str:
 def _cmd_simulate(args, stamp):
     model = load_model(args.model)
     arrivals = _load_arrivals(args.arrivals)
+    region = build_region(model)  # before the run, so a model without a region fails fast
     result = run_sim(
         model, arrivals, policy=args.policy, T=args.slots, seed=args.seed,
         replications=args.reps, tie_rule=args.tie_rule, record_trace=args.trace is not None,
     )
     agg = result.aggregate()
-    region = build_region(model)
     delta = membership_margin(region, arrivals.mean_rates())
     payload = {
         "avg_aggregate_occupancy": agg["avg_aggregate_occupancy"],
@@ -343,6 +344,9 @@ def main(argv=None) -> int:
     print(f"config: {text}", file=sys.stderr)
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     try:
+        for path in (args.out, vars(args).get("trace")):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValidationError(f"no directory to write {path!r} in")
         output, code = args.func(args, f"config_hash={config_hash} version={__version__}")
         if isinstance(output, dict):
             output = _round12({**output, "config_hash": config_hash, "version": __version__})

@@ -14,8 +14,8 @@ replications on, ``run`` advances them all in one slot loop over (R, K, N)
 arrays, whose blocks take about T*R*(K+1)*N bytes while M and the arrival
 caps are < 128; fewer replications run one at a time on Python ints, read
 through memoryviews of a (T, K, N) copy of the channel block in the same
-compact type.  On 2x2 ON-OFF channels the two loops break even at 7 to 8
-replications.
+compact type, where servers scan only the backlogged queues.  On 2x2
+ON-OFF channels the two loops break even at about 8 replications.
 """
 
 from __future__ import annotations
@@ -289,11 +289,12 @@ class RunResult:
         }
 
 
-# The batched slot loop pays 6-10 us of numpy call overhead per slot
+# The batched slot loop pays 11-24 us of numpy call overhead per slot
 # whatever R is, while a replication-slot of the scalar loop costs about
-# 0.6 us on 1x1, 1 us on 2x2 and 5 us on 8x8.  On ON-OFF channels batching
-# breaks even at about 10 replications on 1x1, 7 to 8 on 2x2, 4 on 4x4 and
-# 2 on 8x8, so fewer replications run the scalar loop.
+# 1 us on 1x1, 2 us on 2x2, 4 us on 4x4 and 9 us on 8x8 ON-OFF channels
+# (times scaled to a host where perfbench's reference kernel takes 10 ms).
+# Batching breaks even at about 10 replications on 1x1, 8 on 2x2, 4 on 4x4
+# and 2 on 8x8, so fewer replications run the scalar loop.
 _BATCH_MIN_REPS = 8
 
 
@@ -332,10 +333,19 @@ def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
 
 
 def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
-    """One replication at a time, slot by slot on Python ints read from flat memoryviews."""
+    """One replication at a time, slot by slot on Python ints read from flat memoryviews.
+
+    Servers scan the queues in the tie rule's order and take a queue only on
+    a strictly larger weight, starting from 0, so the first maximum scanned
+    wins.  A server whose best weight X[n] * C[n, k] is 0 faces empty queues
+    or offers them capacity 0: wherever the tie rule parks it, it departs
+    nothing, so here it serves nothing.  Empty queues can then be left out
+    of the scan; a slot with some empty queue lists the backlogged ones
+    once for all its servers (with one server, listing cannot pay).
+    """
     N, K = model.N, model.K
     KN = K * N
-    take_later = tie_rule == "highest_index"
+    order = range(N - 1, -1, -1) if tie_rule == "highest_index" else range(N)
     X_all, occupancy_all, arrived = (np.zeros((R, N), dtype=np.int64) for _ in range(3))
     X0, A0 = np.empty((T, N), dtype=np.int64) if record_trace else None, None
     for r in range(R):
@@ -351,13 +361,15 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
         trace = X0 if r == 0 else None
         for t in range(T):
             served = [0] * N
+            backlogged = [n for n in order if X[n]] if K > 1 and 0 in X else order
             for c in range(t * KN, (t + 1) * KN, N):
-                best, best_w = 0, X[0] * C[c]
-                for n in range(1, N):
+                best, best_w = 0, 0
+                for n in backlogged:
                     w = X[n] * C[c + n]
-                    if w > best_w or (take_later and w == best_w):
+                    if w > best_w:
                         best, best_w = n, w
-                served[best] += C[c + best]
+                if best_w:
+                    served[best] += C[c + best]
             a = t * N
             for n in range(N):
                 X[n] += A[a + n] - (served[n] if served[n] < X[n] else X[n])

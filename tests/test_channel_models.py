@@ -285,32 +285,54 @@ def _literal_sample(model, rng, T):
     return np.array([mat for mat, _ in model.states])[idx]
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "factored", "explicit_joint"])
-def test_sample_states_replays_the_literal_stream(rng, monkeypatch, kind):
-    # values, dtype and the generator's next draw, at horizons on both sides
-    # of a (shrunk) bernoulli sampling chunk
-    monkeypatch.setattr(channel_models, "_BERNOULLI_CHUNK_DRAWS", 60)
+def _zero_atom_pmfs(rng, M):
+    # a leading, an interior run of and a trailing zero atom, and point masses
+    # at 0, inside and at M: equal cdf entries and cdf[0] = 0.0
+    pmfs = []
+    for zeros in ([0], list(range(1, 1 + max(1, M // 2))), [M]):
+        w = rng.random(M + 1) + 0.05
+        w[zeros] = 0.0
+        pmfs.append((w / w.sum()).tolist())
+    for at in (0, M // 2, M):
+        pmfs.append([1.0 if m == at else 0.0 for m in range(M + 1)])
+    return pmfs
+
+
+def _sample_cases(rng, kind):
     for M in (1, 2, 3, 200):
         if kind == "bernoulli" and M > 1:
             continue
         for _ in range(4):
             N, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             if kind == "bernoulli":
-                model = random_bernoulli(rng, N, K)
+                yield M, random_bernoulli(rng, N, K)
             elif kind == "factored":
-                model = random_factored(rng, N, K, M)
+                yield M, random_factored(rng, N, K, M)
             else:
                 n_states = int(rng.integers(2, min(8, (M + 1) ** (N * K)) + 1))
-                model = random_explicit(rng, N, K, M, n_states)
-            chunk = max(1, 60 // (N * K))
-            for T in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 2}):
-                seed = int(rng.integers(1 << 30))
-                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = sample_states(model, got_rng, T)
-                want = _literal_sample(model, want_rng, T)
-                assert got.dtype == np.min_scalar_type(-M - 1)
-                assert got.shape == (T, N, K) and (got == want).all()
-                assert got_rng.random() == want_rng.random()
+                yield M, random_explicit(rng, N, K, M, n_states)
+    if kind == "factored":  # on both sides of the int8 cut at M = 128
+        for M in (2, 127, 130):
+            pmfs = _zero_atom_pmfs(rng, M)
+            yield M, DiscreteChannelModel.factored([pmfs[:3], pmfs[3:]])
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "factored", "explicit_joint"])
+def test_sample_states_replays_the_literal_stream(rng, monkeypatch, kind):
+    # values, dtype and the generator's next draw, at horizons on both sides
+    # of a (shrunk) bernoulli sampling chunk
+    monkeypatch.setattr(channel_models, "_BERNOULLI_CHUNK_DRAWS", 60)
+    for M, model in _sample_cases(rng, kind):
+        N, K = model.N, model.K
+        chunk = max(1, 60 // (N * K))
+        for T in sorted({1, max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 2}):
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_states(model, got_rng, T)
+            want = _literal_sample(model, want_rng, T)
+            assert got.dtype == np.min_scalar_type(-M - 1)
+            assert got.shape == (T, N, K) and (got == want).all()
+            assert got_rng.random() == want_rng.random()
 
 
 def test_empirical_frequencies_converge(rng):

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqms import DiscreteChannelModel, __version__
+from mqms import DiscreteChannelModel, __version__, to_descriptor
+from mqms import cli
 from mqms.cli import main, oracle_check
+from conftest import random_factored
 
 DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
@@ -132,6 +134,38 @@ def test_simulate_summary_and_trace(capsys, bern_model_path, arrivals_path, tmp_
     rep0 = payload["replications"][0]
     assert rep0["avg_aggregate_occupancy"] == pytest.approx(X.sum(axis=1).mean(), abs=1e-9)
     assert rep0["throughput"] == pytest.approx((served.sum(axis=0) / 2000).tolist(), abs=1e-9)
+
+
+def _run_must_not_be_called(*args, **kwargs):
+    raise AssertionError("the simulation ran")
+
+
+@pytest.mark.parametrize("missing", ["out", "trace"])
+def test_simulate_checks_output_directories_before_running(
+    missing, monkeypatch, capsys, bern_model_path, arrivals_path, tmp_path
+):
+    # a summary or trace path in a missing directory fails before the run,
+    # and no trace is left behind for a run that reported failure
+    monkeypatch.setattr(cli, "run_sim", _run_must_not_be_called)
+    trace = tmp_path / ("missing" if missing == "trace" else ".") / "trace.csv"
+    out = tmp_path / ("missing" if missing == "out" else ".") / "summary.json"
+    argv = ["simulate", "--model", bern_model_path, "--arrivals", arrivals_path, "--slots", "10",
+            "--trace", str(trace), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: no directory" in capsys.readouterr().err
+    assert not trace.exists() and not out.exists()
+
+
+def test_simulate_builds_the_region_before_running(monkeypatch, capsys, tmp_path):
+    # a factored 8x8, M = 2 model exceeds the direction enumeration cap; the
+    # command must fail on it before simulating
+    monkeypatch.setattr(cli, "run_sim", _run_must_not_be_called)
+    model = tmp_path / "factored_8x8.json"
+    model.write_text(json.dumps(to_descriptor(random_factored(np.random.default_rng(1), 8, 8, 2))))
+    arrivals = tmp_path / "arrivals.json"
+    arrivals.write_text(json.dumps({"queues": [{"kind": "bernoulli_batch", "batch": 1, "prob": 0.3}] * 8}))
+    assert main(["simulate", "--model", str(model), "--arrivals", str(arrivals), "--slots", "10"]) == 2
+    assert "enumeration cap exceeded" in capsys.readouterr().err
 
 
 def test_delay_bound_subcommand(capsys, bern_model_path, arrivals_path):

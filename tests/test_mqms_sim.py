@@ -330,32 +330,59 @@ def test_run_replications_match_per_slot_replay(rng, kind, tie_rule, R):
         else:
             model = random_explicit(rng, N, K, M, int(rng.integers(2, 9)))
         arr = ArrivalModel.bounded_pmf([(w / w.sum()).tolist() for w in rng.random((N, M + 1)) + 0.05])
-        T, seed = 300, int(rng.integers(1000))
-        res = run(model, arr, T=T, seed=seed, replications=R, tie_rule=tie_rule, record_trace=True)
-        for r in range(R):
-            stream = np.random.default_rng(seed + r)
-            C_all = sample_states(model, stream, T)
-            A_all = arr.sample(stream, T)
-            X = np.zeros(N, dtype=np.int64)
-            rows = []
-            for t in range(T):
-                X, dep = step(X, C_all[t], mw_allocate(X, C_all[t], tie_rule), A_all[t])
-                rows.append(np.concatenate([[t + 1], X, dep, A_all[t]]))
-            rows = np.array(rows)
-            X_all, dep_all = rows[:, 1 : 1 + N], rows[:, 1 + N : 1 + 2 * N]
-            assert res.replications[r] == SimStats(
-                replication=r,
-                seed=seed,
-                horizon=T,
-                avg_aggregate_occupancy=int(X_all.sum()) / T,
-                per_queue_avg=tuple(int(x) / T for x in X_all.sum(axis=0)),
-                throughput=tuple(int(d) / T for d in dep_all.sum(axis=0)),
-                final_queue=tuple(X.tolist()),
-                total_arrivals=tuple(A_all.sum(axis=0).tolist()),
-                total_departures=tuple(dep_all.sum(axis=0).tolist()),
-            )
-            if r == 0:
-                assert (res.trace == rows).all()
+        _assert_run_matches_per_slot_replay(model, arr, 300, int(rng.integers(1000)), R, tie_rule)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+@pytest.mark.parametrize("load", ["light", "saturated"])
+def test_scalar_run_on_wide_models_matches_per_slot_replay(load, tie_rule, R):
+    # the scalar loop lets servers scan only the backlogged queues; on a
+    # factored 6x6, M = 2 model it must still replay mw_allocate exactly,
+    # under a light load that leaves many queues empty and many weights
+    # tied, and a saturated one where no queue empties after warm-up
+    N, T, seed = 6, 400, 11
+    model = random_factored(np.random.default_rng(6), N, N, 2)
+    probs = [0.3] * N if load == "light" else [0.9] * N
+    arr = ArrivalModel.bernoulli_batch([2 if load == "light" else 3] * N, probs)
+    trace = _assert_run_matches_per_slot_replay(model, arr, T, seed, R, tie_rule)
+    empty = trace[:, 1 : 1 + N] == 0
+    if load == "light":
+        assert empty.mean() >= 0.4
+    else:
+        assert not empty[10:].any()
+
+
+def _assert_run_matches_per_slot_replay(model, arr, T, seed, R, tie_rule):
+    # every replication r of the run, replayed alone from default_rng(seed + r)
+    # through step and mw_allocate; returns replication 0's trace
+    N = model.N
+    res = run(model, arr, T=T, seed=seed, replications=R, tie_rule=tie_rule, record_trace=True)
+    for r in range(R):
+        stream = np.random.default_rng(seed + r)
+        C_all = sample_states(model, stream, T)
+        A_all = arr.sample(stream, T)
+        X = np.zeros(N, dtype=np.int64)
+        rows = []
+        for t in range(T):
+            X, dep = step(X, C_all[t], mw_allocate(X, C_all[t], tie_rule), A_all[t])
+            rows.append(np.concatenate([[t + 1], X, dep, A_all[t]]))
+        rows = np.array(rows)
+        X_all, dep_all = rows[:, 1 : 1 + N], rows[:, 1 + N : 1 + 2 * N]
+        assert res.replications[r] == SimStats(
+            replication=r,
+            seed=seed,
+            horizon=T,
+            avg_aggregate_occupancy=int(X_all.sum()) / T,
+            per_queue_avg=tuple(int(x) / T for x in X_all.sum(axis=0)),
+            throughput=tuple(int(d) / T for d in dep_all.sum(axis=0)),
+            final_queue=tuple(X.tolist()),
+            total_arrivals=tuple(A_all.sum(axis=0).tolist()),
+            total_departures=tuple(dep_all.sum(axis=0).tolist()),
+        )
+        if r == 0:
+            assert (res.trace == rows).all()
+    return res.trace
 
 
 @pytest.mark.parametrize("chunk", [7, None])
