@@ -10,12 +10,14 @@ delivers exactly the service of max-weight with lowest-index ties, which is
 how ``run`` simulates it.  Runs are reproducible:
 replication i draws everything from ``default_rng(seed + i)``, sampling
 the whole channel block first and then the arrival block.  From 8
-replications on, ``run`` advances them all in one slot loop over (R, K, N)
-arrays, whose blocks take about T*R*(K+1)*N bytes while M and the arrival
-caps are < 128; fewer replications run one at a time on Python ints, read
-through memoryviews of a (T, K, N) copy of the channel block in the same
-compact type, where servers scan only the backlogged queues.  On 2x2
-ON-OFF channels the two loops break even at about 8 replications.
+replications on, ``run`` advances them all in one slot loop over (K, R, N)
+int64 arrays in preallocated buffers.  Its compact blocks take about
+T*R*(K+1)*N bytes while M and the arrival caps are < 128, and are
+converted to int64 in reused chunks of at most 256 KiB of slots.  Fewer
+replications run one at a time on Python ints, read through memoryviews
+of a (T, K, N) copy of the channel block in the same compact type, where
+servers scan only the backlogged queues.  On ON-OFF channels the two
+loops break even at about 7 replications on 1x1 and 4 on 2x2.
 """
 
 from __future__ import annotations
@@ -193,6 +195,29 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
 # -- per-slot operations ---------------------------------------------------
 
 
+def _finite_nonnegative(value, name: str) -> np.ndarray:
+    a = np.asarray(value)
+    kind = a.dtype.kind  # integers are finite; only floats need the isfinite pass
+    if kind not in "biuf" or not (a >= 0).all() or (kind == "f" and not np.isfinite(a).all()):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return a
+
+
+def _is_binary(a: np.ndarray) -> bool:
+    return bool(((a == 0) | (a == 1)).all())
+
+
+def _backlogs_and_capacities(X, C) -> tuple[np.ndarray, np.ndarray]:
+    """X of shape (N,) and C of shape (N, K), both finite and >= 0, else ValueError."""
+    X = _finite_nonnegative(X, "queue lengths")
+    if X.ndim != 1:
+        raise ValueError(f"queue lengths must have shape (N,), got {X.shape}")
+    C = _finite_nonnegative(C, "capacities")
+    if C.ndim != 2 or C.shape[0] != X.shape[0]:
+        raise ValueError(f"capacities must have shape ({X.shape[0]}, K), got {C.shape}")
+    return X, C
+
+
 def _allocation(weights, tie_rule: str) -> np.ndarray:
     """Allocation matrix giving server k to the max-weight queue of column k."""
     winner = max_weight_argmax(np.asarray(weights).T, tie_rule)
@@ -204,12 +229,11 @@ def mw_allocate(X, C, tie_rule: str = "lowest_index") -> np.ndarray:
 
     Every column sums to 1 -- servers are always assigned, even when all
     weights are zero (then the tie rule sends them to a fixed queue and
-    the queue update wastes the capacity harmlessly).
+    the queue update wastes the capacity harmlessly).  X of shape (N,) and
+    C of shape (N, K) must be finite and nonnegative, else ValueError.
     """
-    X = np.asarray(X)
-    if (X < 0).any():
-        raise ValueError("queue lengths must be nonnegative")
-    return _allocation(X[:, None] * np.asarray(C), tie_rule)
+    X, C = _backlogs_and_capacities(X, C)
+    return _allocation(X[:, None] * C, tie_rule)
 
 
 def as_lcq_allocate(X, C) -> np.ndarray:
@@ -219,10 +243,11 @@ def as_lcq_allocate(X, C) -> np.ndarray:
     backlog at the start of the slot, ties to the lowest index; a server
     with no connected queue parks on queue 0 with zero effect.  For binary
     channels the delivered service per queue coincides with mw_allocate.
+    X of shape (N,) must be finite and nonnegative and C of shape (N, K)
+    binary, else ValueError.
     """
-    X = np.asarray(X)
-    C = np.asarray(C)
-    if not np.isin(C, (0, 1)).all():
+    X, C = _backlogs_and_capacities(X, C)
+    if not _is_binary(C):
         raise ValueError("longest-connected-queue requires a binary channel matrix")
     return _allocation(np.where(C == 1, X[:, None], -1), "lowest_index")
 
@@ -232,13 +257,22 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
 
     Offered service is summed per queue from the allocation, clipped at the
     backlog (the positive-part projection applies before arrivals), and
-    arrivals are added at the end of the slot.
+    arrivals are added at the end of the slot.  X and A of shape (N,) and
+    C of shape (N, K) must be finite and nonnegative, and the allocation I
+    of shape (N, K) must hold only 0s and 1s, else ValueError.  Its columns
+    need not sum to 1.
     """
-    X = np.asarray(X, dtype=np.int64)
-    A = np.asarray(A, dtype=np.int64)
-    if (A < 0).any():
-        raise ValueError("arrivals must be nonnegative")
-    offered = (np.asarray(C) * np.asarray(I)).sum(axis=1)
+    X, C = _backlogs_and_capacities(X, C)
+    I = np.asarray(I)
+    if I.shape != C.shape:
+        raise ValueError(f"allocation must have shape {C.shape}, got {I.shape}")
+    if not _is_binary(I):
+        raise ValueError("allocation entries must be 0 or 1")
+    A = _finite_nonnegative(A, "arrivals")
+    if A.shape != X.shape:
+        raise ValueError(f"arrivals must have shape {X.shape}, got {A.shape}")
+    X, A = np.asarray(X, dtype=np.int64), np.asarray(A, dtype=np.int64)
+    offered = (C * I).sum(axis=1)
     departures = np.minimum(X, offered)
     return X - departures + A, departures
 
@@ -289,13 +323,19 @@ class RunResult:
         }
 
 
-# The batched slot loop pays 11-24 us of numpy call overhead per slot
+# The batched slot loop pays 8-10 us of numpy call overhead per slot
 # whatever R is, while a replication-slot of the scalar loop costs about
-# 1 us on 1x1, 2 us on 2x2, 4 us on 4x4 and 9 us on 8x8 ON-OFF channels
+# 1.5 us on 1x1, 2 us on 2x2, 4 us on 4x4 and 10 us on 8x8 ON-OFF channels
 # (times scaled to a host where perfbench's reference kernel takes 10 ms).
-# Batching breaks even at about 10 replications on 1x1, 8 on 2x2, 4 on 4x4
-# and 2 on 8x8, so fewer replications run the scalar loop.
+# Batching breaks even at about 7 replications on 1x1, 4 on 2x2 and 2 on
+# 4x4, and wins from R = 1 on 8x8; on 1x1 it is no faster at R = 7, so
+# fewer than 8 replications run the scalar loop, which holds one
+# replication's blocks instead of all R.
 _BATCH_MIN_REPS = 8
+
+# the batched loop converts its compact blocks to int64 in chunks of whole
+# slots of at most this many bytes (256 KiB), reused for the whole run
+_SLOT_CHUNK_BYTES = 1 << 18
 
 
 def _blocks(model, arrivals, T, seed):
@@ -305,30 +345,53 @@ def _blocks(model, arrivals, T, seed):
 
 
 def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
-    """All replications in one slot loop over (R, K, N) arrays."""
+    """All replications in one slot loop over (K, R, N) int64 arrays.
+
+    The compact blocks are stored slot-major as (T, K, R, N) channel states
+    and (T, R, N) arrivals, and converted to int64 a chunk of slots at a
+    time into two buffers of at most _SLOT_CHUNK_BYTES, reused for the whole
+    run.  A slot then makes only same-type numpy calls into preallocated
+    buffers: the weights X[r, n] * C[k, r, n], the one max_weight_argmax
+    call, the winners' one-hot rows times their capacities, and their sum
+    over the servers.
+    """
     N, K = model.N, model.K
     cap = max(q.cap for q in arrivals.queues)
-    # blocks in the smallest signed types holding 0..M and 0..cap, which mix with int64 exactly
-    C = np.empty((T, R, K, N), dtype=np.min_scalar_type(-model.M - 1))
+    # blocks in the smallest signed types holding 0..M and 0..cap, which convert to int64 exactly
+    C = np.empty((T, K, R, N), dtype=np.min_scalar_type(-model.M - 1))
     A = np.empty((T, R, N), dtype=np.min_scalar_type(-cap - 1))
     for r in range(R):
         C_r, A[:, r] = _blocks(model, arrivals, T, seed + r)
-        C[:, r] = C_r.transpose(0, 2, 1)
+        C[:, :, r] = C_r.transpose(0, 2, 1)
         del C_r  # free this replication's block before the next one is sampled
 
-    queues = np.arange(N)
+    chunk = min(T, max(1, _SLOT_CHUNK_BYTES // (8 * K * R * N)))
+    C_chunk = np.empty((chunk, K, R, N), dtype=np.int64)
+    A_chunk = np.empty((chunk, R, N), dtype=np.int64)
+    eye = np.eye(N, dtype=np.int64)
+    W = np.empty((K, R, N), dtype=np.int64)
+    onehot = np.empty((K, R, N), dtype=np.int64)
+    served = np.empty((R, N), dtype=np.int64)
     X = np.zeros((R, N), dtype=np.int64)
     occupancy = np.zeros((R, N), dtype=np.int64)
     X0 = np.empty((T, N), dtype=np.int64) if record_trace else None
-    for t in range(T):
-        Ct = C[t]
-        winner = max_weight_argmax(X[:, None, :] * Ct, tie_rule)
-        served = np.add.reduce(Ct * (winner[:, :, None] == queues), 1, dtype=np.int64)
-        X -= np.minimum(served, X)
-        X += A[t]
-        occupancy += X
-        if record_trace:
-            X0[t] = X[0]
+    for start in range(0, T, chunk):
+        n = min(chunk, T - start)
+        np.copyto(C_chunk[:n], C[start : start + n])
+        np.copyto(A_chunk[:n], A[start : start + n])
+        for t in range(n):
+            Ct = C_chunk[t]
+            np.multiply(X, Ct, out=W)
+            winner = max_weight_argmax(W, tie_rule)
+            # winners lie in 0..N-1, so "clip" never acts; the default "raise" buffers out
+            eye.take(winner, axis=0, out=onehot, mode="clip")
+            onehot *= Ct
+            np.add.reduce(onehot, 0, out=served)
+            X -= np.minimum(served, X, out=served)
+            X += A_chunk[t]
+            occupancy += X
+            if record_trace:
+                X0[start + t] = X[0]
     return X, occupancy, A.sum(axis=0, dtype=np.int64), X0, A[:, 0]
 
 
@@ -396,9 +459,10 @@ def run(
     Replication i uses ``default_rng(seed + i)`` and samples its whole
     channel block before its arrival block, so each replication is
     reproducible on its own.  From _BATCH_MIN_REPS replications on, one
-    slot loop advances them all, making each slot's decisions in one
-    max_weight_argmax call; fewer replications run one at a time through a
-    scalar loop with the same decisions.  On ON-OFF channels
+    slot loop advances them all on (K, R, N) int64 slot chunks of the
+    compact blocks, making each slot's decisions in one max_weight_argmax
+    call into buffers reused for the whole run; fewer replications run one
+    at a time through a scalar loop with the same decisions.  On ON-OFF channels
     longest-connected-queue delivers exactly max-weight's service with
     lowest-index ties, so ``policy="as_lcq"`` runs the max-weight loop with
     that tie rule.  The trace (slot, queue lengths, departures, arrivals)

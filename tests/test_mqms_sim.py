@@ -123,6 +123,38 @@ def test_step_identity_without_service_or_arrivals():
     assert dep.tolist() == [0, 0]
 
 
+C_2x2 = [[1, 2], [0, 1]]
+I_2x2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(("call", "match"), [
+    (lambda: step([[3, 3]], C_2x2, I_2x2, [0, 0]), "queue lengths must have shape"),
+    (lambda: mw_allocate([3, 3], [1, 2]), "capacities must have shape"),
+    (lambda: as_lcq_allocate([3, 3, 3], I_2x2), "capacities must have shape"),
+    (lambda: step([3, 3], C_2x2, [[1], [0]], [0, 0]), "allocation must have shape"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [1]), "arrivals must have shape"),
+    (lambda: mw_allocate([float("nan"), 1], I_2x2), "queue lengths must be finite"),
+    (lambda: as_lcq_allocate([1, float("inf")], I_2x2), "queue lengths must be finite"),
+    (lambda: step([-2, 3], C_2x2, I_2x2, [0, 0]), "queue lengths must be finite and nonnegative"),
+    (lambda: mw_allocate([1, 1], [[1, float("inf")], [0, 1]]), "capacities must be finite"),
+    (lambda: mw_allocate([1, 1], [[-1, 2], [0, 1]]), "capacities must be finite and nonnegative"),
+    (lambda: step([3, 3], [[-1, 2], [0, 1]], I_2x2, [0, 0]), "capacities must be finite and nonnegative"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [float("nan"), 0]), "arrivals must be finite"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [-1, 0]), "arrivals must be finite and nonnegative"),
+    (lambda: step([3, 3], C_2x2, [[2, 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
+    (lambda: step([3, 3], C_2x2, [[float("nan"), 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
+], ids=[
+    "X-2d", "C-1d", "C-rows", "I-shape", "A-shape", "X-nan", "X-inf", "X-negative", "C-inf",
+    "C-negative-mw", "C-negative-step", "A-nan", "A-negative", "I-two", "I-nan",
+])
+def test_per_slot_ops_reject_bad_input(call, match):
+    # before these checks, a (2, 1) allocation or one arrival broadcast over
+    # both queues, negative backlogs and capacities gave negative
+    # departures, and mw_allocate picked winners from NaN weights
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- occupancy bound -------------------------------------------------------------
 
 
@@ -412,6 +444,22 @@ def test_scalar_run_spanning_several_sample_chunks_matches_literal_replay(monkey
                 assert (res.trace[t, 1:] == np.concatenate([X, dep, A_all[t]])).all()
         assert res.replications[r].final_queue == tuple(X.tolist())
         assert res.replications[r].per_queue_avg == tuple(int(s) / T for s in occupancy)
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+@pytest.mark.parametrize("R", [mqms_sim._BATCH_MIN_REPS, mqms_sim._BATCH_MIN_REPS + 1])
+def test_batched_run_spanning_several_int64_chunks_matches_per_slot_replay(monkeypatch, R, tie_rule, chunk):
+    # the batched loop converts its blocks to int64 a chunk of slots at a
+    # time; a horizon over several chunks with a partial last one must
+    # replay exactly, trace included, at 7-slot chunks and at the real size
+    N, K = 4, 3
+    model = random_factored(np.random.default_rng(14), N, K, 3)
+    arr = ArrivalModel.bounded_pmf([[0.4, 0.3, 0.2, 0.1]] * N)
+    if chunk is not None:
+        monkeypatch.setattr(mqms_sim, "_SLOT_CHUNK_BYTES", chunk * 8 * K * R * N)
+    T = 60 if chunk is not None else 2 * (mqms_sim._SLOT_CHUNK_BYTES // (8 * K * R * N)) + 3
+    _assert_run_matches_per_slot_replay(model, arr, T, 23, R, tie_rule)
 
 
 def test_scalar_run_frees_each_replication_before_sampling_the_next():
