@@ -15,7 +15,6 @@ from .capacity_region import (
     brute_force_support,
     build_region,
     membership_margin,
-    onoff_region,
     onoff_support,
     support_function,
     support_vertex,
@@ -87,7 +86,6 @@ __all__ = [
     "mc_support_function",
     "membership_margin",
     "mw_allocate",
-    "onoff_region",
     "onoff_support",
     "per_server_column_distribution",
     "run",

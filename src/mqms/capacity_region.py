@@ -35,38 +35,47 @@ from .channel_models import (
 BRUTE_FORCE_CAP = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityRegion:
-    """Finite inequality description {rate >= 0 : alpha . rate <= beta}.
+    """Finite inequality description {rate >= 0 : A @ rate <= beta}.
 
-    ``inequalities`` holds (alpha, beta) pairs with alpha an integer tuple
-    and beta in packets/slot; ``provenance`` is the descriptor hash of the
-    generating model.
+    ``A`` (D, N) holds integer directions and ``beta`` (D,) their supports
+    in packets/slot, both read-only copies; ``provenance`` is the generating
+    model's descriptor hash.  Regions compare by identity; compare
+    ``inequalities`` for equal values.
     """
 
-    N: int
-    inequalities: tuple
+    A: np.ndarray
+    beta: np.ndarray
     provenance: str = ""
 
-    def margin(self, rates) -> float:
-        return membership_margin(self, rates)
+    def __post_init__(self):
+        A, beta = np.asarray(self.A), np.array(self.beta, dtype=float)
+        if A.ndim != 2 or beta.shape != A.shape[:1]:
+            raise ValueError(f"need A of shape (D, N) and beta of shape (D,), got {A.shape} and {beta.shape}")
+        integral = (np.isfinite(A) & (A >= 0) & (A == np.trunc(A))).all() and A.any(axis=1).all()
+        if not (integral and np.isfinite(beta).all()):
+            raise ValueError("directions must be nonzero with nonnegative integer entries, and betas finite")
+        for name, arr in (("A", A.astype(np.int64)), ("beta", beta)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def N(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def inequalities(self) -> tuple:
+        """(alpha, beta) pairs in row order, alpha an int tuple and beta a float."""
+        return tuple(zip(map(tuple, self.A.tolist()), self.beta.tolist()))
 
     def verdict(self, rates, tol: float = 1e-9) -> str:
-        delta = self.margin(rates)
-        if delta > tol:
-            return "interior"
-        if delta < -tol:
-            return "outside"
-        return "boundary"
+        delta = membership_margin(self, rates)
+        return "interior" if delta > tol else "outside" if delta < -tol else "boundary"
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "inequalities": [
-                {"alpha": list(alpha), "beta": beta} for alpha, beta in self.inequalities
-            ],
-            "provenance": self.provenance,
-        }
+        inequalities = [{"alpha": list(alpha), "beta": beta} for alpha, beta in self.inequalities]
+        return {"N": self.N, "inequalities": inequalities, "provenance": self.provenance}
 
 
 def _check_direction(alpha, N: int) -> np.ndarray:
@@ -162,15 +171,6 @@ def onoff_support(p, queue_subset) -> float:
     return float(K - off.sum())
 
 
-def onoff_region(p) -> StabilityRegion:
-    """Exact region of an ON-OFF model: 2^N - 1 subset-sum inequalities.
-
-    For every nonempty queue set Q:  sum_{n in Q} rate_n <= onoff_support(p, Q),
-    encoded with the 0/1 indicator of Q as the direction.
-    """
-    return build_region(DiscreteChannelModel.bernoulli(p))
-
-
 def build_region(model: DiscreteChannelModel) -> StabilityRegion:
     """Assemble the full inequality list for a discrete model.
 
@@ -183,10 +183,10 @@ def build_region(model: DiscreteChannelModel) -> StabilityRegion:
     directions = build_vhat(model.M, model.N)
     if model.kind == "bernoulli":
         p = np.array(model.p)
-        ineqs = tuple((alpha, onoff_support(p, [n for n, a in enumerate(alpha) if a])) for alpha in directions)
+        beta = [onoff_support(p, [n for n, a in enumerate(alpha) if a]) for alpha in directions]
     else:
-        ineqs = tuple((alpha, support_function(model, alpha)) for alpha in directions)
-    return StabilityRegion(N=model.N, inequalities=ineqs, provenance=descriptor_hash(model))
+        beta = [support_function(model, alpha) for alpha in directions]
+    return StabilityRegion(directions, beta, provenance=descriptor_hash(model))
 
 
 def membership_margin(region: StabilityRegion, rates) -> float:
@@ -201,18 +201,14 @@ def membership_margin(region: StabilityRegion, rates) -> float:
         raise ValueError(f"rate point must have length {region.N}")
     if not (np.isfinite(lam) & (lam >= 0)).all():
         raise ValueError("rates must be finite and nonnegative")
-    if not region.inequalities:
+    if not len(region.beta):
         raise ValueError("region has no inequalities")
     # alpha . rates overflows for finite rates near the float limit.  Rates
     # and betas are then divided by a power of two, which is exact, so the
     # margin keeps its digits; below the threshold nothing is scaled.
     scale = 2.0 ** -math.frexp(lam.max())[1] if lam.max() > 2.0**512 else 1.0
-    lam = lam * scale
-    delta = np.inf
-    for alpha, beta in region.inequalities:
-        a = np.asarray(alpha, dtype=float)
-        delta = min(delta, (beta * scale - float(a @ lam)) / float(a.sum()))
-    return float(delta / scale)
+    delta = (region.beta * scale - region.A @ (lam * scale)) / region.A.sum(axis=1)
+    return float(delta.min() / scale)
 
 
 def brute_force_support(

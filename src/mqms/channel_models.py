@@ -359,10 +359,7 @@ def link_means(model) -> np.ndarray:
         return np.array(
             [[float(np.dot(model.pmfs[n][k], vals)) for k in range(model.K)] for n in range(model.N)]
         )
-    means = np.zeros((model.N, model.K))
-    for mat, prob in model.states:
-        means += prob * np.array(mat, dtype=float)
-    return means
+    return sum(prob * np.array(mat, dtype=float) for mat, prob in model.states)
 
 
 # -- sampling ------------------------------------------------------------

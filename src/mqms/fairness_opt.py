@@ -44,24 +44,38 @@ class UtilitySpec:
     epsilon: float = 1e-6
     a: float = 0.0
 
+    def __post_init__(self):
+        caps, weights = tuple(float(c) for c in self.caps), tuple(float(w) for w in self.weights)
+        epsilon, a = float(self.epsilon), float(self.a)
+        if self.kind == "weighted_linear":
+            if not all(0 <= w < math.inf for w in weights):
+                raise ValueError("linear utility weights must be finite and nonnegative")
+            if len(caps) != len(weights):
+                raise ValueError(f"need {len(weights)} caps, got {len(caps)}")
+        elif self.kind == "log_shifted":
+            if not 0 < epsilon < math.inf:
+                raise ValueError("epsilon must be finite and positive")
+        elif self.kind == "alpha_fair":
+            if not 0 <= a < math.inf or a == 1.0:
+                raise ValueError("fairness exponent must be finite, >= 0 and != 1")
+        else:
+            raise ValueError(f"unknown utility kind {self.kind!r}")
+        if not all(c >= 0 for c in caps):
+            raise ValueError("caps must be nonnegative (infinity allowed), not NaN")
+        for name, value in (("caps", caps), ("weights", weights), ("epsilon", epsilon), ("a", a)):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def weighted_linear(cls, weights, caps=None) -> "UtilitySpec":
-        weights = tuple(float(w) for w in weights)
-        if not all(0 <= w < math.inf for w in weights):
-            raise ValueError("linear utility weights must be finite and nonnegative")
+        weights = tuple(weights)
         return cls(kind="weighted_linear", caps=_caps_tuple(caps, len(weights)), weights=weights)
 
     @classmethod
     def log_shifted(cls, n_queues: int, epsilon: float = 1e-6, caps=None) -> "UtilitySpec":
-        if not 0 < epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
-        return cls(kind="log_shifted", caps=_caps_tuple(caps, n_queues), epsilon=float(epsilon))
+        return cls(kind="log_shifted", caps=_caps_tuple(caps, n_queues), epsilon=epsilon)
 
     @classmethod
     def alpha_fair(cls, n_queues: int, a: float, caps=None) -> "UtilitySpec":
-        a = float(a)
-        if not 0 <= a < math.inf or a == 1.0:
-            raise ValueError("fairness exponent must be finite, >= 0 and != 1")
         return cls(kind="alpha_fair", caps=_caps_tuple(caps, n_queues), a=a)
 
     @property
@@ -94,13 +108,9 @@ class UtilitySpec:
 
 
 def _caps_tuple(caps, n: int) -> tuple:
-    if caps is None:
-        return (math.inf,) * n
-    caps = tuple(float(c) for c in caps)
+    caps = (math.inf,) * n if caps is None else tuple(caps)
     if len(caps) != n:
         raise ValueError(f"need {n} caps, got {len(caps)}")
-    if not all(c >= 0 for c in caps):
-        raise ValueError("caps must be nonnegative (infinity allowed), not NaN")
     return caps
 
 
@@ -158,8 +168,7 @@ def solve_fairness(
         raise ValueError("max_iters must be at least 1")
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
-    if region is None:
-        region = build_region(model)
+    region = build_region(model) if region is None else region
     vertex = _vertex_oracle(model)
 
     r = np.zeros(model.N)
@@ -184,19 +193,14 @@ def solve_fairness(
         r = r + _line_search_step(lambda g: utilities._values(r + g[:, None] * d)) * d
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
-    slacks = tuple(
-        float(beta - np.dot(alpha, r_star)) for alpha, beta in region.inequalities
-    )
-    binding = tuple(
-        alpha for (alpha, _), s in zip(region.inequalities, slacks) if s <= 1e-6
-    )
+    slacks = region.beta - region.A @ r_star
     return FairnessSolution(
         r_star=r_star,
         objective=utilities.value(r_star),
         gap=gap,
         iterations=iters,
-        slacks=slacks,
-        binding=binding,
+        slacks=tuple(slacks.tolist()),
+        binding=tuple(map(tuple, region.A[slacks <= 1e-6].tolist())),
         converged=gap <= tol,
         trajectory=tuple(trace),
     )
@@ -214,8 +218,7 @@ def fw_gap(
     bounds how much utility any feasible point can add over r.
     """
     r = np.asarray(r, dtype=float)
-    if region is None:
-        region = build_region(model)
+    region = build_region(model) if region is None else region
     if membership_margin(region, r) < -1e-7:
         raise ValueError("rate point lies outside the region")
     grad = utilities.gradient(r)

@@ -23,7 +23,6 @@ loops break even at about 7 replications on 1x1 and 4 on 2x2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -101,9 +100,9 @@ class QueueArrivals:
 
 
 def _exact_rate(rate) -> tuple[int, int]:
-    # str round-trip keeps decimal inputs exact: 0.3 -> 3/10, not the binary float
+    # via str, 0.3 reads as 3/10 (not the binary float) and "1/3" as 1/3
     try:
-        frac = Fraction(Decimal(str(rate))) if not isinstance(rate, Fraction) else rate
+        frac = Fraction(str(rate))
     except (ArithmeticError, ValueError):
         raise ValidationError(f"arrival rate {rate!r} is not a finite number") from None
     return frac.numerator, frac.denominator
@@ -167,7 +166,9 @@ class ArrivalModel:
         qs = []
         for q in self.queues:
             if q.kind == "deterministic":
-                qs.append({"kind": "deterministic", "rate": q.rate_num / q.rate_den})
+                rate = Fraction(q.rate_num, q.rate_den)
+                exact = Fraction(repr(float(rate))) == rate  # 0.3 reads back as 3/10, 1/3 needs "1/3"
+                qs.append({"kind": "deterministic", "rate": float(rate) if exact else str(rate)})
             elif q.kind == "bernoulli_batch":
                 qs.append({"kind": "bernoulli_batch", "batch": q.batch, "prob": q.prob})
             else:
@@ -257,10 +258,10 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
 
     Offered service is summed per queue from the allocation, clipped at the
     backlog (the positive-part projection applies before arrivals), and
-    arrivals are added at the end of the slot.  X and A of shape (N,) and
-    C of shape (N, K) must be finite and nonnegative, and the allocation I
-    of shape (N, K) must hold only 0s and 1s, else ValueError.  Its columns
-    need not sum to 1.
+    arrivals are added at the end of the slot.  X and A of shape (N,) must
+    be nonnegative integers (integral floats pass), C of shape (N, K) finite
+    and nonnegative, and the allocation I of shape (N, K) must hold only 0s
+    and 1s, else ValueError.  Its columns need not sum to 1.
     """
     X, C = _backlogs_and_capacities(X, C)
     I = np.asarray(I)
@@ -271,7 +272,10 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
     A = _finite_nonnegative(A, "arrivals")
     if A.shape != X.shape:
         raise ValueError(f"arrivals must have shape {X.shape}, got {A.shape}")
-    X, A = np.asarray(X, dtype=np.int64), np.asarray(A, dtype=np.int64)
+    for a, name in ((X, "queue lengths"), (A, "arrivals")):
+        if a.dtype.kind == "f" and (a % 1).any():
+            raise ValueError(f"{name} must be integers")
+    X, A = X.astype(np.int64), A.astype(np.int64)
     offered = (C * I).sum(axis=1)
     departures = np.minimum(X, offered)
     return X - departures + A, departures

@@ -14,7 +14,6 @@ from mqms import (
     enumerate_states,
     link_means,
     membership_margin,
-    onoff_region,
     onoff_support,
     support_function,
     support_vertex,
@@ -220,19 +219,50 @@ def test_region_permutation_invariance(rng):
 
 
 def test_onoff_region_single_link():
-    region = onoff_region([[0.7]])
+    region = build_region(DiscreteChannelModel.bernoulli([[0.7]]))
     assert region.inequalities == (((1,), 0.7),)
 
 
 def test_onoff_region_pair_sum_inequality():
-    region = onoff_region([[0.5, 0.5], [0.5, 0.5]])
+    region = build_region(DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]]))
     got = dict(region.inequalities)
     assert abs(got[(1, 1)] - 1.5) <= 1e-12
 
 
 def test_onoff_region_count():
-    region = onoff_region(np.full((3, 2), 0.4))
+    region = build_region(DiscreteChannelModel.bernoulli(np.full((3, 2), 0.4)))
     assert len(region.inequalities) == 7
+
+
+def test_region_holds_read_only_arrays_behind_its_inequalities():
+    A, beta = np.array([[0, 1], [1, 0], [1, 1]]), [0.5, 0.5, 0.75]
+    region = StabilityRegion(A, beta)
+    A[0, 0] = 7  # the region keeps its own copy
+    assert region.N == 2 and region.A.dtype == np.int64
+    assert region.inequalities == (((0, 1), 0.5), ((1, 0), 0.5), ((1, 1), 0.75))
+    assert region.inequalities == build_region(SYM).inequalities
+    twin = StabilityRegion(region.A, region.beta)
+    assert twin != region and twin.inequalities == region.inequalities  # regions compare by identity
+    for arr in (region.A, region.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    json_ready = region.to_dict()["inequalities"][2]
+    assert json_ready == {"alpha": [1, 1], "beta": 0.75} and type(json_ready["alpha"][0]) is int
+
+
+@pytest.mark.parametrize(("A", "beta", "match"), [
+    ([1, 1], [0.5, 0.5], "shape"),
+    ([[1, 0]], [0.5, 0.5], "shape"),
+    ([[1, 0]], [[0.5]], "shape"),
+    ([[1.5, 0]], [0.5], "integer"),
+    ([[-1, 1]], [0.5], "integer"),
+    ([[np.nan, 1]], [0.5], "integer"),
+    ([[0, 0]], [0.5], "nonzero"),
+    ([[1, 0]], [np.inf], "finite"),
+])
+def test_region_rejects_bad_arrays(A, beta, match):
+    with pytest.raises(ValueError, match=match):
+        StabilityRegion(A, beta)
 
 
 def test_onoff_closed_form_matches_support(rng):
@@ -265,7 +295,7 @@ def test_onoff_support_rejects_bad_probabilities(p, match):
 
 
 def test_margin_single_queue():
-    region = StabilityRegion(N=1, inequalities=(((1,), 0.5),))
+    region = StabilityRegion([[1]], [0.5])
     assert abs(membership_margin(region, [0.3]) - 0.2) <= 1e-12
 
 

@@ -346,6 +346,21 @@ def test_link_means_factored():
     assert abs(link_means(model)[0, 0] - 0.75) < 1e-12
 
 
+def test_link_means_equal_the_state_average(rng):
+    # E[C] = sum_s pi_s C_s over the enumerated joint states, for every kind
+    for _ in range(4):
+        N, K, M = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 3))  # <= 3^9 states
+        for model in (
+            random_bernoulli(rng, N, K),
+            random_factored(rng, N, K, M),
+            random_explicit(rng, N, K, M, n_states=int(rng.integers(1, 6))),
+        ):
+            want = sum(prob * np.asarray(mat, dtype=float) for mat, prob in enumerate_states(model, cap=3**9))
+            got = link_means(model)
+            assert got.shape == (N, K)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_descriptor_round_trip_discrete():
     for model in (
         DiscreteChannelModel.bernoulli([[0.5, 0.2], [0.1, 0.9]]),

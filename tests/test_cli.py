@@ -191,16 +191,21 @@ def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):
     assert first[0] == 0.0 and 0.8 <= first[1] <= 1.2
 
 
-def test_fairness_subcommand(capsys, bern_model_path):
+@pytest.mark.parametrize(("options", "r_star", "binding"), [
+    (["--utility", "log"], [0.375, 0.375], [[1, 1]]),
+    (["--utility", "alpha_fair", "--fairness-alpha", "2"], [0.375, 0.375], [[1, 1]]),
+    # queue 1 is worth twice as much but capped at 0.25; queue 2 takes the rest
+    (["--utility", "linear", "--weights", "2,1", "--caps", "0.25,1"], [0.25, 0.5], [[0, 1], [1, 1]]),
+], ids=["log", "alpha_fair", "linear"])
+def test_fairness_subcommand(capsys, bern_model_path, options, r_star, binding):
     code, payload = run_json(
         capsys,
-        ["fairness", "--model", bern_model_path, "--utility", "log", "--tol", "1e-6",
-         "--max-iters", "10000"],
+        ["fairness", "--model", bern_model_path, *options, "--tol", "1e-6", "--max-iters", "10000"],
     )
     assert code == 0
-    assert payload["r_star"] == pytest.approx([0.375, 0.375], abs=1e-3)
+    assert payload["r_star"] == pytest.approx(r_star, abs=1e-3)
     assert payload["gap"] <= 1e-6
-    assert [1, 1] in payload["binding_constraints"]
+    assert payload["binding_constraints"] == binding
 
 
 def test_fairness_reports_convergence_and_exits_3_when_capped(capsys, bern_model_path, tmp_path):

@@ -61,6 +61,30 @@ def test_utility_spec_rejects_non_finite(make):
         make()
 
 
+UNCAPPED = (math.inf, math.inf)
+
+
+@pytest.mark.parametrize(("kwargs", "match"), [
+    ({"kind": "bogus"}, "unknown utility kind"),
+    ({"kind": "weighted_linear", "weights": (1.0, -0.5)}, "weights must be finite and nonnegative"),
+    ({"kind": "weighted_linear", "weights": (1.0,)}, "need 1 caps, got 2"),
+    ({"kind": "log_shifted", "epsilon": -1.0}, "epsilon must be finite and positive"),
+    ({"kind": "alpha_fair", "a": 1.0}, "fairness exponent must be finite"),
+    ({"kind": "alpha_fair", "a": 2.0, "caps": (float("nan"), 1.0)}, "caps must be nonnegative"),
+], ids=["kind", "weights", "weights-vs-caps", "epsilon", "exponent", "caps"])
+def test_raw_utility_spec_is_checked(kwargs, match):
+    # raw specs were never checked: kind "bogus" solved as alpha_fair with
+    # a = 0, and a negative epsilon gave a NaN objective
+    with pytest.raises(ValueError, match=match):
+        UtilitySpec(**{"caps": UNCAPPED, **kwargs})
+
+
+def test_raw_utility_spec_stores_floats():
+    spec = UtilitySpec(kind="alpha_fair", caps=[1, 2], a=2)
+    assert spec == UtilitySpec.alpha_fair(2, 2.0, caps=[1.0, 2.0])
+    assert spec.caps == (1.0, 2.0) and type(spec.a) is float
+
+
 def test_infinite_caps_are_allowed():
     assert UtilitySpec.log_shifted(2, caps=[math.inf, 1.0]).caps == (math.inf, 1.0)
 

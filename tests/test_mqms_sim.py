@@ -1,6 +1,8 @@
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +125,12 @@ def test_step_identity_without_service_or_arrivals():
     assert dep.tolist() == [0, 0]
 
 
+def test_step_accepts_integral_floats():
+    x_next, dep = step([3.0, 0.0], [[1], [0]], [[1], [0]], [1.0, 2.0])
+    assert x_next.dtype == np.int64 and x_next.tolist() == [3, 2]
+    assert dep.tolist() == [1, 0]
+
+
 C_2x2 = [[1, 2], [0, 1]]
 I_2x2 = [[1, 0], [0, 1]]
 
@@ -143,9 +151,11 @@ I_2x2 = [[1, 0], [0, 1]]
     (lambda: step([3, 3], C_2x2, I_2x2, [-1, 0]), "arrivals must be finite and nonnegative"),
     (lambda: step([3, 3], C_2x2, [[2, 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
     (lambda: step([3, 3], C_2x2, [[float("nan"), 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
+    (lambda: step([2.5, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be integers"),
+    (lambda: step([2, 0], [[1], [0]], [[1], [0]], [0.5, 0]), "arrivals must be integers"),
 ], ids=[
     "X-2d", "C-1d", "C-rows", "I-shape", "A-shape", "X-nan", "X-inf", "X-negative", "C-inf",
-    "C-negative-mw", "C-negative-step", "A-nan", "A-negative", "I-two", "I-nan",
+    "C-negative-mw", "C-negative-step", "A-nan", "A-negative", "I-two", "I-nan", "X-fraction", "A-fraction",
 ])
 def test_per_slot_ops_reject_bad_input(call, match):
     # before these checks, a (2, 1) allocation or one arrival broadcast over
@@ -205,8 +215,19 @@ def test_bounded_pmf_moments():
 
 
 def test_arrival_descriptor_round_trip():
-    arr = ArrivalModel.bernoulli_batch([1, 2], [0.65, 0.1])
-    assert arrivals_from_descriptor(arr.to_descriptor()) == arr
+    # deterministic rates are written as floats only when those read back
+    # exactly; 1/3 as a float read back as 3333333333333333/10^16 and
+    # released its first packet a slot late
+    for arr in (
+        ArrivalModel.bernoulli_batch([1, 2], [0.65, 0.1]),
+        ArrivalModel.deterministic([Fraction(1, 3), 0.3, "2/7", 2]),
+        ArrivalModel.bounded_pmf([[0.5, 0.25, 0.25], [0.1, 0.9]]),
+    ):
+        back = arrivals_from_descriptor(json.loads(json.dumps(arr.to_descriptor())))
+        assert back == arr
+        assert (back.sample(np.random.default_rng(3), 12) == arr.sample(np.random.default_rng(3), 12)).all()
+    rates = [q["rate"] for q in ArrivalModel.deterministic([Fraction(1, 3), 0.3]).to_descriptor()["queues"]]
+    assert rates == ["1/3", 0.3]
 
 
 def test_arrival_pmf_must_normalize():
