@@ -70,12 +70,16 @@ class StabilityRegion:
         return tuple(zip(map(tuple, self.A.tolist()), self.beta.tolist()))
 
     def verdict(self, rates, tol: float = 1e-9) -> str:
-        delta = membership_margin(self, rates)
-        return "interior" if delta > tol else "outside" if delta < -tol else "boundary"
+        return _verdict(membership_margin(self, rates), tol)
 
     def to_dict(self) -> dict:
         inequalities = [{"alpha": list(alpha), "beta": beta} for alpha, beta in self.inequalities]
         return {"N": self.N, "inequalities": inequalities, "provenance": self.provenance}
+
+
+def _verdict(delta: float, tol: float = 1e-9) -> str:
+    """"interior", "boundary" or "outside" for a membership margin delta."""
+    return "interior" if delta > tol else "outside" if delta < -tol else "boundary"
 
 
 def _check_direction(alpha, N: int) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .alpha_sets import build_vhat, wn_count
 from .capacity_region import (
+    _verdict,
     brute_force_support,
     build_region,
     membership_margin,
@@ -117,7 +118,7 @@ def _cmd_check(args, stamp):
     rates = _parse_rates(getattr(args, "lambda"))
     region = build_region(model)
     delta = membership_margin(region, rates)
-    return {"lambda": rates, "delta": delta, "verdict": region.verdict(rates)}, 0
+    return {"lambda": rates, "delta": delta, "verdict": _verdict(delta)}, 0
 
 
 def _verdict_to_stability(verdict: str) -> str:
@@ -139,7 +140,7 @@ def _cmd_simulate(args, stamp):
         "per_queue_avgs": agg["per_queue_avgs"],
         "throughput": agg["throughput"],
         "delta": delta,
-        "verdict": _verdict_to_stability(region.verdict(arrivals.mean_rates())),
+        "verdict": _verdict_to_stability(_verdict(delta)),
         "replications": [
             {
                 "replication": s.replication,

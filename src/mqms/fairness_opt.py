@@ -19,12 +19,10 @@ from .capacity_region import StabilityRegion, _vertex_oracle, build_region, memb
 from .channel_models import DiscreteChannelModel
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
-# Each line-search round evaluates the objective at this many evenly spaced
-# steps in one batch and keeps the two cells around the first maximum, so
-# the bracket shrinks 32-fold per round: 8 rounds reach _LINE_SEARCH_TOL.
-_LINE_SEARCH_POINTS = 65
+# The line search stops once its bracket is this wide, or once a Newton
+# move is shorter than _NEWTON_STALL (a few ulps of a step near 1).
 _LINE_SEARCH_TOL = 1e-12
-_GRID = np.linspace(0.0, 1.0, _LINE_SEARCH_POINTS)
+_NEWTON_STALL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -106,6 +104,35 @@ class UtilitySpec:
             g = np.maximum(np.minimum(r, self.caps), GRAD_FLOOR) ** (-self.a)
         return np.where(r >= self.caps, 0.0, g)
 
+    def _slope(self, r, d, g: float) -> tuple[float, float]:
+        """Right slope and curvature of g -> value(r + g d), on float sequences.
+
+        A queue adds d_n u_n'(x_n) at x_n = r_n + g d_n while it stays below
+        its cap over a small step to the right: a queue at its cap adds
+        nothing moving up and d_n u_n'(cap) moving down.  Power-law
+        derivatives are floored as in ``gradient``, so a queue at zero rate
+        still pulls the step away from the origin.
+        """
+        slope = curvature = 0.0
+        linear, log = self.kind == "weighted_linear", self.kind == "log_shifted"
+        for n, (rn, dn, cap) in enumerate(zip(r, d, self.caps)):
+            x = rn + g * dn
+            if dn == 0.0 or x > cap or (x == cap and dn > 0.0):
+                continue
+            if linear:
+                slope += dn * self.weights[n]
+            elif log:
+                u = 1.0 / (x + self.epsilon)
+                slope += dn * u
+                curvature -= dn * dn * u * u
+            elif x <= GRAD_FLOOR:
+                slope += dn * GRAD_FLOOR ** -self.a
+            else:
+                u = x ** -self.a
+                slope += dn * u
+                curvature -= self.a * dn * dn * u / x
+        return slope, curvature
+
 
 def _caps_tuple(caps, n: int) -> tuple:
     caps = (math.inf,) * n if caps is None else tuple(caps)
@@ -126,20 +153,37 @@ class FairnessSolution:
     trajectory: tuple = ()
 
 
-def _line_search_step(phi) -> float:
-    """First argmax on [0, 1] of a concave phi that takes an array of steps.
+def _line_search_step(utilities: UtilitySpec, r: np.ndarray, d: np.ndarray) -> float:
+    """Smallest maximiser on [0, 1] of the concave phi(g) = value(r + g d).
 
-    Each round evaluates phi on _LINE_SEARCH_POINTS evenly spaced steps of
-    the bracket and keeps the cells on either side of the first maximum,
-    which hold the argmax of a concave function.  Taking the first maximum
-    prefers the smaller step on ties, so a constant phi gives 0.
+    Keeps a bracket [lo, hi] with right slopes phi'(lo+) > 0 >= phi'(hi+),
+    so the smallest maximiser lies in (lo, hi].  Each step is a Newton step
+    on the slope from the last point, or a bisection when that step would
+    leave the bracket, would not halve the previous move, or the curvature
+    is zero (linear pieces, plateaus).  A constant phi gives 0.
     """
-    lo, hi = 0.0, 1.0
+    r, d = r.tolist(), d.tolist()
+    slope, curvature = utilities._slope(r, d, 0.0)
+    if slope <= 0.0:
+        return 0.0
+    if utilities._slope(r, d, 1.0)[0] > 0.0:
+        return 1.0
+    lo, hi, g, move = 0.0, 1.0, 0.0, 2.0
     while hi - lo > _LINE_SEARCH_TOL:
-        grid = lo + (hi - lo) * _GRID
-        i = int(np.argmax(phi(grid)))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _LINE_SEARCH_POINTS - 1)]
-    return float(grid[i])
+        newton = g - slope / curvature if curvature < 0.0 else math.inf
+        if lo < newton <= hi and abs(newton - g) <= move / 2:
+            move, g = abs(newton - g), newton
+            if move < _NEWTON_STALL:
+                return g
+        else:
+            mid = 0.5 * (lo + hi)
+            move, g = abs(mid - g), mid
+        slope, curvature = utilities._slope(r, d, g)
+        if slope > 0.0:
+            lo = g
+        else:
+            hi = g
+    return hi
 
 
 def solve_fairness(
@@ -190,7 +234,7 @@ def solve_fairness(
         if gap <= tol:
             break
         d = v - r
-        r = r + _line_search_step(lambda g: utilities._values(r + g[:, None] * d)) * d
+        r = r + _line_search_step(utilities, r, d) * d
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
     slacks = region.beta - region.A @ r_star

@@ -259,9 +259,10 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
     Offered service is summed per queue from the allocation, clipped at the
     backlog (the positive-part projection applies before arrivals), and
     arrivals are added at the end of the slot.  X and A of shape (N,) must
-    be nonnegative integers (integral floats pass), C of shape (N, K) finite
-    and nonnegative, and the allocation I of shape (N, K) must hold only 0s
-    and 1s, else ValueError.  Its columns need not sum to 1.
+    be nonnegative integers below 2**63 (integral floats pass), and so must
+    the next queue vector; C of shape (N, K) must be finite and nonnegative,
+    and the allocation I of shape (N, K) must hold only 0s and 1s, else
+    ValueError.  Its columns need not sum to 1.
     """
     X, C = _backlogs_and_capacities(X, C)
     I = np.asarray(I)
@@ -275,9 +276,13 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
     for a, name in ((X, "queue lengths"), (A, "arrivals")):
         if a.dtype.kind == "f" and (a % 1).any():
             raise ValueError(f"{name} must be integers")
+        if (a >= 2**63).any():
+            raise ValueError(f"{name} must be below 2**63")
     X, A = X.astype(np.int64), A.astype(np.int64)
     offered = (C * I).sum(axis=1)
     departures = np.minimum(X, offered)
+    if (A > np.iinfo(np.int64).max - (X - departures)).any():
+        raise ValueError("next queue lengths overflow int64")
     return X - departures + A, departures
 
 

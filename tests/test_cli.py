@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mqms import DiscreteChannelModel, __version__, to_descriptor
-from mqms import cli
+from mqms import capacity_region, cli
 from mqms.cli import main, oracle_check
 from conftest import random_factored
 
@@ -166,6 +166,24 @@ def test_simulate_builds_the_region_before_running(monkeypatch, capsys, tmp_path
     arrivals.write_text(json.dumps({"queues": [{"kind": "bernoulli_batch", "batch": 1, "prob": 0.3}] * 8}))
     assert main(["simulate", "--model", str(model), "--arrivals", str(arrivals), "--slots", "10"]) == 2
     assert "enumeration cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_margin_is_computed_once_per_command(command, monkeypatch, capsys, bern_model_path, arrivals_path):
+    # the verdict comes from the margin the command already holds
+    options = {"check": ["--lambda", "0.3,0.2"], "simulate": ["--arrivals", arrivals_path, "--slots", "50"]}
+    calls = []
+    real = capacity_region.membership_margin
+
+    def counted(region, rates):
+        calls.append(rates)
+        return real(region, rates)
+
+    monkeypatch.setattr(cli, "membership_margin", counted)
+    monkeypatch.setattr(capacity_region, "membership_margin", counted)
+    code, payload = run_json(capsys, [command, "--model", bern_model_path, *options[command]])
+    assert code == 0 and payload["verdict"] in ("interior", "stable")
+    assert len(calls) == 1
 
 
 def test_delay_bound_subcommand(capsys, bern_model_path, arrivals_path):

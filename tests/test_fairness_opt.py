@@ -16,7 +16,7 @@ from mqms import (
 )
 from mqms import capacity_region
 from mqms.fairness_opt import _line_search_step
-from conftest import random_bernoulli, random_factored
+from conftest import random_bernoulli, random_discrete, random_factored
 
 SYM = DiscreteChannelModel.bernoulli([[0.5], [0.5]])
 
@@ -219,10 +219,35 @@ def test_solve_builds_the_channel_law_once(rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_tight_tolerance_converges_on_bernoulli_6x2():
+    # a search that compares objective values places smooth steps only to
+    # about 1e-8 (phi is flat to an ulp there) and stalls above this tol
+    model = DiscreteChannelModel.bernoulli(np.random.default_rng(5).uniform(0.2, 0.8, (6, 2)).tolist())
+    sol = solve_fairness(model, UtilitySpec.log_shifted(6), tol=1e-9, max_iters=1000)
+    assert sol.converged and sol.gap <= 1e-9
+
+
+def test_converged_solutions_are_certified(rng):
+    tol, converged = 1e-7, 0
+    for i in range(30):
+        model = random_discrete(rng)
+        caps = np.where(rng.random(model.N) < 0.5, rng.uniform(0.05, 1.0, model.N), math.inf)
+        spec = (UtilitySpec.weighted_linear(rng.uniform(0.1, 2.0, model.N), caps=caps),
+                UtilitySpec.log_shifted(model.N, caps=caps),
+                UtilitySpec.alpha_fair(model.N, 2.0, caps=caps))[i % 3]
+        region = build_region(model)
+        sol = solve_fairness(model, spec, tol=tol, max_iters=1000, region=region)
+        if sol.converged:
+            converged += 1
+            assert fw_gap(model, sol.r_star, spec, region=region) <= tol + 1e-12
+            assert membership_margin(region, sol.r_star) >= -1e-9
+    assert converged >= 20
+
+
 # Near a smooth maximum phi is flat to float64 precision over a few 1e-8 of
-# step (its drop curvature * dg**2 / 2 stays below an ulp), so no search that
-# compares phi values can place the step closer; kinks, plateaus and ends are
-# located to the line-search tolerance.
+# step (its drop curvature * dg**2 / 2 stays below an ulp), so the dense scan
+# of phi values places a smooth argmax only that closely; kinks, plateaus and
+# ends are located to the line-search tolerance.
 SMOOTH, SHARP = 1e-7, 1e-9
 
 
@@ -237,18 +262,26 @@ SMOOTH, SHARP = 1e-7, 1e-9
     (UtilitySpec.weighted_linear([1.0, 0.0], caps=[0.1875, 1.0]), [0.0, 0.3], [0.5, 0.0], SHARP),  # plateau from 3/8
     (UtilitySpec.weighted_linear([1.0, 1.0]), [0.0, 0.5], [0.5, 0.0], SHARP),         # constant
     (UtilitySpec.weighted_linear([1.0, 1.0], caps=[0.1, 0.1]), [0.2, 0.3], [0.5, 0.6], SHARP),  # constant, capped
+    (UtilitySpec.alpha_fair(2, 0.5), [0.0, 0.0], [0.5, 0.25], SHARP),                 # from the origin: 1
+    (UtilitySpec.alpha_fair(2, 2.0), [0.0, 0.0], [0.5, 0.25], SHARP),                 # from the origin: 1
+    (UtilitySpec.log_shifted(2, epsilon=1e-6, caps=[0.1875, math.inf]), [0.0, 0.5], [0.5, 0.0], SHARP),  # cap at 3/8
+    (UtilitySpec.weighted_linear([3.0, 1.0], caps=[0.25, 1.0]), [0.25, 0.0], [0.0, 0.5], SHARP),  # at cap, down: 0
+    (UtilitySpec.weighted_linear([2.0, 1.0], caps=[0.25, 1.0]), [0.25, 0.5], [0.5, 0.25], SHARP),  # at cap, up: 0
+    (UtilitySpec.log_shifted(3, epsilon=1e-6), [0.5, 0.0, 0.25], [0.0, 0.5, 0.25], SMOOTH),  # zero d_3: 1/2
 ], ids=["log-half", "log-7/16", "log-off-grid", "log-increasing", "alpha2-3/4", "alpha05-half",
-        "capped-kink", "capped-plateau", "linear-constant", "capped-constant"])
+        "capped-kink", "capped-plateau", "linear-constant", "capped-constant", "alpha05-origin",
+        "alpha2-origin", "log-crosses-cap", "linear-at-cap-down", "linear-at-cap-up",
+        "log-zero-direction"])
 def test_line_search_matches_dense_scan(spec, r, v, atol):
     r, d = np.array(r), np.array(v) - np.array(r)
     phi = lambda g: spec._values(r + np.asarray(g)[..., None] * d)
     grid = np.linspace(0.0, 1.0, 2**20 + 1)  # holds every argmax above exactly
     values = phi(grid)
     dense = grid[int(np.argmax(values))]
-    gamma = _line_search_step(phi)
+    gamma = _line_search_step(spec, r, d)
     assert abs(gamma - dense) <= atol
     assert phi(gamma) >= max(values[0], values[-1]) - 1e-12
-    if np.ptp(values) == 0.0:
+    if dense == 0.0:  # a constant phi, or one that falls from the start
         assert gamma == 0.0
 
 

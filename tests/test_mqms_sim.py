@@ -131,6 +131,14 @@ def test_step_accepts_integral_floats():
     assert dep.tolist() == [1, 0]
 
 
+def test_step_accepts_the_int64_range():
+    # departures come off before arrivals, so a full queue may still take one
+    x_next, dep = step([2**63 - 1, 0], [[1], [0]], [[1], [0]], [1, 0])
+    assert x_next.tolist() == [2**63 - 1, 0] and dep.tolist() == [1, 0]
+    x_next, _ = step([2.0**63 - 1024, 0], [[0], [0]], [[1], [0]], [0, 0])
+    assert x_next.tolist() == [2**63 - 1024, 0]
+
+
 C_2x2 = [[1, 2], [0, 1]]
 I_2x2 = [[1, 0], [0, 1]]
 
@@ -153,9 +161,16 @@ I_2x2 = [[1, 0], [0, 1]]
     (lambda: step([3, 3], C_2x2, [[float("nan"), 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
     (lambda: step([2.5, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be integers"),
     (lambda: step([2, 0], [[1], [0]], [[1], [0]], [0.5, 0]), "arrivals must be integers"),
+    (lambda: step([1e300, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([2.0**63, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([2**63, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([0, 0], [[1], [0]], [[1], [0]], [2.0**63, 0]), "arrivals must be below 2"),
+    (lambda: step([2**62, 0], [[0], [0]], [[1], [0]], [2**62, 0]), "overflow int64"),
+    (lambda: step([2**63 - 1, 0], [[0], [0]], [[1], [0]], [1, 0]), "overflow int64"),
 ], ids=[
     "X-2d", "C-1d", "C-rows", "I-shape", "A-shape", "X-nan", "X-inf", "X-negative", "C-inf",
     "C-negative-mw", "C-negative-step", "A-nan", "A-negative", "I-two", "I-nan", "X-fraction", "A-fraction",
+    "X-float-huge", "X-float-2**63", "X-int-2**63", "A-float-2**63", "X-plus-A-int", "X-max-plus-A",
 ])
 def test_per_slot_ops_reject_bad_input(call, match):
     # before these checks, a (2, 1) allocation or one arrival broadcast over
