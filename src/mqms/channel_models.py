@@ -163,6 +163,8 @@ def validate(model) -> None:
         _validate_continuous(model)
         return
     if model.kind == "bernoulli":
+        if model.M != 1:
+            raise ValidationError(f"bernoulli links are ON-OFF, so M must be 1, got {model.M}")
         _check_grid_shape(model.p, model.N, model.K)
         for row in model.p:
             for q in row:
@@ -252,76 +254,64 @@ def _validate_continuous(model: ContinuousChannelModel) -> None:
 # -- enumeration ---------------------------------------------------------
 
 
-def _link_supports(model: DiscreteChannelModel):
-    """Per-link (values, probs) with zero-probability atoms removed, row-major."""
-    supports = []
-    for n in range(model.N):
-        for k in range(model.K):
-            if model.kind == "bernoulli":
-                q = model.p[n][k]
-                pmf = [1.0 - q, q]
-            else:
-                pmf = model.pmfs[n][k]
-            pairs = [(v, pr) for v, pr in enumerate(pmf) if pr > 0.0]
-            supports.append(pairs)
-    return supports
+def _link_pmf(model: DiscreteChannelModel, n: int, k: int) -> tuple:
+    """Pmf of link (n, k) over {0..M}; an ON-OFF link is capacity 1 with probability p."""
+    if model.kind == "bernoulli":
+        q = model.p[n][k]
+        return (1.0 - q, q)
+    return model.pmfs[n][k]
+
+
+def _product_law(pmfs, cap: int, what: str) -> tuple[list, list]:
+    """Law of independent variables with these pmfs, as (values, probs).
+
+    ``values`` holds one tuple of positive-probability atoms per state, in
+    ``itertools.product`` order, and ``probs`` each state's probability,
+    multiplied left to right from 1.0.  At most ``cap`` states of ``what``.
+    """
+    supports = [[(v, q) for v, q in enumerate(pmf) if q > 0.0] for pmf in pmfs]
+    if math.prod(map(len, supports)) > cap:
+        raise ValidationError(f"state-space cap exceeded: > {cap} {what}")
+    values, probs = [], []
+    for combo in itertools.product(*supports):
+        atoms, qs = zip(*combo)
+        values.append(atoms)
+        probs.append(math.prod(qs, start=1.0))
+    return values, probs
 
 
 def enumerate_states(model: DiscreteChannelModel, cap: int = DEFAULT_STATE_CAP):
     """Exact joint pmf of the channel matrix as a list of (matrix, probability).
 
     Factored and bernoulli models are expanded as products of their link
-    pmfs; zero-probability states are omitted.  Matrices are returned as
-    int arrays of shape (N, K).  Raises ValidationError when the joint
-    state space exceeds ``cap``.
+    pmfs in row-major link order; zero-probability states are omitted.
+    Matrices are returned as int arrays of shape (N, K).  Raises
+    ValidationError when the joint state space exceeds ``cap``.
     """
     if model.kind == "explicit_joint":
         if len(model.states) > cap:
             raise ValidationError(f"state-space cap exceeded: {len(model.states)} > {cap}")
         return [(np.array(mat, dtype=np.int64), prob) for mat, prob in model.states]
-
-    supports = _link_supports(model)
-    count = 1
-    for pairs in supports:
-        count *= len(pairs)
-        if count > cap:
-            raise ValidationError(f"state-space cap exceeded: > {cap} joint states")
-    out = []
     N, K = model.N, model.K
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, pr in combo:
-            prob *= pr
-        mat = np.fromiter((v for v, _ in combo), dtype=np.int64, count=N * K).reshape(N, K)
-        out.append((mat, prob))
-    return out
+    pmfs = [_link_pmf(model, n, k) for n in range(N) for k in range(K)]
+    values, probs = _product_law(pmfs, cap, "joint states")
+    return list(zip(np.array(values, dtype=np.int64).reshape(-1, N, K), probs))
 
 
-def per_server_column_distribution(model: DiscreteChannelModel, k: int, cap: int = DEFAULT_STATE_CAP):
+def per_server_column_distribution(model: DiscreteChannelModel, k: int):
     """Exact joint pmf of the capacity column (C[0,k], ..., C[N-1,k]).
 
     Only defined for factored and bernoulli models, whose links are
     independent, so any per-server expectation can be taken against this
-    column law alone.  Returns a list of (tuple of length N, probability).
+    column law alone.  Returns a list of (tuple of length N, probability),
+    in the order of ``column_laws(model)[k]``.
     """
     if model.kind == "explicit_joint":
         raise ValidationError("per-server column law undefined for explicit_joint; use enumerate_states")
     if not 0 <= k < model.K:
         raise ValidationError(f"server index {k} out of range for K={model.K}")
-    supports = _link_supports(model)
-    col_supports = [supports[n * model.K + k] for n in range(model.N)]
-    count = 1
-    for pairs in col_supports:
-        count *= len(pairs)
-        if count > cap:
-            raise ValidationError(f"state-space cap exceeded: > {cap} column states")
-    out = []
-    for combo in itertools.product(*col_supports):
-        prob = 1.0
-        for _, pr in combo:
-            prob *= pr
-        out.append((tuple(v for v, _ in combo), prob))
-    return out
+    pmfs = [_link_pmf(model, n, k) for n in range(model.N)]
+    return list(zip(*_product_law(pmfs, DEFAULT_STATE_CAP, "column states")))
 
 
 def column_laws(model: DiscreteChannelModel) -> list:
@@ -333,33 +323,28 @@ def column_laws(model: DiscreteChannelModel) -> list:
     sum_k E[max_n alpha_n C[n,k]], depends on the channel law only through
     these marginals, whatever the dependence between servers.  Explicit
     models slice their joint states (columns may repeat); factored and
-    bernoulli models use per_server_column_distribution.
+    bernoulli models take the product of the column's link pmfs.
     """
     validate_discrete(model)
     if model.kind == "explicit_joint":
         mats = np.array([mat for mat, _ in model.states], dtype=np.int64)
         probs = np.array([prob for _, prob in model.states])
         return [(mats[:, :, k], probs) for k in range(model.K)]
-    laws = []
-    for k in range(model.K):
-        law = per_server_column_distribution(model, k)
-        values = np.array([col for col, _ in law], dtype=np.int64)
-        laws.append((values, np.array([prob for _, prob in law])))
-    return laws
+    laws = [_product_law([_link_pmf(model, n, k) for n in range(model.N)], DEFAULT_STATE_CAP, "column states")
+            for k in range(model.K)]
+    return [(np.array(values, dtype=np.int64), np.array(probs)) for values, probs in laws]
 
 
 def link_means(model) -> np.ndarray:
     """E[C[n,k]] for every link, as an (N, K) array."""
     if isinstance(model, ContinuousChannelModel):
         return model.link_means()
-    if model.kind == "bernoulli":
-        return np.array(model.p, dtype=float)
-    if model.kind == "factored":
-        vals = np.arange(model.M + 1)
-        return np.array(
-            [[float(np.dot(model.pmfs[n][k], vals)) for k in range(model.K)] for n in range(model.N)]
-        )
-    return sum(prob * np.array(mat, dtype=float) for mat, prob in model.states)
+    if model.kind == "explicit_joint":
+        return sum(prob * np.array(mat, dtype=float) for mat, prob in model.states)
+    levels = np.arange(model.M + 1)
+    return np.array(
+        [[float(np.dot(_link_pmf(model, n, k), levels)) for k in range(model.K)] for n in range(model.N)]
+    )
 
 
 # -- sampling ------------------------------------------------------------

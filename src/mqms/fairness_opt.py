@@ -149,7 +149,7 @@ class FairnessSolution:
     iterations: int
     slacks: tuple          # beta - alpha . r_star per region inequality
     binding: tuple         # directions whose slack is ~zero
-    converged: bool        # gap <= tol; False when max_iters ran out first
+    converged: bool        # gap <= tol, the gap taken at r_star
     trajectory: tuple = ()
 
 
@@ -202,7 +202,8 @@ def solve_fairness(
     bound on the remaining suboptimality), and moves by an exact line
     search along the segment to that vertex (``step_rule="line_search"``,
     the one rule).  Stops when the gap drops to ``tol``, or after
-    ``max_iters`` iterations with ``converged`` False.
+    ``max_iters`` iterations.  The reported gap is always the one at
+    ``r_star``, and ``converged`` is whether it is at most ``tol``.
     """
     if utilities.N != model.N:
         raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
@@ -235,6 +236,9 @@ def solve_fairness(
             break
         d = v - r
         r = r + _line_search_step(utilities, r, d) * d
+    else:  # max_iters moves: the last gap belongs to the point before r
+        grad = utilities.gradient(r)
+        gap = float(grad @ (vertex(grad) - r)) if grad.any() else 0.0
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
     slacks = region.beta - region.A @ r_star

@@ -59,6 +59,12 @@ class QueueArrivals:
     pmf: tuple = ()
 
     def __post_init__(self):
+        # fields become ints, floats and a tuple first, so every instance is checked alike and hashable
+        object.__setattr__(self, "rate_num", as_integer(self.rate_num, "arrival rate numerator"))
+        object.__setattr__(self, "rate_den", as_integer(self.rate_den, "arrival rate denominator"))
+        object.__setattr__(self, "batch", as_integer(self.batch, "arrival batch"))
+        object.__setattr__(self, "prob", float(self.prob))
+        object.__setattr__(self, "pmf", tuple(float(x) for x in self.pmf))
         if self.kind == "deterministic":
             if self.rate_num < 0 or self.rate_den < 1:
                 raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
@@ -127,15 +133,12 @@ class ArrivalModel:
         if len(batches) != len(probs):
             raise ValidationError("dimension mismatch: batches vs probs")
         return cls(queues=tuple(
-            QueueArrivals(kind="bernoulli_batch", batch=as_integer(b, "arrival batch"), prob=float(q))
-            for b, q in zip(batches, probs)
+            QueueArrivals(kind="bernoulli_batch", batch=b, prob=q) for b, q in zip(batches, probs)
         ))
 
     @classmethod
     def bounded_pmf(cls, pmfs) -> "ArrivalModel":
-        return cls(queues=tuple(
-            QueueArrivals(kind="bounded_pmf", pmf=tuple(float(x) for x in pmf)) for pmf in pmfs
-        ))
+        return cls(queues=tuple(QueueArrivals(kind="bounded_pmf", pmf=pmf) for pmf in pmfs))
 
     @property
     def N(self) -> int:
@@ -184,10 +187,9 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
             num, den = _exact_rate(spec["rate"])
             qs.append(QueueArrivals(kind=kind, rate_num=num, rate_den=den))
         elif kind == "bernoulli_batch":
-            batch, prob = as_integer(spec["batch"], "arrival batch"), float(spec["prob"])
-            qs.append(QueueArrivals(kind=kind, batch=batch, prob=prob))
+            qs.append(QueueArrivals(kind=kind, batch=spec["batch"], prob=spec["prob"]))
         elif kind == "bounded_pmf":
-            qs.append(QueueArrivals(kind=kind, pmf=tuple(float(x) for x in spec["pmf"])))
+            qs.append(QueueArrivals(kind=kind, pmf=spec["pmf"]))
         else:
             qs.append(QueueArrivals(kind=kind))  # rejected by its own checks
     return ArrivalModel(queues=tuple(qs))

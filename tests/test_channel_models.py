@@ -232,6 +232,46 @@ def test_factored_columns_reassemble_joint_probabilities(rng):
             assert abs(product - prob) <= 1e-12
 
 
+def _literal_product(pmfs):
+    """Every combination of positive atoms, the last pmf fastest, probabilities multiplied left to right."""
+    law = [((), 1.0)]
+    for pmf in pmfs:
+        law = [(values + (v,), prob * q) for values, prob in law for v, q in enumerate(pmf) if q > 0.0]
+    return law
+
+
+@pytest.mark.parametrize("model", [
+    DiscreteChannelModel.bernoulli([[0.3, 1.0], [0.0, 0.6]]),
+    DiscreteChannelModel.bernoulli([[0.25, 0.5, 0.75]]),
+    DiscreteChannelModel.factored([[[0.2, 0.0, 0.8], [0.0, 1.0, 0.0]], [[0.5, 0.25, 0.25], [0.1, 0.6, 0.3]]]),
+    DiscreteChannelModel.factored([[[0.3, 0.7]], [[1.0, 0.0]], [[0.0, 1.0]], [[0.9, 0.1]]]),
+], ids=["bernoulli-point-masses", "bernoulli-1x3", "factored-zero-atoms", "factored-4x1"])
+def test_laws_are_the_literal_product_of_link_pmfs(model):
+    N, K = model.N, model.K
+    if model.kind == "bernoulli":
+        pmf = [[(1.0 - q, q) for q in row] for row in model.p]
+    else:
+        pmf = model.pmfs
+    joint = _literal_product([pmf[n][k] for n in range(N) for k in range(K)])  # row-major links
+    states = enumerate_states(model)
+    assert all(mat.dtype == np.int64 and mat.shape == (N, K) for mat, _ in states)
+    assert [(tuple(mat.ravel().tolist()), prob) for mat, prob in states] == joint
+    laws = channel_models.column_laws(model)
+    for k in range(K):
+        column = _literal_product([pmf[n][k] for n in range(N)])
+        assert per_server_column_distribution(model, k) == column
+        values, probs = laws[k]
+        assert (values.dtype, probs.dtype) == (np.int64, np.float64)
+        assert list(zip(map(tuple, values.tolist()), probs.tolist())) == column
+
+
+def test_bernoulli_model_needs_m_1():
+    # with M = 2 its directions are not all 0/1, and build_region took closed-form
+    # betas for them: 0.75 in direction (1, 2) here, where the support is 1.25
+    with pytest.raises(ValidationError, match="M must be 1"):
+        DiscreteChannelModel(N=2, K=1, M=2, kind="bernoulli", p=((0.5,), (0.5,)))
+
+
 def test_enumeration_marginals_match_declared_pmfs(rng):
     model = random_factored(rng, N=2, K=2, M=2)
     states = enumerate_states(model)

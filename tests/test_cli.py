@@ -232,10 +232,14 @@ def test_fairness_reports_convergence_and_exits_3_when_capped(capsys, bern_model
     assert strict_json(capsys.readouterr().out)["converged"] is True
 
     out = tmp_path / "capped.json"
-    assert main(argv + ["--max-iters", "2", "--out", str(out)]) == 3
+    assert main(argv + ["--max-iters", "1", "--out", str(out)]) == 3
     payload = strict_json(out.read_text())
     assert payload["converged"] is False
-    assert payload["iterations"] == 2 and payload["gap"] > 1e-6
+    assert payload["iterations"] == 1 and payload["gap"] > 1e-6
+    # the second move lands on the optimum, and the gap is the one taken there
+    assert main(argv + ["--max-iters", "2"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["iterations"] == 2 and payload["gap"] == 0.0
 
 
 def test_check_huge_finite_rates_prints_a_finite_margin(capsys):

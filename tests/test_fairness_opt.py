@@ -185,9 +185,12 @@ def test_solution_reports_convergence():
     spec = UtilitySpec.log_shifted(2, epsilon=1e-6)
     sol = solve_fairness(SYM, spec, tol=1e-6, step_rule="line_search")
     assert sol.converged is True and sol.gap <= 1e-6
-    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=2)
+    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=1)
     assert capped.converged is False
-    assert capped.iterations == 2 and capped.gap > 1e-6
+    assert capped.iterations == 1 and capped.gap > 1e-6
+    # two moves reach the optimum: the gap reported is the one at r_star, not before the last move
+    capped = solve_fairness(SYM, spec, tol=1e-6, max_iters=2)
+    assert capped.converged is True and capped.iterations == 2 and capped.gap == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -242,6 +245,25 @@ def test_converged_solutions_are_certified(rng):
             assert fw_gap(model, sol.r_star, spec, region=region) <= tol + 1e-12
             assert membership_margin(region, sol.r_star) >= -1e-9
     assert converged >= 20
+
+
+def test_unconverged_solutions_report_the_gap_at_r_star(rng):
+    # the draws of test_converged_solutions_are_certified, where 6 of 30 solves stop at max_iters;
+    # clipping at the caps changes only coordinates whose gradient is 0, so the gaps agree exactly
+    unconverged = 0
+    for i in range(30):
+        model = random_discrete(rng)
+        caps = np.where(rng.random(model.N) < 0.5, rng.uniform(0.05, 1.0, model.N), math.inf)
+        spec = (UtilitySpec.weighted_linear(rng.uniform(0.1, 2.0, model.N), caps=caps),
+                UtilitySpec.log_shifted(model.N, caps=caps),
+                UtilitySpec.alpha_fair(model.N, 2.0, caps=caps))[i % 3]
+        region = build_region(model)
+        sol = solve_fairness(model, spec, tol=1e-7, max_iters=1000, region=region)
+        if not sol.converged:
+            unconverged += 1
+            assert sol.iterations == 1000
+            assert sol.gap == fw_gap(model, sol.r_star, spec, region=region)
+    assert unconverged >= 4
 
 
 # Near a smooth maximum phi is flat to float64 precision over a few 1e-8 of

@@ -280,6 +280,22 @@ def test_bernoulli_batch_rejects_non_integral_batch():
     assert ArrivalModel.bernoulli_batch([2.0], [0.5]).queues[0].batch == 2
 
 
+def test_raw_queue_arrivals_reject_a_non_integral_batch():
+    # a raw instance used to report mean 0.75 and cap 1.5 yet sample batches of 1
+    with pytest.raises(ValidationError, match="must be an integer"):
+        QueueArrivals(kind="bernoulli_batch", batch=1.5, prob=0.5)
+    with pytest.raises(ValidationError, match="must be an integer"):
+        QueueArrivals(kind="deterministic", rate_num=0.5, rate_den=1)
+    q = QueueArrivals(kind="bernoulli_batch", batch=2.0, prob=1)
+    assert (q.batch, q.prob) == (2, 1.0) and (type(q.batch), type(q.prob)) == (int, float)
+
+
+def test_raw_queue_arrivals_keep_a_hashable_pmf():
+    q = QueueArrivals(kind="bounded_pmf", pmf=[0.5, 0.5])
+    assert q.pmf == (0.5, 0.5)
+    assert hash(q) == hash(ArrivalModel.bounded_pmf([[0.5, 0.5]]).queues[0])
+
+
 def test_arrival_descriptor_rejects_non_integral_batch():
     spec = {"kind": "bernoulli_batch", "batch": 1.5, "prob": 0.5}
     with pytest.raises(ValidationError, match="must be an integer"):
