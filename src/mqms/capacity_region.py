@@ -128,28 +128,29 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     and lies in the region.  Contributions are summed server by server, in
     column-law order.
     """
-    return _vertex_oracle(model, tie_rule)(alpha)
+    return _vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N))
 
 
-def _vertex_oracle(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
-    """support_vertex as a function of alpha, with the model's law built once.
+def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
+    """The support vertex as an unchecked function of alpha.
 
-    Stacks the model's column laws up front, so a caller that asks for
-    many vertices of one model (Frank-Wolfe asks once per iteration) pays
-    for the law once.
+    Stacks the model's column laws up front, as float values and their
+    products with the state probabilities, so a caller that asks for many
+    vertices of one model (Frank-Wolfe asks once per iteration) pays for
+    the law once.  alpha must be finite, nonnegative, nonzero and of
+    length N; nothing checks it (``support_vertex`` does).  Each server
+    adds the product prob * value of its winning queue.
     """
     laws = column_laws(model)
-    values = np.concatenate([v for v, _ in laws])
-    probs = np.concatenate([p for _, p in laws])
-    rows = np.arange(len(values))
+    values = np.concatenate([v for v, _ in laws]).astype(float)
+    served = (np.concatenate([p for _, p in laws])[:, None] * values).ravel()
+    rows = np.arange(0, served.size, model.N)
 
-    def vertex(alpha) -> np.ndarray:
-        a = _check_direction(alpha, model.N)
-        winner = max_weight_argmax(values * a, tie_rule)
-        served = values[rows, winner]
-        return np.bincount(winner, weights=probs * served, minlength=model.N)
+    def kernel(alpha) -> np.ndarray:
+        winner = max_weight_argmax(values * alpha, tie_rule)
+        return np.bincount(winner, weights=served.take(rows + winner), minlength=model.N)
 
-    return vertex
+    return kernel
 
 
 def onoff_support(p, queue_subset) -> float:

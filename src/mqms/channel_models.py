@@ -31,10 +31,6 @@ class ValidationError(ValueError):
     """A model violates one of its structural invariants."""
 
 
-def _as_tuple2(rows) -> tuple:
-    return tuple(tuple(float(x) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class DiscreteChannelModel:
     """Joint distribution of the N x K integer capacity matrix.
@@ -61,13 +57,19 @@ class DiscreteChannelModel:
 
     def __post_init__(self):
         # nested fields become tuples, so the checked model cannot change afterwards
-        object.__setattr__(self, "p", _as_tuple2(self.p))
-        object.__setattr__(
-            self, "pmfs", tuple(tuple(tuple(float(q) for q in link) for link in row) for row in self.pmfs)
-        )
+        object.__setattr__(self, "p", tuple(
+            tuple(as_real(q, f"link ({n},{k}) success probability") for k, q in enumerate(row))
+            for n, row in enumerate(self.p)
+        ))
+        object.__setattr__(self, "pmfs", tuple(
+            tuple(tuple(as_real(q, f"link ({n},{k}) pmf entry {m}") for m, q in enumerate(link))
+                  for k, link in enumerate(row))
+            for n, row in enumerate(self.pmfs)
+        ))
         object.__setattr__(self, "states", tuple(
-            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in mat), float(prob))
-            for mat, prob in self.states
+            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in mat),
+             as_real(prob, f"state {i} probability"))
+            for i, (mat, prob) in enumerate(self.states)
         ))
         object.__setattr__(self, "M", as_integer(self.M, "M"))
         validate(self)
@@ -94,7 +96,7 @@ class DiscreteChannelModel:
         Zero-probability states are dropped here so downstream enumeration
         never carries them.  M defaults to the largest entry seen.
         """
-        cleaned = [(C, prob) for C, prob in states if float(prob) != 0.0]
+        cleaned = [(C, prob) for i, (C, prob) in enumerate(states) if as_real(prob, f"state {i} probability") != 0.0]
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
         if M is None:
@@ -216,6 +218,14 @@ def as_integer(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{what} must be an integer, got {x!r}")
+
+
+def as_real(x, what: str) -> float:
+    """float(x); ValidationError naming ``what`` unless x converts (NaN converts, ranges are checked later)."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a number, got {x!r}") from None
 
 
 def validate_discrete(model) -> None:
@@ -467,16 +477,17 @@ def from_descriptor(d: dict):
         return DiscreteChannelModel.explicit_joint(states, M=d.get("M"))
     if kind == "continuous":
         links = []
-        for row in d["links"]:
+        for n, row in enumerate(d["links"]):
             built = []
-            for spec in row:
-                dist = spec["dist"]
+            for k, spec in enumerate(row):
+                dist, where = spec["dist"], f"link ({n},{k})"
                 if dist == "exponential":
-                    built.append(LinkDistribution("exponential", mean=float(spec["mean"])))
+                    built.append(LinkDistribution("exponential", mean=as_real(spec["mean"], f"{where} mean")))
                 elif dist == "uniform":
-                    built.append(LinkDistribution("uniform", high=float(spec["high"])))
+                    built.append(LinkDistribution("uniform", high=as_real(spec["high"], f"{where} high")))
                 elif dist == "empirical":
-                    built.append(LinkDistribution("empirical", values=tuple(float(v) for v in spec["values"])))
+                    values = tuple(as_real(v, f"{where} value {i}") for i, v in enumerate(spec["values"]))
+                    built.append(LinkDistribution("empirical", values=values))
                 else:
                     raise ValidationError(f"unknown link distribution kind {dist!r}")
             links.append(built)

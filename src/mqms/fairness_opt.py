@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_region import StabilityRegion, _vertex_oracle, build_region, membership_margin, support_vertex
+from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
 from .channel_models import DiscreteChannelModel
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
@@ -96,40 +96,49 @@ class UtilitySpec:
     def gradient(self, r) -> np.ndarray:
         """Supergradient of the capped objective; zero on the flat side of the cap."""
         r = np.asarray(r, dtype=float)
+        if r.shape != (self.N,):
+            raise ValueError(f"rate point must have length {self.N}, got shape {r.shape}")
+        return np.array(self._gradient(r.tolist()))
+
+    def _gradient(self, r) -> list:
+        """gradient on a float sequence, as a list."""
+        return [0.0 if rn >= cap else self._derivative(n, rn) for n, (rn, cap) in enumerate(zip(r, self.caps))]
+
+    def _derivative(self, n: int, x: float) -> float:
+        """u_n'(x) of queue n below its cap.
+
+        The one derivative formula: ``gradient`` and ``_slope`` both read
+        it.  Power-law derivatives are floored at GRAD_FLOOR, so a queue at
+        zero rate has a finite, positive pull.
+        """
         if self.kind == "weighted_linear":
-            g = np.array(self.weights, dtype=float)
-        elif self.kind == "log_shifted":
-            g = 1.0 / (np.minimum(r, self.caps) + self.epsilon)
-        else:
-            g = np.maximum(np.minimum(r, self.caps), GRAD_FLOOR) ** (-self.a)
-        return np.where(r >= self.caps, 0.0, g)
+            return self.weights[n]
+        if self.kind == "log_shifted":
+            return 1.0 / (x + self.epsilon)
+        try:
+            return max(x, GRAD_FLOOR) ** -self.a
+        except OverflowError:  # float pow raises where numpy returns inf
+            return math.inf
 
     def _slope(self, r, d, g: float) -> tuple[float, float]:
         """Right slope and curvature of g -> value(r + g d), on float sequences.
 
         A queue adds d_n u_n'(x_n) at x_n = r_n + g d_n while it stays below
         its cap over a small step to the right: a queue at its cap adds
-        nothing moving up and d_n u_n'(cap) moving down.  Power-law
-        derivatives are floored as in ``gradient``, so a queue at zero rate
-        still pulls the step away from the origin.
+        nothing moving up and d_n u_n'(cap) moving down.  Below GRAD_FLOOR a
+        power-law derivative is constant, so it adds no curvature there.
         """
         slope = curvature = 0.0
-        linear, log = self.kind == "weighted_linear", self.kind == "log_shifted"
+        log, power = self.kind == "log_shifted", self.kind == "alpha_fair"
         for n, (rn, dn, cap) in enumerate(zip(r, d, self.caps)):
             x = rn + g * dn
             if dn == 0.0 or x > cap or (x == cap and dn > 0.0):
                 continue
-            if linear:
-                slope += dn * self.weights[n]
-            elif log:
-                u = 1.0 / (x + self.epsilon)
-                slope += dn * u
+            u = self._derivative(n, x)
+            slope += dn * u
+            if log:
                 curvature -= dn * dn * u * u
-            elif x <= GRAD_FLOOR:
-                slope += dn * GRAD_FLOOR ** -self.a
-            else:
-                u = x ** -self.a
-                slope += dn * u
+            elif power and x > GRAD_FLOOR:
                 curvature -= self.a * dn * dn * u / x
         return slope, curvature
 
@@ -153,16 +162,17 @@ class FairnessSolution:
     trajectory: tuple = ()
 
 
-def _line_search_step(utilities: UtilitySpec, r: np.ndarray, d: np.ndarray) -> float:
+def _line_search_step(utilities: UtilitySpec, r, d) -> float:
     """Smallest maximiser on [0, 1] of the concave phi(g) = value(r + g d).
 
     Keeps a bracket [lo, hi] with right slopes phi'(lo+) > 0 >= phi'(hi+),
     so the smallest maximiser lies in (lo, hi].  Each step is a Newton step
     on the slope from the last point, or a bisection when that step would
     leave the bracket, would not halve the previous move, or the curvature
-    is zero (linear pieces, plateaus).  A constant phi gives 0.
+    is zero (linear pieces, plateaus).  A constant phi gives 0.  r and d
+    are sequences of N numbers, taken as Python floats.
     """
-    r, d = r.tolist(), d.tolist()
+    r, d = list(map(float, r)), list(map(float, d))
     slope, curvature = utilities._slope(r, d, 0.0)
     if slope <= 0.0:
         return 0.0
@@ -186,6 +196,21 @@ def _line_search_step(utilities: UtilitySpec, r: np.ndarray, d: np.ndarray) -> f
     return hi
 
 
+def _dot(x, y) -> float:
+    """x . y of two float sequences, added left to right from 0.0."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
+def _check_dimensions(model: DiscreteChannelModel, utilities: UtilitySpec, region: StabilityRegion | None) -> None:
+    if utilities.N != model.N:
+        raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
+    if region is not None and region.N != model.N:
+        raise ValueError(f"dimension mismatch: region for {region.N} queues, model N={model.N}")
+
+
 def solve_fairness(
     model: DiscreteChannelModel,
     utilities: UtilitySpec,
@@ -204,9 +229,13 @@ def solve_fairness(
     the one rule).  Stops when the gap drops to ``tol``, or after
     ``max_iters`` iterations.  The reported gap is always the one at
     ``r_star``, and ``converged`` is whether it is at most ``tol``.
+
+    The iterate, gradient and direction are lists of N floats, and the
+    vertex comes from the unchecked oracle kernel: every gradient is
+    checked finite here, has length N and is nonnegative, since the
+    utilities are nondecreasing.
     """
-    if utilities.N != model.N:
-        raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
+    _check_dimensions(model, utilities, region)
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
     if max_iters < 1:
@@ -214,31 +243,31 @@ def solve_fairness(
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
     region = build_region(model) if region is None else region
-    vertex = _vertex_oracle(model)
+    vertex = _vertex_kernel(model)
 
-    r = np.zeros(model.N)
+    r = [0.0] * model.N
     gap = math.inf
     trace = []
     iters = 0
     for it in range(max_iters):
-        grad = utilities.gradient(r)
-        if not np.isfinite(grad).all():
+        grad = utilities._gradient(r)
+        if not all(map(math.isfinite, grad)):
             raise ValueError("non-finite utility gradient")
-        if not grad.any():
+        if not any(grad):
             gap = 0.0
             break
-        v = vertex(grad)
-        gap = float(grad @ (v - r))
+        d = [vn - rn for vn, rn in zip(vertex(grad).tolist(), r)]
+        gap = _dot(grad, d)
         if keep_trace:
-            trace.append((r.copy(), utilities.value(r), gap))
+            trace.append((np.array(r), utilities.value(r), gap))
         iters = it + 1
         if gap <= tol:
             break
-        d = v - r
-        r = r + _line_search_step(utilities, r, d) * d
+        step = _line_search_step(utilities, r, d)
+        r = [rn + step * dn for rn, dn in zip(r, d)]
     else:  # max_iters moves: the last gap belongs to the point before r
-        grad = utilities.gradient(r)
-        gap = float(grad @ (vertex(grad) - r)) if grad.any() else 0.0
+        grad = utilities._gradient(r)
+        gap = _dot(grad, [vn - rn for vn, rn in zip(vertex(grad).tolist(), r)]) if any(grad) else 0.0
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
     slacks = region.beta - region.A @ r_star
@@ -265,12 +294,12 @@ def fw_gap(
     Returns grad . (vertex(grad) - r), which is nonnegative and upper
     bounds how much utility any feasible point can add over r.
     """
+    _check_dimensions(model, utilities, region)
     r = np.asarray(r, dtype=float)
     region = build_region(model) if region is None else region
     if membership_margin(region, r) < -1e-7:
         raise ValueError("rate point lies outside the region")
-    grad = utilities.gradient(r)
-    if not grad.any():
+    grad = utilities._gradient(r.tolist())
+    if not any(grad):
         return 0.0
-    v = support_vertex(model, grad)
-    return float(grad @ (v - r))
+    return _dot(grad, (support_vertex(model, grad) - r).tolist())

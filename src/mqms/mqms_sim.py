@@ -32,6 +32,7 @@ from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
     as_integer,
+    as_real,
     check_pmf,
     sample_states,
     validate_discrete,
@@ -63,8 +64,8 @@ class QueueArrivals:
         object.__setattr__(self, "rate_num", as_integer(self.rate_num, "arrival rate numerator"))
         object.__setattr__(self, "rate_den", as_integer(self.rate_den, "arrival rate denominator"))
         object.__setattr__(self, "batch", as_integer(self.batch, "arrival batch"))
-        object.__setattr__(self, "prob", float(self.prob))
-        object.__setattr__(self, "pmf", tuple(float(x) for x in self.pmf))
+        object.__setattr__(self, "prob", as_real(self.prob, "arrival prob"))
+        object.__setattr__(self, "pmf", tuple(as_real(x, f"arrival pmf entry {a}") for a, x in enumerate(self.pmf)))
         if self.kind == "deterministic":
             if self.rate_num < 0 or self.rate_den < 1:
                 raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")

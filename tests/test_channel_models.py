@@ -132,6 +132,23 @@ def test_discrete_models_reject_nan(make):
         make()
 
 
+
+@pytest.mark.parametrize(("descriptor", "field"), [
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [[None]]}, r"link \(0,0\) success probability"),
+    ({"N": 1, "K": 2, "kind": "factored", "pmfs": [[[0.5, 0.5], [None, 1.0]]]}, r"link \(0,1\) pmf entry 0"),
+    ({"kind": "explicit_joint", "states": [{"C": [[1]], "prob": 1.0}, {"C": [[0]], "prob": None}]},
+     "state 1 probability"),
+    ({"kind": "explicit_joint", "M": 1, "states": [{"C": [[1]], "prob": [1.0]}]}, "state 0 probability"),
+    ({"kind": "continuous", "links": [[{"dist": "exponential", "mean": None}]]}, r"link \(0,0\) mean"),
+    ({"kind": "continuous", "links": [[{"dist": "uniform", "high": None}]]}, r"link \(0,0\) high"),
+    ({"kind": "continuous", "links": [[{"dist": "empirical", "values": [1.0, None]}]]}, r"link \(0,0\) value 1"),
+], ids=["bernoulli-p", "factored-pmf", "explicit-prob", "explicit-prob-list", "exponential-mean", "uniform-high",
+        "empirical-value"])
+def test_descriptor_numbers_must_be_numbers(descriptor, field):
+    # a null used to escape as a TypeError, which the CLI reports as an internal error
+    with pytest.raises(ValidationError, match=field + " must be a number, got"):
+        from_descriptor(json.loads(json.dumps(descriptor)))
+
 @pytest.mark.parametrize("link", [
     LinkDistribution("exponential", mean=NAN),
     LinkDistribution("exponential", mean=INF),

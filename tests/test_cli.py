@@ -397,6 +397,24 @@ def test_invalid_model_exits_2(tmp_path, capsys):
     assert main(["region", "--model", str(bad)]) == 2
 
 
+
+@pytest.mark.parametrize(("argv", "model", "arrivals"), [
+    (["region"], {"N": 1, "K": 1, "kind": "bernoulli", "p": [[None]]}, None),
+    (["region"], {"N": 1, "K": 1, "kind": "factored", "pmfs": [[[None, 1.0]]]}, None),
+    (["simulate", "--slots", "10"], {"N": 1, "K": 1, "kind": "bernoulli", "p": [[0.5]]},
+     {"queues": [{"kind": "bernoulli_batch", "batch": 1, "prob": None}]}),
+], ids=["bernoulli-p", "factored-pmf", "arrival-prob"])
+def test_null_numbers_exit_2(argv, model, arrivals, tmp_path, capsys):
+    model_path, arrivals_path = tmp_path / "model.json", tmp_path / "arrivals.json"
+    model_path.write_text(json.dumps(model))
+    argv = argv[:1] + ["--model", str(model_path)] + argv[1:]
+    if arrivals is not None:
+        arrivals_path.write_text(json.dumps(arrivals))
+        argv += ["--arrivals", str(arrivals_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be a number, got None" in err and "internal error" not in err
+
 def test_missing_file_exits_2(capsys):
     assert main(["region", "--model", "/nonexistent/model.json"]) == 2
 

@@ -15,7 +15,7 @@ from mqms import (
     support_vertex,
 )
 from mqms import capacity_region
-from mqms.fairness_opt import _line_search_step
+from mqms.fairness_opt import GRAD_FLOOR, _line_search_step
 from conftest import random_bernoulli, random_discrete, random_factored
 
 SYM = DiscreteChannelModel.bernoulli([[0.5], [0.5]])
@@ -330,3 +330,119 @@ def test_gap_rejects_outside_points():
     spec = UtilitySpec.log_shifted(2)
     with pytest.raises(ValueError, match="outside"):
         fw_gap(SYM, [0.6, 0.6], spec)
+
+
+def test_gap_rejects_utilities_of_another_dimension():
+    # used to fail inside support_vertex with "direction must have length 1, got shape (2,)"
+    model = DiscreteChannelModel.bernoulli([[0.5]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fw_gap(model, [0.1], UtilitySpec.log_shifted(2))
+
+
+def test_overflowing_gradient_is_a_value_error():
+    # GRAD_FLOOR ** -30 is past the float range: the solve must reject it, not raise OverflowError
+    spec = UtilitySpec.alpha_fair(2, 30.0)
+    assert spec.gradient([0.0, 0.1]).tolist() == [math.inf, 0.1 ** -30.0]
+    with pytest.raises(ValueError, match="non-finite utility gradient"):
+        solve_fairness(SYM, spec)
+    with pytest.raises(ValueError, match="finite"):
+        fw_gap(SYM, [0.0, 0.1], spec)
+
+
+def _run_must_not_be_called(*args, **kwargs):
+    raise AssertionError("the solve should have stopped before the first iteration")
+
+
+def test_gap_and_solve_reject_a_region_of_another_dimension(monkeypatch):
+    # solve_fairness used to run every iteration and then fail in the slack product
+    monkeypatch.setattr("mqms.fairness_opt._vertex_kernel", _run_must_not_be_called)
+    region = build_region(DiscreteChannelModel.bernoulli([[0.5], [0.5], [0.5]]))
+    spec = UtilitySpec.log_shifted(2)
+    with pytest.raises(ValueError, match="dimension mismatch: region for 3 queues"):
+        solve_fairness(SYM, spec, region=region)
+    with pytest.raises(ValueError, match="dimension mismatch: region for 3 queues"):
+        fw_gap(SYM, [0.1, 0.1], spec, region=region)
+
+
+# -- the float loop against numpy ---------------------------------------------------
+
+
+def reference_fw(model, spec, tol, max_iters):
+    """Frank-Wolfe on numpy arrays through gradient, support_vertex and _line_search_step."""
+    r = np.zeros(model.N)
+    iters = 0
+    for it in range(max_iters):
+        grad = spec.gradient(r)
+        if not grad.any():
+            break
+        v = support_vertex(model, grad)
+        iters = it + 1
+        if float(grad @ (v - r)) <= tol:
+            break
+        d = v - r
+        r = r + _line_search_step(spec, r, d) * d
+    return np.clip(r, 0.0, np.asarray(spec.caps)), iters
+
+
+def test_float_loop_reproduces_the_numpy_reference(rng):
+    solves = 0
+    for _ in range(36):
+        model = random_discrete(rng)
+        caps = np.where(rng.random(model.N) < 0.6, rng.uniform(0.05, 1.0, model.N), math.inf)
+        region = build_region(model)
+        for c in (None, caps):
+            for spec, exact in ((UtilitySpec.log_shifted(model.N, caps=c), True),
+                                (UtilitySpec.weighted_linear(rng.uniform(0.1, 2.0, model.N), caps=c), True),
+                                (UtilitySpec.alpha_fair(model.N, 0.5, caps=c), False),
+                                (UtilitySpec.alpha_fair(model.N, 2.0, caps=c), False)):
+                sol = solve_fairness(model, spec, tol=1e-7, max_iters=200, region=region)
+                r_ref, iters = reference_fw(model, spec, 1e-7, 200)
+                assert sol.iterations == iters
+                if exact:
+                    assert sol.r_star.tobytes() == r_ref.tobytes()
+                else:  # Python and numpy pow may round a gradient differently in the last ulp
+                    assert np.abs(sol.r_star - r_ref).max() <= 1e-12
+                solves += 1
+    assert solves == 36 * 8
+
+
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+def test_vertex_kernel_matches_support_vertex_on_ties(rng, tie_rule):
+    # small integer directions on integer capacities tie in most states
+    checked = 0
+    while checked < 200:
+        model = random_discrete(rng, max_n=4, max_k=3, max_m=2, state_cap=1 << 16)
+        alpha = rng.integers(0, 3, model.N)
+        if not alpha.any():
+            continue
+        laws = capacity_region.column_laws(model)
+        values = np.concatenate([v for v, _ in laws])
+        probs = np.concatenate([p for _, p in laws])
+        winner = capacity_region.max_weight_argmax(values * alpha, tie_rule)
+        served = probs * values[np.arange(len(values)), winner]
+        expected = np.bincount(winner, weights=served, minlength=model.N)
+        kernel = capacity_region._vertex_kernel(model, tie_rule)(alpha.astype(float).tolist())
+        assert kernel.tobytes() == expected.tobytes()
+        assert support_vertex(model, alpha, tie_rule=tie_rule).tobytes() == expected.tobytes()
+        checked += 1
+
+
+@pytest.mark.parametrize("spec", [
+    UtilitySpec.weighted_linear([0.5, 2.0, 1.0, 3.0], caps=[0.25, math.inf, 0.5, 1.0]),
+    UtilitySpec.log_shifted(4, epsilon=1e-3, caps=[0.25, math.inf, 0.5, 1.0]),
+    UtilitySpec.alpha_fair(4, 0.5, caps=[0.25, math.inf, 0.5, 1.0]),
+    UtilitySpec.alpha_fair(4, 2.0, caps=[0.25, math.inf, 0.5, 1.0]),
+], ids=["linear", "log", "alpha05", "alpha2"])
+def test_gradient_is_the_per_queue_derivative(spec):
+    # at a cap, at zero, at the floor, and past a cap
+    for r in ([0.25, 0.0, GRAD_FLOOR, 1.5], [0.0, GRAD_FLOOR, 0.5, 0.5 * GRAD_FLOOR]):
+        grad = spec.gradient(r)
+        for n, (rn, cap) in enumerate(zip(r, spec.caps)):
+            expected = 0.0 if rn >= cap else spec._derivative(n, rn)
+            assert grad[n] == expected
+            # the line search's right slope along e_n reads the same derivative
+            e = [0.0] * 4
+            e[n] = 1.0
+            assert spec._slope(r, e, 0.0)[0] == expected
+    if spec.kind == "alpha_fair":
+        assert spec.gradient([0.0, 0.0, 0.0, 0.0])[1] == GRAD_FLOOR ** -spec.a

@@ -263,6 +263,17 @@ def test_arrival_descriptor_is_validated(spec):
         arrivals_from_descriptor({"queues": [spec]})
 
 
+
+@pytest.mark.parametrize(("spec", "field"), [
+    ({"kind": "bernoulli_batch", "batch": 1, "prob": None}, "arrival prob must be a number"),
+    ({"kind": "bounded_pmf", "pmf": [0.5, None]}, "arrival pmf entry 1 must be a number"),
+    ({"kind": "bernoulli_batch", "batch": None, "prob": 0.5}, "arrival batch must be an integer"),
+    ({"kind": "deterministic", "rate": None}, "arrival rate None is not a finite number"),
+], ids=["prob", "pmf-entry", "batch", "rate"])
+def test_arrival_descriptor_rejects_null_numbers(spec, field):
+    with pytest.raises(ValidationError, match=field):
+        arrivals_from_descriptor(json.loads(json.dumps({"queues": [spec]})))
+
 @pytest.mark.parametrize("make", [
     lambda: ArrivalModel.bounded_pmf([[float("nan"), 1.0]]),
     lambda: QueueArrivals(kind="bernoulli_batch", batch=1, prob=1.5),
