@@ -59,17 +59,17 @@ class DiscreteChannelModel:
         # nested fields become tuples, so the checked model cannot change afterwards
         object.__setattr__(self, "p", tuple(
             tuple(as_real(q, f"link ({n},{k}) success probability") for k, q in enumerate(row))
-            for n, row in enumerate(self.p)
+            for n, row in enumerate(as_nested(self.p, "p", 2))
         ))
         object.__setattr__(self, "pmfs", tuple(
             tuple(tuple(as_real(q, f"link ({n},{k}) pmf entry {m}") for m, q in enumerate(link))
                   for k, link in enumerate(row))
-            for n, row in enumerate(self.pmfs)
+            for n, row in enumerate(as_nested(self.pmfs, "pmfs", 3))
         ))
         object.__setattr__(self, "states", tuple(
-            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in mat),
+            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in as_nested(mat, f"state {i} matrix", 2)),
              as_real(prob, f"state {i} probability"))
-            for i, (mat, prob) in enumerate(self.states)
+            for i, (mat, prob) in enumerate(as_nested(self.states, "states", 2))
         ))
         object.__setattr__(self, "M", as_integer(self.M, "M"))
         validate(self)
@@ -79,11 +79,13 @@ class DiscreteChannelModel:
     @classmethod
     def bernoulli(cls, p) -> "DiscreteChannelModel":
         """ON-OFF model from an N x K matrix of success probabilities."""
+        p = as_nested(p, "p", 2)
         return cls(N=len(p), K=len(p[0]) if len(p) else 0, M=1, kind="bernoulli", p=p)
 
     @classmethod
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
+        pmfs = as_nested(pmfs, "pmfs", 3)
         lengths = {len(link) for row in pmfs for link in row}
         if len(lengths) != 1:
             raise ValidationError("dimension mismatch: link pmfs have unequal lengths")
@@ -96,12 +98,15 @@ class DiscreteChannelModel:
         Zero-probability states are dropped here so downstream enumeration
         never carries them.  M defaults to the largest entry seen.
         """
-        cleaned = [(C, prob) for i, (C, prob) in enumerate(states) if as_real(prob, f"state {i} probability") != 0.0]
+        cleaned = [(as_nested(C, f"state {i} matrix", 2), prob)
+                   for i, (C, prob) in enumerate(as_nested(states, "states", 2))
+                   if as_real(prob, f"state {i} probability") != 0.0]
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
         if M is None:
-            M = max(1, max(as_integer(x, "capacity") for C, _ in cleaned for row in C for x in row))
-        return cls(N=len(cleaned[0][0]), K=len(cleaned[0][0][0]), M=M, kind="explicit_joint", states=cleaned)
+            M = max(1, max((as_integer(x, "capacity") for C, _ in cleaned for row in C for x in row), default=1))
+        C = cleaned[0][0]
+        return cls(N=len(C), K=len(C[0]) if C else 0, M=M, kind="explicit_joint", states=cleaned)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ class LinkDistribution:
     values: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", as_nested(self.values, "empirical values"))
 
     def expected_value(self) -> float:
         if self.kind == "exponential":
@@ -140,11 +145,12 @@ class ContinuousChannelModel:
     links: tuple = ()  # links[n][k] is a LinkDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "links", tuple(tuple(row) for row in self.links))
+        object.__setattr__(self, "links", as_nested(self.links, "links", 2))
         validate(self)
 
     @classmethod
     def of(cls, links) -> "ContinuousChannelModel":
+        links = as_nested(links, "links", 2)
         return cls(N=len(links), K=len(links[0]) if len(links) else 0, links=links)
 
     def link_means(self) -> np.ndarray:
@@ -226,6 +232,26 @@ def as_real(x, what: str) -> float:
         return float(x)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {x!r}") from None
+
+
+def as_nested(x, what: str, depth: int = 1) -> tuple:
+    """x as tuples nested ``depth`` deep, the entries below left as given.
+
+    ValidationError naming the first level, ``what`` or an entry like
+    ``what[0]``, that is not a list (a JSON array), a tuple or an array.
+    """
+    if not isinstance(x, (list, tuple)) and not (isinstance(x, np.ndarray) and x.ndim):
+        raise ValidationError(f"{what} must be a list, got {x!r}")
+    if depth == 1:
+        return tuple(x)
+    return tuple(as_nested(row, f"{what}[{i}]", depth - 1) for i, row in enumerate(x))
+
+
+def as_object(x, what: str) -> dict:
+    """x itself; ValidationError naming ``what`` unless it is a dict (a JSON object)."""
+    if not isinstance(x, dict):
+        raise ValidationError(f"{what} must be an object, got {x!r}")
+    return x
 
 
 def validate_discrete(model) -> None:
@@ -473,20 +499,23 @@ def from_descriptor(d: dict):
     if kind == "factored":
         return DiscreteChannelModel.factored(d["pmfs"])
     if kind == "explicit_joint":
-        states = [(s["C"], s["prob"]) for s in d["states"]]
+        states = [as_object(s, f"state {i}") for i, s in enumerate(as_nested(d["states"], "states"))]
+        states = [(s["C"], s["prob"]) for s in states]
         return DiscreteChannelModel.explicit_joint(states, M=d.get("M"))
     if kind == "continuous":
         links = []
-        for n, row in enumerate(d["links"]):
+        for n, row in enumerate(as_nested(d["links"], "links", 2)):
             built = []
             for k, spec in enumerate(row):
-                dist, where = spec["dist"], f"link ({n},{k})"
+                where = f"link ({n},{k})"
+                dist = as_object(spec, where)["dist"]
                 if dist == "exponential":
                     built.append(LinkDistribution("exponential", mean=as_real(spec["mean"], f"{where} mean")))
                 elif dist == "uniform":
                     built.append(LinkDistribution("uniform", high=as_real(spec["high"], f"{where} high")))
                 elif dist == "empirical":
-                    values = tuple(as_real(v, f"{where} value {i}") for i, v in enumerate(spec["values"]))
+                    values = as_nested(spec["values"], f"{where} values")
+                    values = tuple(as_real(v, f"{where} value {i}") for i, v in enumerate(values))
                     built.append(LinkDistribution("empirical", values=values))
                 else:
                     raise ValidationError(f"unknown link distribution kind {dist!r}")

@@ -208,7 +208,8 @@ def _cmd_fairness(args, stamp):
         spec = UtilitySpec.alpha_fair(model.N, args.fairness_alpha, caps=caps)
     else:
         raise ValidationError(f"unknown utility {args.utility!r}")
-    sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters)
+    region = build_region(model)  # before the solve, so a model without a region fails fast
+    sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters, region=region)
     payload = {
         "r_star": sol.r_star.tolist(),
         "objective": sol.objective,

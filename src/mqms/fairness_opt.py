@@ -11,7 +11,8 @@ LP solver is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,14 +153,45 @@ def _caps_tuple(caps, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class FairnessSolution:
+    """A Frank-Wolfe result; ``slacks`` and ``binding`` are derived on first read.
+
+    They come from the region passed to ``solve_fairness`` as ``region=``,
+    else from one ``build_region`` of the solved model, so a solve whose
+    caller never reads them never enumerates the region's directions.
+    """
+
     r_star: np.ndarray
     objective: float
     gap: float
     iterations: int
-    slacks: tuple          # beta - alpha . r_star per region inequality
-    binding: tuple         # directions whose slack is ~zero
     converged: bool        # gap <= tol, the gap taken at r_star
     trajectory: tuple = ()
+    _: KW_ONLY
+    _model: InitVar[DiscreteChannelModel | None] = None
+    _region: InitVar[StabilityRegion | None] = None
+
+    def __post_init__(self, _model, _region):
+        # init-only, so neither is a field: they matter only to slacks and binding
+        object.__setattr__(self, "_model", _model)
+        object.__setattr__(self, "_region", _region)
+
+    @cached_property
+    def _slack_array(self) -> np.ndarray:
+        """beta - A @ r_star, after building the region if the solve was given none."""
+        if self._region is None:
+            object.__setattr__(self, "_region", build_region(self._model))
+        return self._region.beta - self._region.A @ self.r_star
+
+    @cached_property
+    def slacks(self) -> tuple:
+        """beta - alpha . r_star per region inequality."""
+        return tuple(self._slack_array.tolist())
+
+    @cached_property
+    def binding(self) -> tuple:
+        """Directions whose slack is ~zero."""
+        tight = self._slack_array <= 1e-6  # builds the region first if it was not given
+        return tuple(map(tuple, self._region.A[tight].tolist()))
 
 
 def _line_search_step(utilities: UtilitySpec, r, d) -> float:
@@ -233,7 +265,10 @@ def solve_fairness(
     The iterate, gradient and direction are lists of N floats, and the
     vertex comes from the unchecked oracle kernel: every gradient is
     checked finite here, has length N and is nonnegative, since the
-    utilities are nondecreasing.
+    utilities are nondecreasing.  The iterations need only that oracle,
+    so the region is not built here: ``region`` (if given) is checked
+    against the model's dimension and kept for the solution's ``slacks``
+    and ``binding``, which build it on first read if it is not given.
     """
     _check_dimensions(model, utilities, region)
     if not 0 < tol < math.inf:
@@ -242,7 +277,6 @@ def solve_fairness(
         raise ValueError("max_iters must be at least 1")
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
-    region = build_region(model) if region is None else region
     vertex = _vertex_kernel(model)
 
     r = [0.0] * model.N
@@ -270,16 +304,15 @@ def solve_fairness(
         gap = _dot(grad, [vn - rn for vn, rn in zip(vertex(grad).tolist(), r)]) if any(grad) else 0.0
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
-    slacks = region.beta - region.A @ r_star
     return FairnessSolution(
         r_star=r_star,
         objective=utilities.value(r_star),
         gap=gap,
         iterations=iters,
-        slacks=tuple(slacks.tolist()),
-        binding=tuple(map(tuple, region.A[slacks <= 1e-6].tolist())),
         converged=gap <= tol,
         trajectory=tuple(trace),
+        _model=model,
+        _region=region,
     )
 
 

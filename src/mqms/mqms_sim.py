@@ -32,6 +32,8 @@ from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
     as_integer,
+    as_nested,
+    as_object,
     as_real,
     check_pmf,
     sample_states,
@@ -65,7 +67,8 @@ class QueueArrivals:
         object.__setattr__(self, "rate_den", as_integer(self.rate_den, "arrival rate denominator"))
         object.__setattr__(self, "batch", as_integer(self.batch, "arrival batch"))
         object.__setattr__(self, "prob", as_real(self.prob, "arrival prob"))
-        object.__setattr__(self, "pmf", tuple(as_real(x, f"arrival pmf entry {a}") for a, x in enumerate(self.pmf)))
+        pmf = as_nested(self.pmf, "arrival pmf")
+        object.__setattr__(self, "pmf", tuple(as_real(x, f"arrival pmf entry {a}") for a, x in enumerate(pmf)))
         if self.kind == "deterministic":
             if self.rate_num < 0 or self.rate_den < 1:
                 raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
@@ -182,8 +185,8 @@ class ArrivalModel:
 
 def arrivals_from_descriptor(d: dict) -> ArrivalModel:
     qs = []
-    for spec in d["queues"]:
-        kind = spec["kind"]
+    for n, spec in enumerate(as_nested(as_object(d, "arrival descriptor")["queues"], "queues")):
+        kind = as_object(spec, f"queue {n}")["kind"]
         if kind == "deterministic":
             num, den = _exact_rate(spec["rate"])
             qs.append(QueueArrivals(kind=kind, rate_num=num, rate_den=den))

@@ -68,6 +68,22 @@ def test_raw_invalid_model_fails_when_built(make):
         make()
 
 
+@pytest.mark.parametrize(("make", "message"), [
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=None), "p must be a list, got None"),
+    (lambda: DiscreteChannelModel.bernoulli([0.5]), r"p\[0\] must be a list, got 0.5"),
+    (lambda: DiscreteChannelModel.factored([[None]]), r"pmfs\[0\]\[0\] must be a list, got None"),
+    (lambda: DiscreteChannelModel.explicit_joint(3), "states must be a list, got 3"),
+    (lambda: DiscreteChannelModel.explicit_joint([((1,), 1.0)]), r"state 0 matrix\[0\] must be a list, got 1"),
+    (lambda: ContinuousChannelModel(N=1, K=1, links=3), "links must be a list, got 3"),
+    (lambda: LinkDistribution("empirical", values=None), "empirical values must be a list, got None"),
+    (lambda: mqms_sim.QueueArrivals(kind="bounded_pmf", pmf=None), "arrival pmf must be a list, got None"),
+], ids=["raw-p", "flat-p", "link-pmf", "states", "state-matrix", "links", "empirical-values", "arrival-pmf"])
+def test_non_list_fields_are_validation_errors(make, message):
+    # a JSON null or number where a list belongs raised TypeError from len() or iteration
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
 def test_built_model_keeps_its_own_copy_of_nested_inputs():
     p, pmfs, C, values = [[0.5, 0.25]], [[[0.5, 0.5]]], [[1]], [1.0, 2.0]
     states = [(C, 0.5), ([[0]], 0.5)]

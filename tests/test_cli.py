@@ -168,6 +168,31 @@ def test_simulate_builds_the_region_before_running(monkeypatch, capsys, tmp_path
     assert "enumeration cap exceeded" in capsys.readouterr().err
 
 
+def test_fairness_builds_the_region_before_solving(monkeypatch, capsys, tmp_path):
+    # solve_fairness itself no longer needs the region; the command still
+    # fails on a model past the enumeration cap before the first iteration
+    monkeypatch.setattr(cli, "solve_fairness", _run_must_not_be_called)
+    model = tmp_path / "factored_8x8.json"
+    model.write_text(json.dumps(to_descriptor(random_factored(np.random.default_rng(1), 8, 8, 2))))
+    assert main(["fairness", "--model", str(model)]) == 2
+    assert "enumeration cap exceeded" in capsys.readouterr().err
+
+
+def test_fairness_solves_against_the_region_it_built(monkeypatch, capsys):
+    built = []
+    real = cli.build_region
+
+    def counted(model):
+        built.append(real(model))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_region", counted)
+    monkeypatch.setattr("mqms.fairness_opt.build_region", _run_must_not_be_called)
+    code, payload = run_json(capsys, ["fairness", "--model", str(DEMO_MODELS / "bern_2x2_p05.json")])
+    assert code == 0 and len(built) == 1
+    assert payload["binding_constraints"]
+
+
 @pytest.mark.parametrize("command", ["check", "simulate"])
 def test_margin_is_computed_once_per_command(command, monkeypatch, capsys, bern_model_path, arrivals_path):
     # the verdict comes from the margin the command already holds
@@ -414,6 +439,53 @@ def test_null_numbers_exit_2(argv, model, arrivals, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "must be a number, got None" in err and "internal error" not in err
+
+def _exit_and_error(capsys, tmp_path, command, model, arrivals):
+    model_path, arrivals_path = tmp_path / "model.json", tmp_path / "arrivals.json"
+    model_path.write_text(json.dumps(model))
+    arrivals_path.write_text(json.dumps(arrivals))
+    argv = [command, "--model", str(model_path)]
+    if command == "simulate":
+        argv += ["--arrivals", str(arrivals_path), "--slots", "10"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize(("model", "message"), [
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": None}, "p must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [0.5]}, "p[0] must be a list, got 0.5"),
+    ({"N": 1, "K": 1, "kind": "factored", "pmfs": [[None]]}, "pmfs[0][0] must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "factored", "pmfs": 3}, "pmfs must be a list, got 3"),
+    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": 3}, "states must be a list, got 3"),
+    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": [3]}, "state 0 must be an object, got 3"),
+    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": [{"C": 1, "prob": 1.0}]},
+     "state 0 matrix must be a list, got 1"),
+    ({"N": 1, "K": 1, "kind": "continuous", "links": [[{"dist": "empirical", "values": None}]]},
+     "link (0,0) values must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "continuous", "links": [[3]]}, "link (0,0) must be an object, got 3"),
+], ids=["p-null", "p-flat", "pmf-null", "pmfs-number", "states-number", "state-number", "state-matrix-number",
+        "values-null", "link-number"])
+@pytest.mark.parametrize("command", ["region", "simulate"])
+def test_non_list_model_fields_exit_2(command, model, message, tmp_path, capsys):
+    arrivals = {"queues": [{"kind": "bernoulli_batch", "batch": 1, "prob": 0.3}]}
+    code, err = _exit_and_error(capsys, tmp_path, command, model, arrivals)
+    assert code == 2 and err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(("arrivals", "message"), [
+    ({"queues": [{"kind": "bounded_pmf", "pmf": None}]}, "arrival pmf must be a list, got None"),
+    ({"queues": 3}, "queues must be a list, got 3"),
+    ({"queues": "ab"}, "queues must be a list, got 'ab'"),
+    ({"queues": [3]}, "queue 0 must be an object, got 3"),
+    ([3], "arrival descriptor must be an object, got [3]"),
+], ids=["pmf-null", "queues-number", "queues-string", "queue-number", "descriptor-list"])
+def test_non_list_arrival_fields_exit_2(arrivals, message, tmp_path, capsys):
+    model = {"N": 1, "K": 1, "kind": "bernoulli", "p": [[0.5]]}
+    code, err = _exit_and_error(capsys, tmp_path, "simulate", model, arrivals)
+    assert code == 2 and err.endswith(f"error: {message}\n")
+
 
 def test_missing_file_exits_2(capsys):
     assert main(["region", "--model", "/nonexistent/model.json"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -362,6 +363,59 @@ def test_gap_and_solve_reject_a_region_of_another_dimension(monkeypatch):
         solve_fairness(SYM, spec, region=region)
     with pytest.raises(ValueError, match="dimension mismatch: region for 3 queues"):
         fw_gap(SYM, [0.1, 0.1], spec, region=region)
+
+
+# -- slacks and binding, derived on first read ----------------------------------------
+
+
+def test_solve_does_not_build_the_region(monkeypatch):
+    # Frank-Wolfe needs only the vertex oracle; reading binding builds the region once
+    built = []
+
+    def refused(model):
+        raise AssertionError("solve_fairness built the region")
+
+    monkeypatch.setattr("mqms.fairness_opt.build_region", refused)
+    sol = solve_fairness(SYM, UtilitySpec.log_shifted(2), tol=1e-6)
+    assert sol.converged
+
+    def counted(model):
+        built.append(model)
+        return build_region(model)
+
+    monkeypatch.setattr("mqms.fairness_opt.build_region", counted)
+    assert sol.binding == ((1, 1),)
+    assert len(sol.slacks) == 3 and sol.binding == ((1, 1),)
+    assert built == [SYM]
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "r_star", "objective", "gap", "iterations", "converged", "trajectory"]
+
+
+def test_slacks_and_binding_are_the_region_expressions(rng):
+    # bit for bit these two array expressions, whether the region was passed in or built on read
+    nonempty = 0
+    for _ in range(12):
+        model = random_discrete(rng)
+        caps = np.where(rng.random(model.N) < 0.5, rng.uniform(0.05, 1.0, model.N), math.inf)
+        spec = UtilitySpec.log_shifted(model.N, caps=caps)
+        region = build_region(model)
+        for given in (None, region):
+            sol = solve_fairness(model, spec, tol=1e-7, max_iters=200, region=given)
+            slacks = region.beta - region.A @ sol.r_star
+            assert np.array(sol.slacks).tobytes() == slacks.tobytes()
+            assert sol.binding == tuple(map(tuple, region.A[slacks <= 1e-6].tolist()))
+            assert all(type(a) is int for row in sol.binding for a in row)
+            nonempty += bool(sol.binding)
+    assert nonempty >= 12
+
+
+def test_solve_past_the_enumeration_cap():
+    # |W|^N = 113,379,904 directions to enumerate, over the cap; the oracle alone is cheap
+    model = random_factored(np.random.default_rng(3), 6, 2, 3)
+    sol = solve_fairness(model, UtilitySpec.log_shifted(6), tol=1e-9, max_iters=50)
+    assert sol.iterations == 50 and np.isfinite(sol.gap) and sol.objective > -math.inf
+    with pytest.raises(ValueError, match="enumeration cap exceeded"):
+        sol.binding
 
 
 # -- the float loop against numpy ---------------------------------------------------
