@@ -127,6 +127,9 @@ def build_vhat(M: int, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, .
     canonicalizes by gcd, and deduplicates scalar multiples.  The result
     is sorted and contains every standard basis vector.
     """
+    # for N >= 2, W holds {0..M}: (M+1)^N bounds |W|^N before W is built, and 2^N > cap from N = cap.bit_length()
+    if M >= 1 and N >= 2 and (N >= cap.bit_length() or (M + 1) ** N > cap):
+        raise ValueError(f"enumeration cap exceeded: |W|^N >= {M + 1}^{N} > {cap}")
     W = build_w(M, N)
     total = len(W) ** N
     if total > cap:

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +58,7 @@ class DiscreteChannelModel:
 
     def __post_init__(self):
         # nested fields become tuples, so the checked model cannot change afterwards
-        object.__setattr__(self, "p", tuple(
-            tuple(as_real(q, f"link ({n},{k}) success probability") for k, q in enumerate(row))
-            for n, row in enumerate(as_nested(self.p, "p", 2))
-        ))
-        object.__setattr__(self, "pmfs", tuple(
-            tuple(tuple(as_real(q, f"link ({n},{k}) pmf entry {m}") for m, q in enumerate(link))
-                  for k, link in enumerate(row))
-            for n, row in enumerate(as_nested(self.pmfs, "pmfs", 3))
-        ))
-        object.__setattr__(self, "states", tuple(
-            (tuple(tuple(as_integer(x, "capacity") for x in row) for row in as_nested(mat, f"state {i} matrix", 2)),
-             as_real(prob, f"state {i} probability"))
-            for i, (mat, prob) in enumerate(as_nested(self.states, "states", 2))
-        ))
-        object.__setattr__(self, "M", as_integer(self.M, "M"))
+        _read_fields(self, _DISCRETE_FIELDS)
         validate(self)
 
     # -- constructors ----------------------------------------------------
@@ -79,13 +66,13 @@ class DiscreteChannelModel:
     @classmethod
     def bernoulli(cls, p) -> "DiscreteChannelModel":
         """ON-OFF model from an N x K matrix of success probabilities."""
-        p = as_nested(p, "p", 2)
-        return cls(N=len(p), K=len(p[0]) if len(p) else 0, M=1, kind="bernoulli", p=p)
+        p = _read(p, _DISCRETE_FIELDS["p"], "p")
+        return cls(N=len(p), K=len(p[0]) if p else 0, M=1, kind="bernoulli", p=p)
 
     @classmethod
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
-        pmfs = as_nested(pmfs, "pmfs", 3)
+        pmfs = _read(pmfs, _DISCRETE_FIELDS["pmfs"], "pmfs")
         lengths = {len(link) for row in pmfs for link in row}
         if len(lengths) != 1:
             raise ValidationError("dimension mismatch: link pmfs have unequal lengths")
@@ -98,13 +85,11 @@ class DiscreteChannelModel:
         Zero-probability states are dropped here so downstream enumeration
         never carries them.  M defaults to the largest entry seen.
         """
-        cleaned = [(as_nested(C, f"state {i} matrix", 2), prob)
-                   for i, (C, prob) in enumerate(as_nested(states, "states", 2))
-                   if as_real(prob, f"state {i} probability") != 0.0]
+        cleaned = [(C, prob) for C, prob in _read(states, _DISCRETE_FIELDS["states"], "states") if prob != 0.0]
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
         if M is None:
-            M = max(1, max((as_integer(x, "capacity") for C, _ in cleaned for row in C for x in row), default=1))
+            M = max(1, max((x for C, _ in cleaned for row in C for x in row), default=1))
         C = cleaned[0][0]
         return cls(N=len(C), K=len(C[0]) if C else 0, M=M, kind="explicit_joint", states=cleaned)
 
@@ -123,7 +108,7 @@ class LinkDistribution:
     values: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", as_nested(self.values, "empirical values"))
+        _read_fields(self, _LINK_FIELDS)
 
     def expected_value(self) -> float:
         if self.kind == "exponential":
@@ -145,13 +130,13 @@ class ContinuousChannelModel:
     links: tuple = ()  # links[n][k] is a LinkDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "links", as_nested(self.links, "links", 2))
+        _read_fields(self, _CONTINUOUS_FIELDS)
         validate(self)
 
     @classmethod
     def of(cls, links) -> "ContinuousChannelModel":
-        links = as_nested(links, "links", 2)
-        return cls(N=len(links), K=len(links[0]) if len(links) else 0, links=links)
+        links = _read(links, _CONTINUOUS_FIELDS["links"], "links")
+        return cls(N=len(links), K=len(links[0]) if links else 0, links=links)
 
     def link_means(self) -> np.ndarray:
         return np.array(
@@ -216,42 +201,62 @@ def check_pmf(pmf, what: str) -> None:
         raise ValidationError(f"pmf not normalized: {what} sums to {total}")
 
 
-def as_integer(x, what: str) -> int:
-    """x as an int; ValidationError unless it is an integral number (2.0 passes)."""
-    try:
-        if int(x) == x:
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{what} must be an integer, got {x!r}")
+def _read(x, spec, where: str):
+    """x read against ``spec``; ValidationError naming the JSON path ``where`` of the first fault.
 
-
-def as_real(x, what: str) -> float:
-    """float(x); ValidationError naming ``what`` unless x converts (NaN converts, ranges are checked later)."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a number, got {x!r}") from None
-
-
-def as_nested(x, what: str, depth: int = 1) -> tuple:
-    """x as tuples nested ``depth`` deep, the entries below left as given.
-
-    ValidationError naming the first level, ``what`` or an entry like
-    ``what[0]``, that is not a list (a JSON array), a tuple or an array.
+    A spec is ``int`` or ``float`` (a number, not a bool; an integral float
+    reads as an int), ``object`` (anything), ``[item]`` (a list, tuple or
+    array, read into a tuple), ``[a, b]`` (a list of exactly those entries),
+    ``{key: spec}`` (an object read into a dict; a key ending in ``?`` is
+    optional) or ``(tag, {value: spec})`` (an object read into ``(value, dict)``).
     """
-    if not isinstance(x, (list, tuple)) and not (isinstance(x, np.ndarray) and x.ndim):
-        raise ValidationError(f"{what} must be a list, got {x!r}")
-    if depth == 1:
-        return tuple(x)
-    return tuple(as_nested(row, f"{what}[{i}]", depth - 1) for i, row in enumerate(x))
-
-
-def as_object(x, what: str) -> dict:
-    """x itself; ValidationError naming ``what`` unless it is a dict (a JSON object)."""
+    if spec is float or spec is int:
+        try:
+            if type(x) in (int, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+                if spec is float or int(x) == x:
+                    return spec(x)
+        except (ValueError, OverflowError):
+            pass
+        raise ValidationError(f"{where} must be {'a number' if spec is float else 'an integer'}, got {x!r}")
+    if spec is object:
+        return x
+    if isinstance(spec, list):
+        if not isinstance(x, (list, tuple)) and not (isinstance(x, np.ndarray) and x.ndim):
+            raise ValidationError(f"{where} must be a list, got {x!r}")
+        if len(spec) == 1:
+            if (spec[0] is float or spec[0] is int) and all(type(v) is spec[0] for v in x):
+                return tuple(x)  # already read: the common case, without a call per entry
+            return tuple(_read(v, spec[0], f"{where}[{i}]") for i, v in enumerate(x))
+        if len(x) != len(spec):
+            raise ValidationError(f"{where} must be a list of {len(spec)} entries, got {x!r}")
+        return tuple(_read(v, s, f"{where}[{i}]") for i, (v, s) in enumerate(zip(x, spec)))
+    if isinstance(spec, tuple):
+        tag, cases = spec
+        value = _read(x, {tag: object}, where)[tag]
+        if not isinstance(value, str) or value not in cases:
+            raise ValidationError(f"{where}.{tag} must be one of {list(cases)}, got {value!r}")
+        return value, _read(x, cases[value], where)
     if not isinstance(x, dict):
-        raise ValidationError(f"{what} must be an object, got {x!r}")
-    return x
+        raise ValidationError(f"{where} must be an object, got {x!r}")
+    out = {}
+    for key, sub in spec.items():
+        name = key.removesuffix("?")
+        if name in x:
+            out[name] = _read(x[name], sub, f"{where}.{name}" if where else name)
+        elif name == key:
+            raise ValidationError(f"{where} is missing {name!r}")
+    return out
+
+
+def _read_fields(obj, spec: dict) -> None:
+    """Replace each field of a frozen dataclass named in ``spec`` by its reading."""
+    for name, value in _read(vars(obj), spec, "").items():
+        object.__setattr__(obj, name, value)
+
+
+_DISCRETE_FIELDS = {"N": int, "K": int, "M": int, "p": [[float]], "pmfs": [[[float]]], "states": [[[[int]], float]]}
+_LINK_FIELDS = {"mean": float, "high": float, "values": [float]}
+_CONTINUOUS_FIELDS = {"N": int, "K": int, "links": [[object]]}
 
 
 def validate_discrete(model) -> None:
@@ -488,40 +493,33 @@ def _link_descriptor(d: LinkDistribution) -> dict:
     return {"dist": "empirical", "values": list(d.values)}
 
 
+_SHAPE = {"N?": int, "K?": int}
+_DESCRIPTOR = ("kind", {
+    "bernoulli": {**_SHAPE, "p": [[float]]},
+    "factored": {**_SHAPE, "pmfs": [[[float]]]},
+    "explicit_joint": {**_SHAPE, "M?": int, "states": [{"C": [[int]], "prob": float}]},
+    "continuous": {**_SHAPE, "links": [[("dist", {"exponential": {"mean": float}, "uniform": {"high": float},
+                                                   "empirical": {"values": [float]}})]]},
+})
+
+
 def from_descriptor(d: dict):
-    """Build and validate a model from its JSON descriptor."""
-    try:
-        kind = d["kind"]
-    except (KeyError, TypeError):
-        raise ValidationError("descriptor missing 'kind'") from None
+    """Build and validate a model from its JSON descriptor; ``N`` and ``K``, if given, must match its arrays."""
+    kind, fields = _read(d, _DESCRIPTOR, "descriptor")
     if kind == "bernoulli":
-        return DiscreteChannelModel.bernoulli(d["p"])
-    if kind == "factored":
-        return DiscreteChannelModel.factored(d["pmfs"])
-    if kind == "explicit_joint":
-        states = [as_object(s, f"state {i}") for i, s in enumerate(as_nested(d["states"], "states"))]
-        states = [(s["C"], s["prob"]) for s in states]
-        return DiscreteChannelModel.explicit_joint(states, M=d.get("M"))
-    if kind == "continuous":
-        links = []
-        for n, row in enumerate(as_nested(d["links"], "links", 2)):
-            built = []
-            for k, spec in enumerate(row):
-                where = f"link ({n},{k})"
-                dist = as_object(spec, where)["dist"]
-                if dist == "exponential":
-                    built.append(LinkDistribution("exponential", mean=as_real(spec["mean"], f"{where} mean")))
-                elif dist == "uniform":
-                    built.append(LinkDistribution("uniform", high=as_real(spec["high"], f"{where} high")))
-                elif dist == "empirical":
-                    values = as_nested(spec["values"], f"{where} values")
-                    values = tuple(as_real(v, f"{where} value {i}") for i, v in enumerate(values))
-                    built.append(LinkDistribution("empirical", values=values))
-                else:
-                    raise ValidationError(f"unknown link distribution kind {dist!r}")
-            links.append(built)
-        return ContinuousChannelModel.of(links)
-    raise ValidationError(f"unknown model kind {kind!r}")
+        model = DiscreteChannelModel.bernoulli(fields["p"])
+    elif kind == "factored":
+        model = DiscreteChannelModel.factored(fields["pmfs"])
+    elif kind == "explicit_joint":
+        states = [(s["C"], s["prob"]) for s in fields["states"]]
+        model = DiscreteChannelModel.explicit_joint(states, M=fields.get("M"))
+    else:
+        model = ContinuousChannelModel.of([[LinkDistribution(dist, **spec) for dist, spec in row]
+                                           for row in fields["links"]])
+    for key, size in (("N", model.N), ("K", model.K)):
+        if fields.get(key, size) != size:
+            raise ValidationError(f"descriptor.{key} must be {size} to match its arrays, got {fields[key]}")
+    return model
 
 
 def load_model(path):

@@ -354,7 +354,7 @@ def main(argv=None) -> int:
             output = json.dumps(output, indent=2, allow_nan=False) + "\n"
         _write(output, args.out)
         return code
-    except (ValidationError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

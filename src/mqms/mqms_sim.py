@@ -31,10 +31,8 @@ from .capacity_region import max_weight_argmax
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
-    as_integer,
-    as_nested,
-    as_object,
-    as_real,
+    _read,
+    _read_fields,
     check_pmf,
     sample_states,
     validate_discrete,
@@ -63,12 +61,7 @@ class QueueArrivals:
 
     def __post_init__(self):
         # fields become ints, floats and a tuple first, so every instance is checked alike and hashable
-        object.__setattr__(self, "rate_num", as_integer(self.rate_num, "arrival rate numerator"))
-        object.__setattr__(self, "rate_den", as_integer(self.rate_den, "arrival rate denominator"))
-        object.__setattr__(self, "batch", as_integer(self.batch, "arrival batch"))
-        object.__setattr__(self, "prob", as_real(self.prob, "arrival prob"))
-        pmf = as_nested(self.pmf, "arrival pmf")
-        object.__setattr__(self, "pmf", tuple(as_real(x, f"arrival pmf entry {a}") for a, x in enumerate(pmf)))
+        _read_fields(self, {"rate_num": int, "rate_den": int, "batch": int, "prob": float, "pmf": [float]})
         if self.kind == "deterministic":
             if self.rate_num < 0 or self.rate_den < 1:
                 raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
@@ -183,19 +176,23 @@ class ArrivalModel:
         return {"queues": qs}
 
 
+# the deterministic rate is a number or a fraction string, which _exact_rate reads
+_ARRIVALS = {"queues": [("kind", {
+    "deterministic": {"rate": object},
+    "bernoulli_batch": {"batch": int, "prob": float},
+    "bounded_pmf": {"pmf": [float]},
+})]}
+
+
 def arrivals_from_descriptor(d: dict) -> ArrivalModel:
     qs = []
-    for n, spec in enumerate(as_nested(as_object(d, "arrival descriptor")["queues"], "queues")):
-        kind = as_object(spec, f"queue {n}")["kind"]
+    for n, (kind, fields) in enumerate(_read(d, _ARRIVALS, "arrivals")["queues"]):
         if kind == "deterministic":
-            num, den = _exact_rate(spec["rate"])
-            qs.append(QueueArrivals(kind=kind, rate_num=num, rate_den=den))
-        elif kind == "bernoulli_batch":
-            qs.append(QueueArrivals(kind=kind, batch=spec["batch"], prob=spec["prob"]))
-        elif kind == "bounded_pmf":
-            qs.append(QueueArrivals(kind=kind, pmf=spec["pmf"]))
-        else:
-            qs.append(QueueArrivals(kind=kind))  # rejected by its own checks
+            try:
+                fields["rate_num"], fields["rate_den"] = _exact_rate(fields.pop("rate"))
+            except ValidationError as exc:
+                raise ValidationError(f"arrivals.queues[{n}].rate: {exc}") from None
+        qs.append(QueueArrivals(kind=kind, **fields))
     return ArrivalModel(queues=tuple(qs))
 
 

@@ -270,3 +270,11 @@ def test_n2_m4_every_direction_is_needed():
 def test_vhat_enumeration_cap():
     with pytest.raises(ValueError, match="cap exceeded"):
         build_vhat(3, 3, cap=100)
+
+
+def test_vhat_cap_is_checked_before_w_is_built():
+    # W would hold 10^8 + 1 values, and (M + 1)^N alone is past the cap; a single queue keeps W = {1}
+    for M, N in ((10**8, 2), (3, 10**6)):
+        with pytest.raises(ValueError, match=rf"enumeration cap exceeded: \|W\|\^N >= {M + 1}\^{N} > 10000000"):
+            build_vhat(M, N)
+    assert build_vhat(10**8, 1) == [(1,)]

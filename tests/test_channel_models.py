@@ -1,4 +1,7 @@
+import copy
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +64,9 @@ def test_validate_rejects_dimension_mismatch():
     lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)),
     lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
     lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
-], ids=["bernoulli", "factored", "explicit_joint", "continuous"])
+    lambda: LinkDistribution("exponential", mean="x"),
+    lambda: DiscreteChannelModel(N="2", K=1, M=1, kind="bernoulli", p=((0.5,), (0.5,))),
+], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N"])
 def test_raw_invalid_model_fails_when_built(make):
     # without a check in the constructor, sample_states and descriptor_hash took these as given
     with pytest.raises(ValidationError):
@@ -73,10 +78,10 @@ def test_raw_invalid_model_fails_when_built(make):
     (lambda: DiscreteChannelModel.bernoulli([0.5]), r"p\[0\] must be a list, got 0.5"),
     (lambda: DiscreteChannelModel.factored([[None]]), r"pmfs\[0\]\[0\] must be a list, got None"),
     (lambda: DiscreteChannelModel.explicit_joint(3), "states must be a list, got 3"),
-    (lambda: DiscreteChannelModel.explicit_joint([((1,), 1.0)]), r"state 0 matrix\[0\] must be a list, got 1"),
+    (lambda: DiscreteChannelModel.explicit_joint([((1,), 1.0)]), r"states\[0\]\[0\]\[0\] must be a list, got 1"),
     (lambda: ContinuousChannelModel(N=1, K=1, links=3), "links must be a list, got 3"),
-    (lambda: LinkDistribution("empirical", values=None), "empirical values must be a list, got None"),
-    (lambda: mqms_sim.QueueArrivals(kind="bounded_pmf", pmf=None), "arrival pmf must be a list, got None"),
+    (lambda: LinkDistribution("empirical", values=None), "values must be a list, got None"),
+    (lambda: mqms_sim.QueueArrivals(kind="bounded_pmf", pmf=None), "pmf must be a list, got None"),
 ], ids=["raw-p", "flat-p", "link-pmf", "states", "state-matrix", "links", "empirical-values", "arrival-pmf"])
 def test_non_list_fields_are_validation_errors(make, message):
     # a JSON null or number where a list belongs raised TypeError from len() or iteration
@@ -150,16 +155,19 @@ def test_discrete_models_reject_nan(make):
 
 
 @pytest.mark.parametrize(("descriptor", "field"), [
-    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [[None]]}, r"link \(0,0\) success probability"),
-    ({"N": 1, "K": 2, "kind": "factored", "pmfs": [[[0.5, 0.5], [None, 1.0]]]}, r"link \(0,1\) pmf entry 0"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [[None]]}, r"descriptor\.p\[0\]\[0\]"),
+    ({"N": 1, "K": 2, "kind": "factored", "pmfs": [[[0.5, 0.5], [None, 1.0]]]}, r"descriptor\.pmfs\[0\]\[1\]\[0\]"),
     ({"kind": "explicit_joint", "states": [{"C": [[1]], "prob": 1.0}, {"C": [[0]], "prob": None}]},
-     "state 1 probability"),
-    ({"kind": "explicit_joint", "M": 1, "states": [{"C": [[1]], "prob": [1.0]}]}, "state 0 probability"),
-    ({"kind": "continuous", "links": [[{"dist": "exponential", "mean": None}]]}, r"link \(0,0\) mean"),
-    ({"kind": "continuous", "links": [[{"dist": "uniform", "high": None}]]}, r"link \(0,0\) high"),
-    ({"kind": "continuous", "links": [[{"dist": "empirical", "values": [1.0, None]}]]}, r"link \(0,0\) value 1"),
+     r"descriptor\.states\[1\]\.prob"),
+    ({"kind": "explicit_joint", "M": 1, "states": [{"C": [[1]], "prob": [1.0]}]}, r"descriptor\.states\[0\]\.prob"),
+    ({"kind": "continuous", "links": [[{"dist": "exponential", "mean": None}]]}, r"descriptor\.links\[0\]\[0\]\.mean"),
+    ({"kind": "continuous", "links": [[{"dist": "uniform", "high": None}]]}, r"descriptor\.links\[0\]\[0\]\.high"),
+    ({"kind": "continuous", "links": [[{"dist": "empirical", "values": [1.0, None]}]]},
+     r"descriptor\.links\[0\]\[0\]\.values\[1\]"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [[True]]}, r"descriptor\.p\[0\]\[0\]"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [["0.5"]]}, r"descriptor\.p\[0\]\[0\]"),
 ], ids=["bernoulli-p", "factored-pmf", "explicit-prob", "explicit-prob-list", "exponential-mean", "uniform-high",
-        "empirical-value"])
+        "empirical-value", "bool", "string"])
 def test_descriptor_numbers_must_be_numbers(descriptor, field):
     # a null used to escape as a TypeError, which the CLI reports as an internal error
     with pytest.raises(ValidationError, match=field + " must be a number, got"):
@@ -457,5 +465,98 @@ def test_descriptor_round_trip_continuous():
 
 
 def test_descriptor_unknown_kind_rejected():
-    with pytest.raises(ValidationError, match="unknown model kind"):
+    kinds = r"\['bernoulli', 'factored', 'explicit_joint', 'continuous'\]"
+    with pytest.raises(ValidationError, match=rf"descriptor\.kind must be one of {kinds}, got 'markov'"):
         from_descriptor({"N": 1, "K": 1, "kind": "markov"})
+
+
+@pytest.mark.parametrize(("descriptor", "message"), [
+    ({"N": 3, "K": 5, "kind": "bernoulli", "p": [[0.5, 0.5], [0.5, 0.5]]},
+     "descriptor.N must be 2 to match its arrays, got 3"),
+    ({"K": 1, "kind": "factored", "pmfs": [[[0.5, 0.5], [0.5, 0.5]]]},
+     "descriptor.K must be 2 to match its arrays, got 1"),
+    ({"kind": "explicit_joint", "M": True, "states": [{"C": [[1]], "prob": 1.0}]},
+     "descriptor.M must be an integer, got True"),
+    ({"N": 1, "K": 1, "kind": "bernoulli"}, "descriptor is missing 'p'"),
+    ({"kind": "continuous", "links": [[{"mean": 1.0}]]}, "descriptor.links[0][0] is missing 'dist'"),
+], ids=["N", "K", "bool-M", "missing-p", "missing-dist"])
+def test_descriptor_contract(descriptor, message):
+    with pytest.raises(ValidationError) as info:
+        from_descriptor(json.loads(json.dumps(descriptor)))
+    assert str(info.value) == message
+
+
+def test_descriptor_shape_keys_are_optional():
+    model = from_descriptor({"kind": "bernoulli", "p": [[0.5, 0.25]]})
+    assert (model.N, model.K) == (1, 2)
+
+
+DELETE = object()
+MUTATIONS = [DELETE, None, "x", [], {}, -1, 1e308, NAN, True]
+MUTATED_DESCRIPTORS = [json.loads(path.read_text())
+                       for path in sorted((Path(__file__).resolve().parents[1] / "demos" / "models").glob("*.json"))]
+MUTATED_DESCRIPTORS += [
+    {"N": 2, "K": 1, "kind": "explicit_joint", "M": 2,
+     "states": [{"C": [[2], [1]], "prob": 0.4}, {"C": [[0], [1]], "prob": 0.6}]},
+    {"N": 1, "K": 2, "kind": "continuous",
+     "links": [[{"dist": "empirical", "values": [1.0, 2.5]}, {"dist": "uniform", "high": 3.0}]]},
+    {"queues": [{"kind": "bernoulli_batch", "batch": 2, "prob": 0.25}]},
+]
+
+
+def _paths(node, path=()):
+    """Every (path, value) of a JSON document, the root first; a path is its keys from the root."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutant(document, path, mutation):
+    holder = [copy.deepcopy(document)]  # so that the root, too, has a parent
+    keys = (0, *path)
+    parent = holder
+    for key in keys[:-1]:
+        parent = parent[key]
+    if mutation is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = copy.deepcopy(mutation)
+    return holder[0]
+
+
+def _where(root, path):
+    return root + "".join(f".{key}" if isinstance(key, str) else f"[{key}]" for key in path)
+
+
+def _json_type(x):
+    return "number" if type(x) in (int, float) else type(x)
+
+
+def test_every_descriptor_mutation_is_built_or_a_path_naming_validation_error():
+    # each mutant of each JSON path builds or raises ValidationError, never another exception;
+    # a value of another JSON type, or a deleted required key, raises one naming that path
+    start = time.perf_counter()
+    outcomes = {"built": 0, "rejected": 0}
+    for descriptor in MUTATED_DESCRIPTORS:
+        root, read = ("arrivals", mqms_sim.arrivals_from_descriptor) if "queues" in descriptor else \
+            ("descriptor", from_descriptor)
+        for path, original in _paths(descriptor):
+            for mutation in MUTATIONS:
+                if mutation is DELETE:
+                    if not path:
+                        continue
+                    optional = not isinstance(path[-1], str) or path[-1] in ("N", "K", "M")
+                    expected = None if optional else f"{_where(root, path[:-1])} is missing {path[-1]!r}"
+                else:
+                    expected = _where(root, path) if _json_type(mutation) != _json_type(original) else None
+                try:
+                    read(_mutant(descriptor, path, mutation))
+                except ValidationError as exc:
+                    outcomes["rejected"] += 1
+                    assert expected is None or expected in str(exc), (_where(root, path), mutation, str(exc))
+                else:
+                    outcomes["built"] += 1
+                    assert expected is None, (_where(root, path), mutation)
+    assert outcomes["rejected"] > 10 * outcomes["built"]
+    assert time.perf_counter() - start < 2.0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -454,17 +455,17 @@ def _exit_and_error(capsys, tmp_path, command, model, arrivals):
 
 
 @pytest.mark.parametrize(("model", "message"), [
-    ({"N": 1, "K": 1, "kind": "bernoulli", "p": None}, "p must be a list, got None"),
-    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [0.5]}, "p[0] must be a list, got 0.5"),
-    ({"N": 1, "K": 1, "kind": "factored", "pmfs": [[None]]}, "pmfs[0][0] must be a list, got None"),
-    ({"N": 1, "K": 1, "kind": "factored", "pmfs": 3}, "pmfs must be a list, got 3"),
-    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": 3}, "states must be a list, got 3"),
-    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": [3]}, "state 0 must be an object, got 3"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": None}, "descriptor.p must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "bernoulli", "p": [0.5]}, "descriptor.p[0] must be a list, got 0.5"),
+    ({"N": 1, "K": 1, "kind": "factored", "pmfs": [[None]]}, "descriptor.pmfs[0][0] must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "factored", "pmfs": 3}, "descriptor.pmfs must be a list, got 3"),
+    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": 3}, "descriptor.states must be a list, got 3"),
+    ({"N": 1, "K": 1, "kind": "explicit_joint", "states": [3]}, "descriptor.states[0] must be an object, got 3"),
     ({"N": 1, "K": 1, "kind": "explicit_joint", "states": [{"C": 1, "prob": 1.0}]},
-     "state 0 matrix must be a list, got 1"),
+     "descriptor.states[0].C must be a list, got 1"),
     ({"N": 1, "K": 1, "kind": "continuous", "links": [[{"dist": "empirical", "values": None}]]},
-     "link (0,0) values must be a list, got None"),
-    ({"N": 1, "K": 1, "kind": "continuous", "links": [[3]]}, "link (0,0) must be an object, got 3"),
+     "descriptor.links[0][0].values must be a list, got None"),
+    ({"N": 1, "K": 1, "kind": "continuous", "links": [[3]]}, "descriptor.links[0][0] must be an object, got 3"),
 ], ids=["p-null", "p-flat", "pmf-null", "pmfs-number", "states-number", "state-number", "state-matrix-number",
         "values-null", "link-number"])
 @pytest.mark.parametrize("command", ["region", "simulate"])
@@ -475,16 +476,32 @@ def test_non_list_model_fields_exit_2(command, model, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(("arrivals", "message"), [
-    ({"queues": [{"kind": "bounded_pmf", "pmf": None}]}, "arrival pmf must be a list, got None"),
-    ({"queues": 3}, "queues must be a list, got 3"),
-    ({"queues": "ab"}, "queues must be a list, got 'ab'"),
-    ({"queues": [3]}, "queue 0 must be an object, got 3"),
-    ([3], "arrival descriptor must be an object, got [3]"),
+    ({"queues": [{"kind": "bounded_pmf", "pmf": None}]}, "arrivals.queues[0].pmf must be a list, got None"),
+    ({"queues": 3}, "arrivals.queues must be a list, got 3"),
+    ({"queues": "ab"}, "arrivals.queues must be a list, got 'ab'"),
+    ({"queues": [3]}, "arrivals.queues[0] must be an object, got 3"),
+    ([3], "arrivals must be an object, got [3]"),
 ], ids=["pmf-null", "queues-number", "queues-string", "queue-number", "descriptor-list"])
 def test_non_list_arrival_fields_exit_2(arrivals, message, tmp_path, capsys):
     model = {"N": 1, "K": 1, "kind": "bernoulli", "p": [[0.5]]}
     code, err = _exit_and_error(capsys, tmp_path, "simulate", model, arrivals)
     assert code == 2 and err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["vhat", "--M", "100000000", "--N", "2"],
+    ["vhat", "--M", "3", "--N", "1000000"],
+    ["region", "--model", "EXPLICIT"],
+], ids=["huge-M", "huge-N", "explicit-joint-huge-M"])
+def test_enumeration_cap_exits_2_before_building_w(argv, capsys, tmp_path):
+    # building W for these took gigabytes or ran on for seconds before the cap was checked
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "explicit_joint", "M": 1e8, "states": [{"C": [[1], [0]], "prob": 1.0}]}))
+    argv = [str(model) if a == "EXPLICIT" else a for a in argv]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "error: enumeration cap exceeded" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

@@ -265,9 +265,10 @@ def test_arrival_descriptor_is_validated(spec):
 
 
 @pytest.mark.parametrize(("spec", "field"), [
-    ({"kind": "bernoulli_batch", "batch": 1, "prob": None}, "arrival prob must be a number"),
-    ({"kind": "bounded_pmf", "pmf": [0.5, None]}, "arrival pmf entry 1 must be a number"),
-    ({"kind": "bernoulli_batch", "batch": None, "prob": 0.5}, "arrival batch must be an integer"),
+    ({"kind": "bernoulli_batch", "batch": 1, "prob": None}, r"arrivals\.queues\[0\]\.prob must be a number, got None"),
+    ({"kind": "bounded_pmf", "pmf": [0.5, None]}, r"arrivals\.queues\[0\]\.pmf\[1\] must be a number, got None"),
+    ({"kind": "bernoulli_batch", "batch": None, "prob": 0.5},
+     r"arrivals\.queues\[0\]\.batch must be an integer, got None"),
     ({"kind": "deterministic", "rate": None}, "arrival rate None is not a finite number"),
 ], ids=["prob", "pmf-entry", "batch", "rate"])
 def test_arrival_descriptor_rejects_null_numbers(spec, field):
