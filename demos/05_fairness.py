@@ -17,7 +17,7 @@ print("region:", [(a, round(b, 3)) for a, b in region.inequalities])
 sol = solve_fairness(model, UtilitySpec.log_shifted(2), step_rule="line_search")
 print(f"\nproportional fairness: r* = {sol.r_star.round(6)}, "
       f"gap {sol.gap:.1e} after {sol.iterations} iterations")
-print(f"binding constraints: {list(sol.binding)}")
+print(f"binding constraints: {list(region.binding(sol.r_star))}")
 
 # pure throughput maximization rides to a vertex instead
 lin = solve_fairness(model, UtilitySpec.weighted_linear([1.0, 0.2]))

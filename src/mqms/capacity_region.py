@@ -72,6 +72,11 @@ class StabilityRegion:
     def verdict(self, rates, tol: float = 1e-9) -> str:
         return _verdict(membership_margin(self, rates), tol)
 
+    def binding(self, rates) -> tuple:
+        """Rows of ``A``, as int tuples, whose slack beta - A @ rates is at most 1e-6."""
+        tight = self.beta - self.A @ rates <= 1e-6
+        return tuple(map(tuple, self.A[tight].tolist()))
+
     def to_dict(self) -> dict:
         inequalities = [{"alpha": list(alpha), "beta": beta} for alpha, beta in self.inequalities]
         return {"N": self.N, "inequalities": inequalities, "provenance": self.provenance}

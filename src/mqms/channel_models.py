@@ -205,10 +205,11 @@ def _read(x, spec, where: str):
     """x read against ``spec``; ValidationError naming the JSON path ``where`` of the first fault.
 
     A spec is ``int`` or ``float`` (a number, not a bool; an integral float
-    reads as an int), ``object`` (anything), ``[item]`` (a list, tuple or
-    array, read into a tuple), ``[a, b]`` (a list of exactly those entries),
-    ``{key: spec}`` (an object read into a dict; a key ending in ``?`` is
-    optional) or ``(tag, {value: spec})`` (an object read into ``(value, dict)``).
+    reads as an int), another class (an instance of it, so ``object`` takes
+    anything), ``[item]`` (a list, tuple or array, read into a tuple),
+    ``[a, b]`` (a list of exactly those entries), ``{key: spec}`` (an object
+    read into a dict; a key ending in ``?`` is optional) or
+    ``(tag, {value: spec})`` (an object read into ``(value, dict)``).
     """
     if spec is float or spec is int:
         try:
@@ -218,8 +219,10 @@ def _read(x, spec, where: str):
         except (ValueError, OverflowError):
             pass
         raise ValidationError(f"{where} must be {'a number' if spec is float else 'an integer'}, got {x!r}")
-    if spec is object:
-        return x
+    if isinstance(spec, type):
+        if isinstance(x, spec):
+            return x
+        raise ValidationError(f"{where} must be a {spec.__name__}, got {x!r}")
     if isinstance(spec, list):
         if not isinstance(x, (list, tuple)) and not (isinstance(x, np.ndarray) and x.ndim):
             raise ValidationError(f"{where} must be a list, got {x!r}")
@@ -256,7 +259,7 @@ def _read_fields(obj, spec: dict) -> None:
 
 _DISCRETE_FIELDS = {"N": int, "K": int, "M": int, "p": [[float]], "pmfs": [[[float]]], "states": [[[[int]], float]]}
 _LINK_FIELDS = {"mean": float, "high": float, "values": [float]}
-_CONTINUOUS_FIELDS = {"N": int, "K": int, "links": [[object]]}
+_CONTINUOUS_FIELDS = {"N": int, "K": int, "links": [[LinkDistribution]]}
 
 
 def validate_discrete(model) -> None:

@@ -41,7 +41,7 @@ from .channel_models import (
 )
 from .fairness_opt import UtilitySpec, solve_fairness
 from .fluid_region import boundary_trace
-from .mqms_sim import ArrivalModel, arrivals_from_descriptor, delay_bound, run as run_sim
+from .mqms_sim import ArrivalModel, _check_queue_count, arrivals_from_descriptor, delay_bound, run as run_sim
 
 
 def _round12(obj):
@@ -171,6 +171,7 @@ def _cmd_delay_bound(args, stamp):
     model = load_model(args.model)
     validate_discrete(model)
     arrivals = _load_arrivals(args.arrivals)
+    _check_queue_count(model, arrivals)
     if args.delta is not None:
         delta = args.delta
     else:
@@ -209,14 +210,14 @@ def _cmd_fairness(args, stamp):
     else:
         raise ValidationError(f"unknown utility {args.utility!r}")
     region = build_region(model)  # before the solve, so a model without a region fails fast
-    sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters, region=region)
+    sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters)
     payload = {
         "r_star": sol.r_star.tolist(),
         "objective": sol.objective,
         "gap": sol.gap,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "binding_constraints": [list(a) for a in sol.binding],
+        "binding_constraints": [list(a) for a in region.binding(sol.r_star)],
     }
     return payload, 0 if sol.converged else 3
 

@@ -11,8 +11,7 @@ LP solver is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,12 +152,7 @@ def _caps_tuple(caps, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class FairnessSolution:
-    """A Frank-Wolfe result; ``slacks`` and ``binding`` are derived on first read.
-
-    They come from the region passed to ``solve_fairness`` as ``region=``,
-    else from one ``build_region`` of the solved model, so a solve whose
-    caller never reads them never enumerates the region's directions.
-    """
+    """A Frank-Wolfe result; ``StabilityRegion.binding(r_star)`` gives its binding inequalities."""
 
     r_star: np.ndarray
     objective: float
@@ -166,32 +160,6 @@ class FairnessSolution:
     iterations: int
     converged: bool        # gap <= tol, the gap taken at r_star
     trajectory: tuple = ()
-    _: KW_ONLY
-    _model: InitVar[DiscreteChannelModel | None] = None
-    _region: InitVar[StabilityRegion | None] = None
-
-    def __post_init__(self, _model, _region):
-        # init-only, so neither is a field: they matter only to slacks and binding
-        object.__setattr__(self, "_model", _model)
-        object.__setattr__(self, "_region", _region)
-
-    @cached_property
-    def _slack_array(self) -> np.ndarray:
-        """beta - A @ r_star, after building the region if the solve was given none."""
-        if self._region is None:
-            object.__setattr__(self, "_region", build_region(self._model))
-        return self._region.beta - self._region.A @ self.r_star
-
-    @cached_property
-    def slacks(self) -> tuple:
-        """beta - alpha . r_star per region inequality."""
-        return tuple(self._slack_array.tolist())
-
-    @cached_property
-    def binding(self) -> tuple:
-        """Directions whose slack is ~zero."""
-        tight = self._slack_array <= 1e-6  # builds the region first if it was not given
-        return tuple(map(tuple, self._region.A[tight].tolist()))
 
 
 def _line_search_step(utilities: UtilitySpec, r, d) -> float:
@@ -249,7 +217,6 @@ def solve_fairness(
     tol: float = 1e-6,
     max_iters: int = 10_000,
     step_rule: str = "line_search",
-    region: StabilityRegion | None = None,
     keep_trace: bool = False,
 ) -> FairnessSolution:
     """Frank-Wolfe over the stability region starting from the origin.
@@ -266,11 +233,9 @@ def solve_fairness(
     vertex comes from the unchecked oracle kernel: every gradient is
     checked finite here, has length N and is nonnegative, since the
     utilities are nondecreasing.  The iterations need only that oracle,
-    so the region is not built here: ``region`` (if given) is checked
-    against the model's dimension and kept for the solution's ``slacks``
-    and ``binding``, which build it on first read if it is not given.
+    so the region is never built here.
     """
-    _check_dimensions(model, utilities, region)
+    _check_dimensions(model, utilities, None)
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
     if max_iters < 1:
@@ -311,8 +276,6 @@ def solve_fairness(
         iterations=iters,
         converged=gap <= tol,
         trajectory=tuple(trace),
-        _model=model,
-        _region=region,
     )
 
 

@@ -117,25 +117,24 @@ class ArrivalModel:
 
     queues: tuple
 
+    def __post_init__(self):
+        _read_fields(self, {"queues": [QueueArrivals]})
+
     @classmethod
     def deterministic(cls, rates) -> "ArrivalModel":
-        qs = []
-        for r in rates:
-            num, den = _exact_rate(r)
-            qs.append(QueueArrivals(kind="deterministic", rate_num=num, rate_den=den))
-        return cls(queues=tuple(qs))
+        return cls(queues=[QueueArrivals("deterministic", *_exact_rate(r)) for r in rates])
 
     @classmethod
     def bernoulli_batch(cls, batches, probs) -> "ArrivalModel":
         if len(batches) != len(probs):
             raise ValidationError("dimension mismatch: batches vs probs")
-        return cls(queues=tuple(
+        return cls(queues=[
             QueueArrivals(kind="bernoulli_batch", batch=b, prob=q) for b, q in zip(batches, probs)
-        ))
+        ])
 
     @classmethod
     def bounded_pmf(cls, pmfs) -> "ArrivalModel":
-        return cls(queues=tuple(QueueArrivals(kind="bounded_pmf", pmf=pmf) for pmf in pmfs))
+        return cls(queues=[QueueArrivals(kind="bounded_pmf", pmf=pmf) for pmf in pmfs])
 
     @property
     def N(self) -> int:
@@ -193,7 +192,7 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
             except ValidationError as exc:
                 raise ValidationError(f"arrivals.queues[{n}].rate: {exc}") from None
         qs.append(QueueArrivals(kind=kind, **fields))
-    return ArrivalModel(queues=tuple(qs))
+    return ArrivalModel(queues=qs)
 
 
 # -- per-slot operations ---------------------------------------------------
@@ -299,6 +298,11 @@ def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:
 
 
 # -- full runs --------------------------------------------------------------
+
+
+def _check_queue_count(model: DiscreteChannelModel, arrivals: ArrivalModel) -> None:
+    if arrivals.N != model.N:
+        raise ValidationError(f"dimension mismatch: {arrivals.N} arrival queues vs N={model.N}")
 
 
 @dataclass(frozen=True)
@@ -485,8 +489,7 @@ def run(
     refused with ValidationError, even if its actual backlogs stay small.
     """
     validate_discrete(model)
-    if arrivals.N != model.N:
-        raise ValidationError(f"dimension mismatch: {arrivals.N} arrival queues vs N={model.N}")
+    _check_queue_count(model, arrivals)
     if policy not in ("mw", "as_lcq"):
         raise ValueError(f"unknown policy {policy!r}")
     if tie_rule not in ("lowest_index", "highest_index"):

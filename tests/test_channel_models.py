@@ -82,9 +82,14 @@ def test_raw_invalid_model_fails_when_built(make):
     (lambda: ContinuousChannelModel(N=1, K=1, links=3), "links must be a list, got 3"),
     (lambda: LinkDistribution("empirical", values=None), "values must be a list, got None"),
     (lambda: mqms_sim.QueueArrivals(kind="bounded_pmf", pmf=None), "pmf must be a list, got None"),
-], ids=["raw-p", "flat-p", "link-pmf", "states", "state-matrix", "links", "empirical-values", "arrival-pmf"])
+    (lambda: ContinuousChannelModel(N=1, K=1, links=[[3]]), r"links\[0\]\[0\] must be a LinkDistribution, got 3"),
+    (lambda: mqms_sim.ArrivalModel(queues=3), "queues must be a list, got 3"),
+    (lambda: mqms_sim.ArrivalModel(queues=(1, 2)), r"queues\[0\] must be a QueueArrivals, got 1"),
+], ids=["raw-p", "flat-p", "link-pmf", "states", "state-matrix", "links", "empirical-values", "arrival-pmf",
+        "link-entry", "arrival-queues", "arrival-queue-entry"])
 def test_non_list_fields_are_validation_errors(make, message):
-    # a JSON null or number where a list belongs raised TypeError from len() or iteration
+    # a JSON null or number where a list belongs raised TypeError from len() or iteration,
+    # and a number where a link or queue law belongs raised AttributeError or TypeError on use
     with pytest.raises(ValidationError, match=message):
         make()
 

@@ -137,7 +137,7 @@ def test_symmetric_log_utility_splits_the_facet():
     assert np.allclose(sol.r_star, [0.375, 0.375], atol=1e-3)
     assert sol.gap <= 1e-6
     assert sol.iterations <= 10_000
-    assert (1, 1) in sol.binding
+    assert (1, 1) in build_region(SYM).binding(sol.r_star)
 
 
 def test_single_weight_rides_to_the_vertex():
@@ -209,7 +209,6 @@ def test_solve_rejects_bad_budget_or_tolerance(kwargs):
 
 def test_solve_builds_the_channel_law_once(rng, monkeypatch):
     model = random_factored(rng, 3, 2, 2)
-    region = build_region(model)
     calls = []
     real = capacity_region.column_laws
 
@@ -218,7 +217,7 @@ def test_solve_builds_the_channel_law_once(rng, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(capacity_region, "column_laws", counted)
-    sol = solve_fairness(model, UtilitySpec.log_shifted(3), tol=1e-9, max_iters=50, region=region)
+    sol = solve_fairness(model, UtilitySpec.log_shifted(3), tol=1e-9, max_iters=50)
     assert sol.iterations > 1
     assert len(calls) == 1
 
@@ -240,7 +239,7 @@ def test_converged_solutions_are_certified(rng):
                 UtilitySpec.log_shifted(model.N, caps=caps),
                 UtilitySpec.alpha_fair(model.N, 2.0, caps=caps))[i % 3]
         region = build_region(model)
-        sol = solve_fairness(model, spec, tol=tol, max_iters=1000, region=region)
+        sol = solve_fairness(model, spec, tol=tol, max_iters=1000)
         if sol.converged:
             converged += 1
             assert fw_gap(model, sol.r_star, spec, region=region) <= tol + 1e-12
@@ -259,7 +258,7 @@ def test_unconverged_solutions_report_the_gap_at_r_star(rng):
                 UtilitySpec.log_shifted(model.N, caps=caps),
                 UtilitySpec.alpha_fair(model.N, 2.0, caps=caps))[i % 3]
         region = build_region(model)
-        sol = solve_fairness(model, spec, tol=1e-7, max_iters=1000, region=region)
+        sol = solve_fairness(model, spec, tol=1e-7, max_iters=1000)
         if not sol.converged:
             unconverged += 1
             assert sol.iterations == 1000
@@ -350,63 +349,42 @@ def test_overflowing_gradient_is_a_value_error():
         fw_gap(SYM, [0.0, 0.1], spec)
 
 
-def _run_must_not_be_called(*args, **kwargs):
-    raise AssertionError("the solve should have stopped before the first iteration")
-
-
-def test_gap_and_solve_reject_a_region_of_another_dimension(monkeypatch):
-    # solve_fairness used to run every iteration and then fail in the slack product
-    monkeypatch.setattr("mqms.fairness_opt._vertex_kernel", _run_must_not_be_called)
+def test_gap_rejects_a_region_of_another_dimension():
     region = build_region(DiscreteChannelModel.bernoulli([[0.5], [0.5], [0.5]]))
     spec = UtilitySpec.log_shifted(2)
-    with pytest.raises(ValueError, match="dimension mismatch: region for 3 queues"):
-        solve_fairness(SYM, spec, region=region)
     with pytest.raises(ValueError, match="dimension mismatch: region for 3 queues"):
         fw_gap(SYM, [0.1, 0.1], spec, region=region)
 
 
-# -- slacks and binding, derived on first read ----------------------------------------
+# -- the solution is plain data; the region answers which inequalities bind --------------
 
 
 def test_solve_does_not_build_the_region(monkeypatch):
-    # Frank-Wolfe needs only the vertex oracle; reading binding builds the region once
-    built = []
-
+    # Frank-Wolfe needs only the vertex oracle
     def refused(model):
         raise AssertionError("solve_fairness built the region")
 
     monkeypatch.setattr("mqms.fairness_opt.build_region", refused)
     sol = solve_fairness(SYM, UtilitySpec.log_shifted(2), tol=1e-6)
     assert sol.converged
-
-    def counted(model):
-        built.append(model)
-        return build_region(model)
-
-    monkeypatch.setattr("mqms.fairness_opt.build_region", counted)
-    assert sol.binding == ((1, 1),)
-    assert len(sol.slacks) == 3 and sol.binding == ((1, 1),)
-    assert built == [SYM]
     assert [f.name for f in dataclasses.fields(sol)] == [
         "r_star", "objective", "gap", "iterations", "converged", "trajectory"]
 
 
-def test_slacks_and_binding_are_the_region_expressions(rng):
-    # bit for bit these two array expressions, whether the region was passed in or built on read
+def test_region_binding_is_the_slack_expression(rng):
+    # bit for bit this array expression, at the solutions of 12 seeded models; the caps
+    # keep some optima off every facet, so both empty and nonempty sets are compared
     nonempty = 0
     for _ in range(12):
         model = random_discrete(rng)
         caps = np.where(rng.random(model.N) < 0.5, rng.uniform(0.05, 1.0, model.N), math.inf)
-        spec = UtilitySpec.log_shifted(model.N, caps=caps)
         region = build_region(model)
-        for given in (None, region):
-            sol = solve_fairness(model, spec, tol=1e-7, max_iters=200, region=given)
-            slacks = region.beta - region.A @ sol.r_star
-            assert np.array(sol.slacks).tobytes() == slacks.tobytes()
-            assert sol.binding == tuple(map(tuple, region.A[slacks <= 1e-6].tolist()))
-            assert all(type(a) is int for row in sol.binding for a in row)
-            nonempty += bool(sol.binding)
-    assert nonempty >= 12
+        r = solve_fairness(model, UtilitySpec.log_shifted(model.N, caps=caps), tol=1e-7, max_iters=200).r_star
+        binding = region.binding(r)
+        assert binding == tuple(map(tuple, region.A[region.beta - region.A @ r <= 1e-6].tolist()))
+        assert all(type(a) is int for row in binding for a in row)
+        nonempty += bool(binding)
+    assert 6 <= nonempty < 12
 
 
 def test_solve_past_the_enumeration_cap():
@@ -415,7 +393,7 @@ def test_solve_past_the_enumeration_cap():
     sol = solve_fairness(model, UtilitySpec.log_shifted(6), tol=1e-9, max_iters=50)
     assert sol.iterations == 50 and np.isfinite(sol.gap) and sol.objective > -math.inf
     with pytest.raises(ValueError, match="enumeration cap exceeded"):
-        sol.binding
+        build_region(model)
 
 
 # -- the float loop against numpy ---------------------------------------------------
@@ -443,13 +421,12 @@ def test_float_loop_reproduces_the_numpy_reference(rng):
     for _ in range(36):
         model = random_discrete(rng)
         caps = np.where(rng.random(model.N) < 0.6, rng.uniform(0.05, 1.0, model.N), math.inf)
-        region = build_region(model)
         for c in (None, caps):
             for spec, exact in ((UtilitySpec.log_shifted(model.N, caps=c), True),
                                 (UtilitySpec.weighted_linear(rng.uniform(0.1, 2.0, model.N), caps=c), True),
                                 (UtilitySpec.alpha_fair(model.N, 0.5, caps=c), False),
                                 (UtilitySpec.alpha_fair(model.N, 2.0, caps=c), False)):
-                sol = solve_fairness(model, spec, tol=1e-7, max_iters=200, region=region)
+                sol = solve_fairness(model, spec, tol=1e-7, max_iters=200)
                 r_ref, iters = reference_fw(model, spec, 1e-7, 200)
                 assert sol.iterations == iters
                 if exact:
