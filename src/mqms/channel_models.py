@@ -185,6 +185,9 @@ def validate(model) -> None:
         check_pmf([prob for _, prob in model.states], "state probabilities")
     else:
         raise ValidationError(f"unknown model kind {model.kind!r}")
+    for name, kind in _FIELD_KIND.items():
+        if kind != model.kind and getattr(model, name):
+            raise ValidationError(f"field {name!r} does not belong to kind {model.kind!r}")
     if model.M < 1:
         raise ValidationError(f"max capacity M must be >= 1, got {model.M}")
 
@@ -253,11 +256,14 @@ def _read(x, spec, where: str):
 
 def _read_fields(obj, spec: dict) -> None:
     """Replace each field of a frozen dataclass named in ``spec`` by its reading."""
-    for name, value in _read(vars(obj), spec, "").items():
+    # getattr, not vars(obj): a materialised __dict__ slows every later attribute read
+    for name, value in _read({name: getattr(obj, name) for name in spec}, spec, "").items():
         object.__setattr__(obj, name, value)
 
 
 _DISCRETE_FIELDS = {"N": int, "K": int, "M": int, "p": [[float]], "pmfs": [[[float]]], "states": [[[[int]], float]]}
+# the kind that each law field belongs to; a model leaves the other kinds' fields empty
+_FIELD_KIND = {"p": "bernoulli", "pmfs": "factored", "states": "explicit_joint"}
 _LINK_FIELDS = {"mean": float, "high": float, "values": [float]}
 _CONTINUOUS_FIELDS = {"N": int, "K": int, "links": [[LinkDistribution]]}
 
@@ -277,6 +283,8 @@ def _check_grid_shape(grid, N, K) -> None:
 
 
 def _validate_continuous(model: ContinuousChannelModel) -> None:
+    if model.kind != "continuous":
+        raise ValidationError(f"a continuous model's kind must be 'continuous', got {model.kind!r}")
     _check_grid_shape(model.links, model.N, model.K)
     for n, row in enumerate(model.links):
         for k, d in enumerate(row):
@@ -347,15 +355,15 @@ def per_server_column_distribution(model: DiscreteChannelModel, k: int):
 
     Only defined for factored and bernoulli models, whose links are
     independent, so any per-server expectation can be taken against this
-    column law alone.  Returns a list of (tuple of length N, probability),
-    in the order of ``column_laws(model)[k]``.
+    column law alone.  Returns ``column_laws(model)[k]`` as a list of
+    (tuple of length N, probability).
     """
     if model.kind == "explicit_joint":
         raise ValidationError("per-server column law undefined for explicit_joint; use enumerate_states")
     if not 0 <= k < model.K:
         raise ValidationError(f"server index {k} out of range for K={model.K}")
-    pmfs = [_link_pmf(model, n, k) for n in range(model.N)]
-    return list(zip(*_product_law(pmfs, DEFAULT_STATE_CAP, "column states")))
+    values, probs = column_laws(model)[k]
+    return list(zip(map(tuple, values.tolist()), probs.tolist()))
 
 
 def column_laws(model: DiscreteChannelModel) -> list:
@@ -404,17 +412,11 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
     Discrete blocks come in ``np.min_scalar_type(-M - 1)``, the smallest
     signed integer type holding 0..M (int8 while M < 128), which mixes
     with int64 exactly; continuous blocks are float64.  The values are
-    those of the literal draws: per link ``rng.choice(M + 1, size, p=pmf)``
-    for factored models, one ``rng.random((size, N, K)) < p`` for
-    bernoulli models and ``rng.choice`` over the states for explicit_joint
-    ones.  Factored links draw ``size`` uniforms u and look them up in the
-    cdf that ``choice`` builds, without its per-call checks: the state is
-    the number of cdf entries <= u, which is ``searchsorted(u, "right")``.
-    While the block is int8 (M < 128) that number is counted as the sum of
-    ``u >= edge`` over the interior edges cdf[:-1] (the last entry is 1.0,
-    above every u), which is faster than the search up to there; wider
-    blocks keep the search.  Bernoulli uniforms are drawn a chunk of slots
-    at a time, which continues the same stream.
+    those of the literal draws: one ``rng.random((size, N, K)) < p`` for
+    bernoulli models, drawn a chunk of slots at a time, which continues
+    the same stream; per link ``_categorical(rng, pmf, size)`` for factored
+    models and ``_categorical`` over the state probabilities for
+    explicit_joint ones, each the draws of ``rng.choice`` with ``p=``.
     """
     N, K = model.N, model.K
     if isinstance(model, ContinuousChannelModel):
@@ -443,22 +445,32 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty((size, N, K), dtype=dtype)
         for n in range(N):
             for k in range(K):
-                pmf = np.asarray(model.pmfs[n][k], dtype=float)
-                cdf = (pmf / pmf.sum()).cumsum()
-                cdf /= cdf[-1]
-                u = rng.random(size)
-                if dtype == np.int8:  # counting beats the search up to M = 127, not at 200
-                    count = (u >= cdf[0]).view(np.int8)
-                    for edge in cdf[1:-1]:
-                        count += u >= edge
-                    out[:, n, k] = count
-                else:
-                    out[:, n, k] = cdf.searchsorted(u, side="right")
+                out[:, n, k] = _categorical(rng, model.pmfs[n][k], size)
         return out
-    probs = np.array([pr for _, pr in model.states])
     mats = np.array([mat for mat, _ in model.states], dtype=dtype)
-    idx = rng.choice(len(probs), size=size, p=probs / probs.sum())
-    return mats[idx]
+    return mats[_categorical(rng, [prob for _, prob in model.states], size)]
+
+
+def _categorical(rng: np.random.Generator, pmf, size: int) -> np.ndarray:
+    """The draws of ``rng.choice(len(pmf), size, p=pmf / pmf.sum())``, without its per-call checks.
+
+    ``choice`` looks ``size`` uniforms u up in the normalised cdf: a draw
+    is the number of cdf entries <= u, which is ``searchsorted(u, "right")``.
+    Up to 128 atoms that number is counted in int8 as the sum of
+    ``u >= edge`` over the interior edges cdf[:-1] (the last entry is 1.0,
+    above every u), which is faster than the search up to there (not at
+    200 atoms); more atoms keep the search.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    cdf = (pmf / pmf.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if len(cdf) > 128:
+        return cdf.searchsorted(u, side="right")
+    count = (u >= cdf[0]).view(np.int8)
+    for edge in cdf[1:-1]:
+        count += u >= edge
+    return count
 
 
 def sample_state(model, rng: np.random.Generator) -> np.ndarray:

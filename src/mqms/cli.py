@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .alpha_sets import DEFAULT_ENUM_CAP, build_vhat, wn_count
 from .capacity_region import (
@@ -52,14 +50,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round12(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 

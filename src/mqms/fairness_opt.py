@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel
+from .channel_models import DiscreteChannelModel, _read_fields
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
@@ -43,25 +43,22 @@ class UtilitySpec:
     a: float = 0.0
 
     def __post_init__(self):
-        caps, weights = tuple(float(c) for c in self.caps), tuple(float(w) for w in self.weights)
-        epsilon, a = float(self.epsilon), float(self.a)
+        _read_fields(self, {"caps": [float], "weights": [float], "epsilon": float, "a": float})
         if self.kind == "weighted_linear":
-            if not all(0 <= w < math.inf for w in weights):
+            if not all(0 <= w < math.inf for w in self.weights):
                 raise ValueError("linear utility weights must be finite and nonnegative")
-            if len(caps) != len(weights):
-                raise ValueError(f"need {len(weights)} caps, got {len(caps)}")
+            if len(self.caps) != len(self.weights):
+                raise ValueError(f"need {len(self.weights)} caps, got {len(self.caps)}")
         elif self.kind == "log_shifted":
-            if not 0 < epsilon < math.inf:
+            if not 0 < self.epsilon < math.inf:
                 raise ValueError("epsilon must be finite and positive")
         elif self.kind == "alpha_fair":
-            if not 0 <= a < math.inf or a == 1.0:
+            if not 0 <= self.a < math.inf or self.a == 1.0:
                 raise ValueError("fairness exponent must be finite, >= 0 and != 1")
         else:
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if not all(c >= 0 for c in caps):
+        if not all(c >= 0 for c in self.caps):
             raise ValueError("caps must be nonnegative (infinity allowed), not NaN")
-        for name, value in (("caps", caps), ("weights", weights), ("epsilon", epsilon), ("a", a)):
-            object.__setattr__(self, name, value)
 
     @classmethod
     def weighted_linear(cls, weights, caps=None) -> "UtilitySpec":

@@ -31,6 +31,7 @@ from .capacity_region import max_weight_argmax
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
+    _categorical,
     _read,
     _read_fields,
     check_pmf,
@@ -145,7 +146,7 @@ class ArrivalModel:
 
     @property
     def a_max_sq(self) -> float:
-        return max(q.mean_square for q in self.queues)
+        return max((q.mean_square for q in self.queues), default=0.0)
 
     def sample(self, rng: np.random.Generator, T: int) -> np.ndarray:
         """(T, N) integer arrivals for slots 1..T, one queue at a time."""
@@ -157,8 +158,7 @@ class ArrivalModel:
             elif q.kind == "bernoulli_batch":
                 out[:, n] = (rng.random(T) < q.prob) * q.batch
             else:
-                pmf = np.asarray(q.pmf)
-                out[:, n] = rng.choice(len(pmf), size=T, p=pmf / pmf.sum())
+                out[:, n] = _categorical(rng, q.pmf, T)
         return out
 
     def to_descriptor(self) -> dict:

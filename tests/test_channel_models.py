@@ -59,6 +59,23 @@ def test_validate_rejects_dimension_mismatch():
         DiscreteChannelModel(N=2, K=2, M=1, kind="bernoulli", p=((0.5, 0.5),))
 
 
+# a model of one kind given another kind's law field, or a continuous model of a discrete kind
+STRAY_FIELD_MODELS = {
+    "bernoulli-with-pmfs": (
+        lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((0.5,),), pmfs=(((0.1, 0.9),),)),
+        "field 'pmfs' does not belong to kind 'bernoulli'"),
+    "factored-with-states": (
+        lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=(((0.1, 0.9),),), states=((((1,),), 1.0),)),
+        "field 'states' does not belong to kind 'factored'"),
+    "explicit_joint-with-p": (
+        lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 1.0),), p=((0.5,),)),
+        "field 'p' does not belong to kind 'explicit_joint'"),
+    "continuous-kind": (
+        lambda: ContinuousChannelModel(N=1, K=1, kind="bernoulli", links=((LinkDistribution("uniform", high=1.0),),)),
+        "a continuous model's kind must be 'continuous', got 'bernoulli'"),
+}
+
+
 @pytest.mark.parametrize("make", [
     lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
     lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)),
@@ -66,11 +83,20 @@ def test_validate_rejects_dimension_mismatch():
     lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
     lambda: LinkDistribution("exponential", mean="x"),
     lambda: DiscreteChannelModel(N="2", K=1, M=1, kind="bernoulli", p=((0.5,), (0.5,))),
-], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N"])
+    *(make for make, _ in STRAY_FIELD_MODELS.values()),
+], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N", *STRAY_FIELD_MODELS])
 def test_raw_invalid_model_fails_when_built(make):
     # without a check in the constructor, sample_states and descriptor_hash took these as given
     with pytest.raises(ValidationError):
         make()
+
+
+@pytest.mark.parametrize(("make", "message"), STRAY_FIELD_MODELS.values(), ids=list(STRAY_FIELD_MODELS))
+def test_stray_model_fields_are_named(make, message):
+    # the bernoulli model with pmfs built, ignored them and hashed like bernoulli([[0.5]])
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(("make", "message"), [

@@ -72,7 +72,11 @@ UNCAPPED = (math.inf, math.inf)
     ({"kind": "log_shifted", "epsilon": -1.0}, "epsilon must be finite and positive"),
     ({"kind": "alpha_fair", "a": 1.0}, "fairness exponent must be finite"),
     ({"kind": "alpha_fair", "a": 2.0, "caps": (float("nan"), 1.0)}, "caps must be nonnegative"),
-], ids=["kind", "weights", "weights-vs-caps", "epsilon", "exponent", "caps"])
+    ({"kind": "log_shifted", "caps": ("1.0", 1.0)}, r"caps\[0\] must be a number, got '1.0'"),
+    ({"kind": "log_shifted", "caps": (True, 1.0)}, r"caps\[0\] must be a number, got True"),
+    ({"kind": "log_shifted", "epsilon": "0.5"}, "epsilon must be a number, got '0.5'"),
+], ids=["kind", "weights", "weights-vs-caps", "epsilon", "exponent", "caps", "string-cap", "bool-cap",
+        "string-epsilon"])
 def test_raw_utility_spec_is_checked(kwargs, match):
     # raw specs were never checked: kind "bogus" solved as alpha_fair with
     # a = 0, and a negative epsilon gave a NaN objective

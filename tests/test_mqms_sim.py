@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -314,6 +315,60 @@ def test_arrival_descriptor_rejects_non_integral_batch():
         arrivals_from_descriptor({"queues": [spec]})
     arr = arrivals_from_descriptor({"queues": [dict(spec, batch=2.0)]})
     assert arr.mean_rates().tolist() == [1.0]
+
+
+def test_empty_arrivals_have_no_peak_second_moment():
+    # the maximum over no queues, like the empty mean_rates() and the (T, 0) block
+    arr = ArrivalModel(queues=())
+    assert arr.a_max_sq == 0.0 and arr.mean_rates().shape == (0,)
+    assert arr.sample(np.random.default_rng(0), 5).shape == (5, 0)
+
+
+def _literal_arrivals(arr, rng, T):
+    # the documented stream, drawn the plain way, one queue at a time: the
+    # token schedule, one uniform per slot below prob, or rng.choice over the pmf
+    out = np.empty((T, arr.N), dtype=np.int64)
+    for n, q in enumerate(arr.queues):
+        if q.kind == "deterministic":
+            rate = Fraction(q.rate_num, q.rate_den)
+            out[:, n] = [math.floor(rate * t) - math.floor(rate * (t - 1)) for t in range(1, T + 1)]
+        elif q.kind == "bernoulli_batch":
+            out[:, n] = (rng.random(T) < q.prob) * q.batch
+        else:
+            pmf = np.array(q.pmf)
+            out[:, n] = rng.choice(len(pmf), T, p=pmf / pmf.sum())
+    return out
+
+
+def _arrival_cases(rng):
+    yield ArrivalModel.deterministic([0.3, Fraction(1, 3), 2, 0, "7/2"])
+    batches = rng.integers(0, 5, 4).tolist()
+    yield ArrivalModel.bernoulli_batch(batches, [0.0, 1.0, *rng.random(2).tolist()])
+    pmfs = []
+    for atoms in (1, 2, 3, 5, 128, 129, 200):
+        w = rng.random(atoms) + 0.05
+        pmfs.append((w / w.sum()).tolist())
+        if atoms > 3:  # a leading, an interior and a trailing zero atom
+            w[[0, atoms // 2, atoms - 1]] = 0.0
+            pmfs.append((w / w.sum()).tolist())
+    pmfs.append([0.0, 0.0, 1.0, 0.0])
+    yield ArrivalModel.bounded_pmf(pmfs)
+    yield ArrivalModel(queues=[*ArrivalModel.bernoulli_batch([2], [0.4]).queues,
+                               *ArrivalModel.bounded_pmf([pmfs[-2], [0.5, 0.0, 0.5]]).queues,
+                               *ArrivalModel.deterministic([0.25]).queues])
+
+
+def test_arrival_sample_replays_the_literal_stream(rng):
+    # values, dtype and the generator's next draw
+    for arr in _arrival_cases(rng):
+        for T in (1, 2, 9, 500):
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = arr.sample(got_rng, T)
+            want = _literal_arrivals(arr, want_rng, T)
+            assert got.dtype == np.int64 and got.shape == (T, arr.N)
+            assert (got == want).all()
+            assert got_rng.random() == want_rng.random()
 
 
 # -- full runs -----------------------------------------------------------------------
