@@ -17,6 +17,7 @@ margins used both for verdicts and for occupancy bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -133,27 +134,49 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     and lies in the region.  Contributions are summed server by server, in
     column-law order.
     """
-    return _vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N))
+    return _vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N).tolist())
 
 
 def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
-    """The support vertex as an unchecked function of alpha.
+    """The support vertex as an unchecked function of alpha, memoized on its cell.
 
     Stacks the model's column laws up front, as float values and their
     products with the state probabilities, so a caller that asks for many
     vertices of one model (Frank-Wolfe asks once per iteration) pays for
-    the law once.  alpha must be finite, nonnegative, nonzero and of
-    length N; nothing checks it (``support_vertex`` does).  Each server
-    adds the product prob * value of its winning queue.
+    the law once.  alpha must be a sequence of N finite, nonnegative
+    floats, not all zero; nothing checks it (``support_vertex`` does).
+    Each server adds the product prob * value of its winning queue.
+
+    The winners depend on alpha only through how the products
+    alpha[n] * c compare, for each nonzero capacity c that queue n takes
+    in some column state, and with 0.0 (every zero capacity gives 0.0).
+    These are the float products that ``values * alpha`` holds, so their
+    rank pattern, each product mapped to its first position in the
+    sorted list, fixes every comparison ``max_weight_argmax`` makes
+    under either tie rule.  The vertex is computed once per pattern, a
+    cell of the arrangement alpha[n] c = alpha[m] c', and a repeat
+    returns the same array, bit for bit what the computation would give.
+    Callers must not mutate it.  The memo lives as long as the kernel
+    and holds at most one vertex per call.
     """
     laws = column_laws(model)
-    values = np.concatenate([v for v, _ in laws]).astype(float)
+    capacities = np.concatenate([v for v, _ in laws])
+    values = capacities.astype(float)
     served = (np.concatenate([p for _, p in laws])[:, None] * values).ravel()
     rows = np.arange(0, served.size, model.N)
+    pairs = [(n, float(c)) for n, column in enumerate(capacities.T.tolist()) for c in sorted(set(column)) if c]
+    memo = {}
 
     def kernel(alpha) -> np.ndarray:
-        winner = max_weight_argmax(values * alpha, tie_rule)
-        return np.bincount(winner, weights=served.take(rows + winner), minlength=model.N)
+        products = [alpha[n] * c for n, c in pairs]
+        products.append(0.0)
+        ranked = sorted(products)
+        key = tuple([bisect_left(ranked, x) for x in products])
+        vertex = memo.get(key)
+        if vertex is None:
+            winner = max_weight_argmax(values * alpha, tie_rule)
+            vertex = memo[key] = np.bincount(winner, weights=served.take(rows + winner), minlength=model.N)
+        return vertex
 
     return kernel
 

@@ -355,15 +355,20 @@ def per_server_column_distribution(model: DiscreteChannelModel, k: int):
 
     Only defined for factored and bernoulli models, whose links are
     independent, so any per-server expectation can be taken against this
-    column law alone.  Returns ``column_laws(model)[k]`` as a list of
-    (tuple of length N, probability).
+    column law alone.  Returns the law of ``column_laws(model)[k]``, built
+    for server k alone, as a list of (tuple of length N, probability).
     """
     if model.kind == "explicit_joint":
         raise ValidationError("per-server column law undefined for explicit_joint; use enumerate_states")
     if not 0 <= k < model.K:
         raise ValidationError(f"server index {k} out of range for K={model.K}")
-    values, probs = column_laws(model)[k]
-    return list(zip(map(tuple, values.tolist()), probs.tolist()))
+    validate_discrete(model)
+    return list(zip(*_column_law(model, k)))
+
+
+def _column_law(model: DiscreteChannelModel, k: int) -> tuple[list, list]:
+    """Law of server k's column of a factored or bernoulli model, as ``_product_law`` gives it."""
+    return _product_law([_link_pmf(model, n, k) for n in range(model.N)], DEFAULT_STATE_CAP, "column states")
 
 
 def column_laws(model: DiscreteChannelModel) -> list:
@@ -382,8 +387,7 @@ def column_laws(model: DiscreteChannelModel) -> list:
         mats = np.array([mat for mat, _ in model.states], dtype=np.int64)
         probs = np.array([prob for _, prob in model.states])
         return [(mats[:, :, k], probs) for k in range(model.K)]
-    laws = [_product_law([_link_pmf(model, n, k) for n in range(model.N)], DEFAULT_STATE_CAP, "column states")
-            for k in range(model.K)]
+    laws = [_column_law(model, k) for k in range(model.K)]
     return [(np.array(values, dtype=np.int64), np.array(probs)) for values, probs in laws]
 
 

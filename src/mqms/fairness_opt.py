@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel, _read_fields
+from .channel_models import DiscreteChannelModel, ValidationError, _read_fields
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
@@ -46,19 +46,19 @@ class UtilitySpec:
         _read_fields(self, {"caps": [float], "weights": [float], "epsilon": float, "a": float})
         if self.kind == "weighted_linear":
             if not all(0 <= w < math.inf for w in self.weights):
-                raise ValueError("linear utility weights must be finite and nonnegative")
+                raise ValidationError("linear utility weights must be finite and nonnegative")
             if len(self.caps) != len(self.weights):
-                raise ValueError(f"need {len(self.weights)} caps, got {len(self.caps)}")
+                raise ValidationError(f"need {len(self.weights)} caps, got {len(self.caps)}")
         elif self.kind == "log_shifted":
             if not 0 < self.epsilon < math.inf:
-                raise ValueError("epsilon must be finite and positive")
+                raise ValidationError("epsilon must be finite and positive")
         elif self.kind == "alpha_fair":
             if not 0 <= self.a < math.inf or self.a == 1.0:
-                raise ValueError("fairness exponent must be finite, >= 0 and != 1")
+                raise ValidationError("fairness exponent must be finite, >= 0 and != 1")
         else:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
+            raise ValidationError(f"unknown utility kind {self.kind!r}")
         if not all(c >= 0 for c in self.caps):
-            raise ValueError("caps must be nonnegative (infinity allowed), not NaN")
+            raise ValidationError("caps must be nonnegative (infinity allowed), not NaN")
 
     @classmethod
     def weighted_linear(cls, weights, caps=None) -> "UtilitySpec":
@@ -143,7 +143,7 @@ class UtilitySpec:
 def _caps_tuple(caps, n: int) -> tuple:
     caps = (math.inf,) * n if caps is None else tuple(caps)
     if len(caps) != n:
-        raise ValueError(f"need {n} caps, got {len(caps)}")
+        raise ValidationError(f"need {n} caps, got {len(caps)}")
     return caps
 
 

@@ -16,8 +16,9 @@ T*R*(K+1)*N bytes while M and the arrival caps are < 128, and are
 converted to int64 in reused chunks of at most 256 KiB of slots.  Fewer
 replications run one at a time on Python ints, read through memoryviews
 of a (T, K, N) copy of the channel block in the same compact type, where
-servers scan only the backlogged queues.  On ON-OFF channels the two
-loops break even at about 7 replications on 1x1 and 4 on 2x2.
+servers scan only the backlogged queues.  The two loops break even at
+about 7 replications on 1x1 ON-OFF channels, 4 on 2x2, 2 on 4x4 and 1
+on 8x8, so on wide systems 2 to 7 replications take the slower loop.
 """
 
 from __future__ import annotations
@@ -339,14 +340,16 @@ class RunResult:
         }
 
 
-# The batched slot loop pays 8-10 us of numpy call overhead per slot
-# whatever R is, while a replication-slot of the scalar loop costs about
-# 1.5 us on 1x1, 2 us on 2x2, 4 us on 4x4 and 10 us on 8x8 ON-OFF channels
-# (times scaled to a host where perfbench's reference kernel takes 10 ms).
-# Batching breaks even at about 7 replications on 1x1, 4 on 2x2 and 2 on
-# 4x4, and wins from R = 1 on 8x8; on 1x1 it is no faster at R = 7, so
-# fewer than 8 replications run the scalar loop, which holds one
-# replication's blocks instead of all R.
+# The batched slot loop pays its numpy call overhead once per slot
+# whatever R is, while the scalar loop pays once per replication-slot, more
+# on more links.  Over T = 5k slots (best of 3, 2-core host), the loops
+# break even at about 7 replications on 1x1 ON-OFF channels, 4 on 2x2, 2
+# on 4x4 and 1 on 8x8 (ON-OFF, or factored with M = 2); on 8x8 batching is
+# 1.8x faster at R = 2, 3x at R = 4 and 4x at R = 7.  At R = 1 over 25k
+# slots of 8x8 the scalar loop is 1.25-1.35x faster.  The threshold is set
+# by 1x1, where batching is no faster at R = 7, so fewer than 8
+# replications run the scalar loop, which holds one replication's blocks
+# instead of all R.
 _BATCH_MIN_REPS = 8
 
 # the batched loop converts its compact blocks to int64 in chunks of whole

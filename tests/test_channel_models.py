@@ -337,6 +337,22 @@ def test_laws_are_the_literal_product_of_link_pmfs(model):
         assert list(zip(map(tuple, values.tolist()), probs.tolist())) == column
 
 
+def test_per_server_law_builds_one_column(rng, monkeypatch):
+    model = random_factored(rng, N=4, K=8, M=2)
+    laws = channel_models.column_laws(model)
+    product_law, calls = channel_models._product_law, []
+
+    def counting(*args):
+        calls.append(args)
+        return product_law(*args)
+
+    monkeypatch.setattr(channel_models, "_product_law", counting)
+    column = per_server_column_distribution(model, 5)
+    assert len(calls) == 1
+    values, probs = laws[5]
+    assert column == list(zip(map(tuple, values.tolist()), probs.tolist()))
+
+
 def test_bernoulli_model_needs_m_1():
     # with M = 2 its directions are not all 0/1, and build_region took closed-form
     # betas for them: 0.75 in direction (1, 2) here, where the support is 1.25

@@ -7,6 +7,7 @@ import pytest
 from mqms import (
     DiscreteChannelModel,
     UtilitySpec,
+    ValidationError,
     build_region,
     build_vhat,
     fw_gap,
@@ -82,6 +83,22 @@ def test_raw_utility_spec_is_checked(kwargs, match):
     # a = 0, and a negative epsilon gave a NaN objective
     with pytest.raises(ValueError, match=match):
         UtilitySpec(**{"caps": UNCAPPED, **kwargs})
+
+
+@pytest.mark.parametrize(("make", "message"), [
+    (lambda: UtilitySpec(kind="bogus", caps=UNCAPPED), "unknown utility kind 'bogus'"),
+    (lambda: UtilitySpec.log_shifted(2, epsilon=0.0), "epsilon must be finite and positive"),
+    (lambda: UtilitySpec.alpha_fair(2, a=1.0), "fairness exponent must be finite, >= 0 and != 1"),
+    (lambda: UtilitySpec.log_shifted(2, caps=[-0.5, 1.0]), "caps must be nonnegative (infinity allowed), not NaN"),
+    (lambda: UtilitySpec.log_shifted(2, caps=[math.nan, 1.0]), "caps must be nonnegative (infinity allowed), not NaN"),
+    (lambda: UtilitySpec.weighted_linear([1.0, 2.0], caps=[1.0]), "need 2 caps, got 1"),
+    (lambda: UtilitySpec(kind="weighted_linear", caps=UNCAPPED, weights=(1.0,)), "need 1 caps, got 2"),
+], ids=["kind", "epsilon", "exponent", "negative-cap", "nan-cap", "caps-count", "raw-caps-count"])
+def test_utility_spec_range_faults_are_validation_errors(make, message):
+    # one error type for every bad spec, as for the model and arrival dataclasses
+    with pytest.raises(ValidationError) as exc:
+        make()
+    assert type(exc.value) is ValidationError and str(exc.value) == message
 
 
 def test_raw_utility_spec_stores_floats():
@@ -460,6 +477,51 @@ def test_vertex_kernel_matches_support_vertex_on_ties(rng, tie_rule):
         assert kernel.tobytes() == expected.tobytes()
         assert support_vertex(model, alpha, tie_rule=tie_rule).tobytes() == expected.tobytes()
         checked += 1
+
+
+def _tie_heavy_directions(rng, N):
+    """Integer directions in 0..3 with zero coordinates, repeats, permutations and scalar multiples."""
+    directions = []
+    for _ in range(12):
+        alpha = rng.integers(0, 4, N)
+        alpha[rng.integers(N)] = rng.integers(1, 4)
+        directions += [alpha, alpha.copy(), rng.permutation(alpha), 2 * alpha, 3 * alpha, alpha]
+    return [alpha.astype(float).tolist() for alpha in directions]
+
+
+@pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
+def test_memoized_kernel_matches_a_fresh_kernel(rng, tie_rule):
+    # every call, a memo hit or a miss, returns the bytes of a one-shot kernel
+    kinds, hits = set(), 0
+    for _ in range(30):
+        model = random_discrete(rng, max_n=4, max_k=3, max_m=3, state_cap=1 << 16)
+        kinds.add(model.kind)
+        kernel, returned = capacity_region._vertex_kernel(model, tie_rule), []
+        for alpha in _tie_heavy_directions(rng, model.N):
+            vertex = kernel(alpha)
+            hits += any(vertex is seen for seen in returned)
+            returned.append(vertex)
+            assert vertex.tobytes() == capacity_region._vertex_kernel(model, tie_rule)(alpha).tobytes()
+    assert kinds == {"bernoulli", "factored", "explicit_joint"} and hits > 30 * 12
+
+
+def test_memoized_solve_reproduces_the_reference_past_the_cap():
+    # reference_fw asks support_vertex, a fresh kernel per iteration
+    model = random_factored(np.random.default_rng(5), 6, 2, 3)
+    spec = UtilitySpec.log_shifted(6)
+    sol = solve_fairness(model, spec, tol=1e-9, max_iters=100)
+    r_ref, iters = reference_fw(model, spec, 1e-9, 100)
+    assert sol.iterations == iters == 100
+    assert sol.r_star.tobytes() == r_ref.tobytes()
+
+
+def test_mutating_a_support_vertex_leaves_later_calls_alone():
+    model = random_factored(np.random.default_rng(5), 3, 2, 2)
+    first = support_vertex(model, [1, 2, 2])
+    expected = first.copy()
+    first[:] = -1.0
+    assert support_vertex(model, [1, 2, 2]).tobytes() == expected.tobytes()
+    assert support_vertex(model, [2, 4, 4]).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("spec", [
