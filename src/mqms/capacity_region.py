@@ -207,18 +207,13 @@ def onoff_support(p, queue_subset) -> float:
 def build_region(model: DiscreteChannelModel) -> StabilityRegion:
     """Assemble the full inequality list for a discrete model.
 
-    One inequality per canonical direction.  Bernoulli models take their
-    betas from the ON-OFF closed form, since with M = 1 the directions are
-    exactly the 0/1 indicators of the nonempty queue sets; every other
-    model evaluates the support function.
+    One inequality per canonical direction, its beta the support function
+    there, for every kind.  For bernoulli models ``onoff_support`` gives the
+    same betas in closed form; it is kept as an independent oracle.
     """
     validate_discrete(model)
     directions = build_vhat(model.M, model.N)
-    if model.kind == "bernoulli":
-        p = np.array(model.p)
-        beta = [onoff_support(p, [n for n, a in enumerate(alpha) if a]) for alpha in directions]
-    else:
-        beta = [support_function(model, alpha) for alpha in directions]
+    beta = [support_function(model, alpha) for alpha in directions]
     return StabilityRegion(directions, beta, provenance=descriptor_hash(model))
 
 

@@ -44,8 +44,9 @@ class DiscreteChannelModel:
         the pmf as a length-(M+1) tuple.
       * ``"bernoulli"`` -- ON-OFF links: capacity 1 with probability
         ``p[n][k]``, else 0, links independent, M = 1.  A dedicated kind
-        (rather than factored with M = 1) so closed-form region formulas
-        can be dispatched on it.
+        (rather than factored with M = 1): it samples as one
+        ``rng.random(...) < p`` block, and ``oracle_check`` holds its
+        support values to the ON-OFF closed form.
     """
 
     N: int
@@ -58,7 +59,7 @@ class DiscreteChannelModel:
 
     def __post_init__(self):
         # nested fields become tuples, so the checked model cannot change afterwards
-        _read_fields(self, _DISCRETE_FIELDS)
+        _read_kind(self, _DISCRETE_KINDS, "model")
         validate(self)
 
     # -- constructors ----------------------------------------------------
@@ -66,13 +67,13 @@ class DiscreteChannelModel:
     @classmethod
     def bernoulli(cls, p) -> "DiscreteChannelModel":
         """ON-OFF model from an N x K matrix of success probabilities."""
-        p = _read(p, _DISCRETE_FIELDS["p"], "p")
+        p = _read(p, _DISCRETE_KINDS["bernoulli"]["p"], "p")
         return cls(N=len(p), K=len(p[0]) if p else 0, M=1, kind="bernoulli", p=p)
 
     @classmethod
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
-        pmfs = _read(pmfs, _DISCRETE_FIELDS["pmfs"], "pmfs")
+        pmfs = _read(pmfs, _DISCRETE_KINDS["factored"]["pmfs"], "pmfs")
         lengths = {len(link) for row in pmfs for link in row}
         if len(lengths) != 1:
             raise ValidationError("dimension mismatch: link pmfs have unequal lengths")
@@ -85,7 +86,8 @@ class DiscreteChannelModel:
         Zero-probability states are dropped here so downstream enumeration
         never carries them.  M defaults to the largest entry seen.
         """
-        cleaned = [(C, prob) for C, prob in _read(states, _DISCRETE_FIELDS["states"], "states") if prob != 0.0]
+        states = _read(states, _DISCRETE_KINDS["explicit_joint"]["states"], "states")
+        cleaned = [(C, prob) for C, prob in states if prob != 0.0]
         if not cleaned:
             raise ValidationError("explicit_joint model has no positive-probability states")
         if M is None:
@@ -100,6 +102,8 @@ class LinkDistribution:
 
     kind: "exponential" (scale = mean), "uniform" (on [0, high]), or
     "empirical" (resampled uniformly from a table of observed values).
+    The scale must be finite and positive, the table nonempty, finite and
+    nonnegative.
     """
 
     kind: str
@@ -108,16 +112,20 @@ class LinkDistribution:
     values: tuple = ()
 
     def __post_init__(self):
-        _read_fields(self, _LINK_FIELDS)
+        _read_kind(self, _LINK_KINDS, "link distribution")
+        if self.kind == "exponential" and not 0 < self.mean < math.inf:
+            raise ValidationError(f"exponential mean must be finite and > 0, got {self.mean}")
+        if self.kind == "uniform" and not 0 < self.high < math.inf:
+            raise ValidationError(f"uniform upper bound must be finite and > 0, got {self.high}")
+        if self.kind == "empirical" and not (self.values and all(0 <= v < math.inf for v in self.values)):
+            raise ValidationError("empirical table must be nonempty, with finite nonnegative values")
 
     def expected_value(self) -> float:
         if self.kind == "exponential":
             return self.mean
         if self.kind == "uniform":
             return self.high / 2.0
-        if self.kind == "empirical":
-            return float(np.mean(self.values))
-        raise ValidationError(f"unknown link distribution kind {self.kind!r}")
+        return float(np.mean(self.values))
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,8 @@ class ContinuousChannelModel:
 
     N: int
     K: int
-    kind: str = "continuous"
     links: tuple = ()  # links[n][k] is a LinkDistribution
+    kind = "continuous"  # a class constant, not a field: the one continuous kind
 
     def __post_init__(self):
         _read_fields(self, _CONTINUOUS_FIELDS)
@@ -153,7 +161,7 @@ def validate(model) -> None:
         raise ValidationError(f"dimension mismatch: need N >= 1 and K >= 1, got ({model.N}, {model.K})")
 
     if isinstance(model, ContinuousChannelModel):
-        _validate_continuous(model)
+        _check_grid_shape(model.links, model.N, model.K)  # each link checked itself when built
         return
     if model.kind == "bernoulli":
         if model.M != 1:
@@ -170,7 +178,7 @@ def validate(model) -> None:
                 if len(pmf) != model.M + 1:
                     raise ValidationError(f"dimension mismatch: link ({n},{k}) pmf length {len(pmf)}")
                 check_pmf(pmf, f"link ({n},{k}) pmf")
-    elif model.kind == "explicit_joint":
+    else:  # explicit_joint
         seen = set()
         for mat, _ in model.states:
             if len(mat) != model.N or any(len(row) != model.K for row in mat):
@@ -183,11 +191,6 @@ def validate(model) -> None:
                 raise ValidationError("duplicate state matrix in explicit_joint model")
             seen.add(mat)
         check_pmf([prob for _, prob in model.states], "state probabilities")
-    else:
-        raise ValidationError(f"unknown model kind {model.kind!r}")
-    for name, kind in _FIELD_KIND.items():
-        if kind != model.kind and getattr(model, name):
-            raise ValidationError(f"field {name!r} does not belong to kind {model.kind!r}")
     if model.M < 1:
         raise ValidationError(f"max capacity M must be >= 1, got {model.M}")
 
@@ -261,10 +264,31 @@ def _read_fields(obj, spec: dict) -> None:
         object.__setattr__(obj, name, value)
 
 
-_DISCRETE_FIELDS = {"N": int, "K": int, "M": int, "p": [[float]], "pmfs": [[[float]]], "states": [[[[int]], float]]}
-# the kind that each law field belongs to; a model leaves the other kinds' fields empty
-_FIELD_KIND = {"p": "bernoulli", "pmfs": "factored", "states": "explicit_joint"}
-_LINK_FIELDS = {"mean": float, "high": float, "values": [float]}
+def _read_kind(obj, kinds: dict, what: str) -> None:
+    """Read a kind-tagged frozen dataclass against its table ``kinds``, kind -> {field: spec}.
+
+    Every field that the table names, for any kind, is read as
+    ``_read_fields`` reads it.  A kind outside the table, or a field of
+    another kind that is not at its default, is a ValidationError.
+    """
+    fields = {name: spec for table in kinds.values() for name, spec in table.items()}
+    _read_fields(obj, fields)
+    if not isinstance(obj.kind, str) or obj.kind not in kinds:
+        raise ValidationError(f"unknown {what} kind {obj.kind!r}")
+    defaults = type(obj).__dataclass_fields__
+    for name in fields:
+        if name not in kinds[obj.kind] and getattr(obj, name) != defaults[name].default:
+            raise ValidationError(f"field {name!r} does not belong to kind {obj.kind!r}")
+
+
+# each type's kinds and their fields, read by _read_kind; the sizes belong to every discrete kind
+_SIZES = {"N": int, "K": int, "M": int}
+_DISCRETE_KINDS = {
+    "bernoulli": {**_SIZES, "p": [[float]]},
+    "factored": {**_SIZES, "pmfs": [[[float]]]},
+    "explicit_joint": {**_SIZES, "states": [[[[int]], float]]},
+}
+_LINK_KINDS = {"exponential": {"mean": float}, "uniform": {"high": float}, "empirical": {"values": [float]}}
 _CONTINUOUS_FIELDS = {"N": int, "K": int, "links": [[LinkDistribution]]}
 
 
@@ -280,27 +304,6 @@ def validate_discrete(model) -> None:
 def _check_grid_shape(grid, N, K) -> None:
     if len(grid) != N or any(len(row) != K for row in grid):
         raise ValidationError("dimension mismatch: grid shape differs from (N, K)")
-
-
-def _validate_continuous(model: ContinuousChannelModel) -> None:
-    if model.kind != "continuous":
-        raise ValidationError(f"a continuous model's kind must be 'continuous', got {model.kind!r}")
-    _check_grid_shape(model.links, model.N, model.K)
-    for n, row in enumerate(model.links):
-        for k, d in enumerate(row):
-            if d.kind == "exponential":
-                if not 0 < d.mean < math.inf:
-                    raise ValidationError(f"link ({n},{k}) exponential mean must be finite and > 0")
-            elif d.kind == "uniform":
-                if not 0 < d.high < math.inf:
-                    raise ValidationError(f"link ({n},{k}) uniform upper bound must be finite and > 0")
-            elif d.kind == "empirical":
-                if len(d.values) == 0:
-                    raise ValidationError(f"link ({n},{k}) empirical table is empty")
-                if not all(0 <= v < math.inf for v in d.values):
-                    raise ValidationError(f"link ({n},{k}) empirical table has negative or non-finite values")
-            else:
-                raise ValidationError(f"unknown link distribution kind {d.kind!r}")
 
 
 # -- enumeration ---------------------------------------------------------
@@ -488,10 +491,7 @@ def sample_state(model, rng: np.random.Generator) -> np.ndarray:
 def to_descriptor(model) -> dict:
     """JSON-ready description: {"N", "K", "kind", ...kind-specific fields}."""
     if isinstance(model, ContinuousChannelModel):
-        links = [
-            [_link_descriptor(model.links[n][k]) for k in range(model.K)]
-            for n in range(model.N)
-        ]
+        links = [[{"dist": d.kind, **_kind_fields(d, _LINK_KINDS)} for d in row] for row in model.links]
         return {"N": model.N, "K": model.K, "kind": "continuous", "links": links}
     d = {"N": model.N, "K": model.K, "kind": model.kind}
     if model.kind == "bernoulli":
@@ -504,12 +504,10 @@ def to_descriptor(model) -> dict:
     return d
 
 
-def _link_descriptor(d: LinkDistribution) -> dict:
-    if d.kind == "exponential":
-        return {"dist": "exponential", "mean": d.mean}
-    if d.kind == "uniform":
-        return {"dist": "uniform", "high": d.high}
-    return {"dist": "empirical", "values": list(d.values)}
+def _kind_fields(obj, kinds: dict) -> dict:
+    """The fields of obj's kind in table order, tuples as lists, for a JSON descriptor."""
+    fields = {name: getattr(obj, name) for name in kinds[obj.kind]}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in fields.items()}
 
 
 _SHAPE = {"N?": int, "K?": int}
@@ -517,8 +515,7 @@ _DESCRIPTOR = ("kind", {
     "bernoulli": {**_SHAPE, "p": [[float]]},
     "factored": {**_SHAPE, "pmfs": [[[float]]]},
     "explicit_joint": {**_SHAPE, "M?": int, "states": [{"C": [[int]], "prob": float}]},
-    "continuous": {**_SHAPE, "links": [[("dist", {"exponential": {"mean": float}, "uniform": {"high": float},
-                                                   "empirical": {"values": [float]}})]]},
+    "continuous": {**_SHAPE, "links": [[("dist", _LINK_KINDS)]]},
 })
 
 

@@ -195,10 +195,8 @@ def _cmd_fairness(args, stamp):
         spec = UtilitySpec.weighted_linear(weights, caps=caps)
     elif args.utility == "log":
         spec = UtilitySpec.log_shifted(model.N, epsilon=args.epsilon, caps=caps)
-    elif args.utility == "alpha_fair":
+    else:  # alpha_fair; argparse's choices admit no other utility
         spec = UtilitySpec.alpha_fair(model.N, args.fairness_alpha, caps=caps)
-    else:
-        raise ValidationError(f"unknown utility {args.utility!r}")
     region = build_region(model)  # before the solve, so a model without a region fails fast
     sol = solve_fairness(model, spec, tol=args.tol, max_iters=args.max_iters)
     payload = {

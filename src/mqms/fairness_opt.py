@@ -16,13 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel, ValidationError, _read_fields
+from .channel_models import DiscreteChannelModel, ValidationError, _read_kind
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
 # move is shorter than _NEWTON_STALL (a few ulps of a step near 1).
 _LINE_SEARCH_TOL = 1e-12
 _NEWTON_STALL = 1e-15
+
+
+_UTILITY_KINDS = {
+    "weighted_linear": {"caps": [float], "weights": [float]},
+    "log_shifted": {"caps": [float], "epsilon": float},
+    "alpha_fair": {"caps": [float], "a": float},
+}
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class UtilitySpec:
     a: float = 0.0
 
     def __post_init__(self):
-        _read_fields(self, {"caps": [float], "weights": [float], "epsilon": float, "a": float})
+        _read_kind(self, _UTILITY_KINDS, "utility")
         if self.kind == "weighted_linear":
             if not all(0 <= w < math.inf for w in self.weights):
                 raise ValidationError("linear utility weights must be finite and nonnegative")
@@ -52,11 +59,8 @@ class UtilitySpec:
         elif self.kind == "log_shifted":
             if not 0 < self.epsilon < math.inf:
                 raise ValidationError("epsilon must be finite and positive")
-        elif self.kind == "alpha_fair":
-            if not 0 <= self.a < math.inf or self.a == 1.0:
-                raise ValidationError("fairness exponent must be finite, >= 0 and != 1")
-        else:
-            raise ValidationError(f"unknown utility kind {self.kind!r}")
+        elif not 0 <= self.a < math.inf or self.a == 1.0:
+            raise ValidationError("fairness exponent must be finite, >= 0 and != 1")
         if not all(c >= 0 for c in self.caps):
             raise ValidationError("caps must be nonnegative (infinity allowed), not NaN")
 

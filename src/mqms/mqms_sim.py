@@ -33,8 +33,10 @@ from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
     _categorical,
+    _kind_fields,
     _read,
     _read_fields,
+    _read_kind,
     check_pmf,
     sample_states,
     validate_discrete,
@@ -42,6 +44,13 @@ from .channel_models import (
 
 
 # -- arrival processes -----------------------------------------------------
+
+
+_ARRIVAL_KINDS = {
+    "deterministic": {"rate_num": int, "rate_den": int},
+    "bernoulli_batch": {"batch": int, "prob": float},
+    "bounded_pmf": {"pmf": [float]},
+}
 
 
 @dataclass(frozen=True)
@@ -63,17 +72,15 @@ class QueueArrivals:
 
     def __post_init__(self):
         # fields become ints, floats and a tuple first, so every instance is checked alike and hashable
-        _read_fields(self, {"rate_num": int, "rate_den": int, "batch": int, "prob": float, "pmf": [float]})
+        _read_kind(self, _ARRIVAL_KINDS, "arrival")
         if self.kind == "deterministic":
             if self.rate_num < 0 or self.rate_den < 1:
                 raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
         elif self.kind == "bernoulli_batch":
             if self.batch < 0 or not 0.0 <= self.prob <= 1.0:
                 raise ValidationError(f"bad bernoulli_batch parameters ({self.batch}, {self.prob})")
-        elif self.kind == "bounded_pmf":
-            check_pmf(self.pmf, "arrival pmf")
         else:
-            raise ValidationError(f"unknown arrival kind {self.kind!r}")
+            check_pmf(self.pmf, "arrival pmf")
 
     @property
     def mean(self) -> float:
@@ -169,19 +176,13 @@ class ArrivalModel:
                 rate = Fraction(q.rate_num, q.rate_den)
                 exact = Fraction(repr(float(rate))) == rate  # 0.3 reads back as 3/10, 1/3 needs "1/3"
                 qs.append({"kind": "deterministic", "rate": float(rate) if exact else str(rate)})
-            elif q.kind == "bernoulli_batch":
-                qs.append({"kind": "bernoulli_batch", "batch": q.batch, "prob": q.prob})
             else:
-                qs.append({"kind": "bounded_pmf", "pmf": list(q.pmf)})
+                qs.append({"kind": q.kind, **_kind_fields(q, _ARRIVAL_KINDS)})
         return {"queues": qs}
 
 
 # the deterministic rate is a number or a fraction string, which _exact_rate reads
-_ARRIVALS = {"queues": [("kind", {
-    "deterministic": {"rate": object},
-    "bernoulli_batch": {"batch": int, "prob": float},
-    "bounded_pmf": {"pmf": [float]},
-})]}
+_ARRIVALS = {"queues": [("kind", {**_ARRIVAL_KINDS, "deterministic": {"rate": object}})]}
 
 
 def arrivals_from_descriptor(d: dict) -> ArrivalModel:

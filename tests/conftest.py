@@ -24,6 +24,9 @@ def random_factored(rng, N, K, M) -> DiscreteChannelModel:
 
 
 def random_explicit(rng, N, K, M, n_states) -> DiscreteChannelModel:
+    """Explicit model on n_states distinct random matrices; ValueError if fewer than that exist."""
+    if n_states > (M + 1) ** (N * K):
+        raise ValueError(f"only {(M + 1) ** (N * K)} distinct {N}x{K} matrices over 0..{M}, not {n_states}")
     mats = set()
     while len(mats) < n_states:
         mats.add(tuple(tuple(int(x) for x in row) for row in rng.integers(0, M + 1, (N, K))))

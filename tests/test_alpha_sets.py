@@ -99,6 +99,19 @@ def test_all_ones_passes_any_m():
             assert in_v((1,) * N, M) is True
 
 
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: build_w(0, 2), "need M >= 1, got 0"),
+    (lambda: build_w(2, 0), "need N >= 1, got 0"),
+    (lambda: wn_count(0, 2), r"need M >= 1 and N >= 2, got \(0, 2\)"),
+    (lambda: wn_count(2, 1), r"need M >= 1 and N >= 2, got \(2, 1\)"),
+    (lambda: canonicalize((2, -4)), "direction coordinates must be nonnegative"),
+    (lambda: in_v((1, 1), 0), "need M >= 1, got 0"),
+], ids=["build_w-M", "build_w-N", "wn_count-M", "wn_count-N", "canonicalize-negative", "in_v-M"])
+def test_bad_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
         in_v((0, 0), 2)

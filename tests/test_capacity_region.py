@@ -183,15 +183,16 @@ def test_build_region_m2_has_five_inequalities(rng):
 
 
 def test_build_region_methods_agree_for_onoff(rng):
-    # bernoulli regions come from the ON-OFF closed form; it must equal the
-    # support function on every canonical direction
+    # bernoulli regions come from the support function, like every kind; with
+    # M = 1 each direction is the indicator of a queue set, where the ON-OFF
+    # closed form must give the same beta
     for N, K in [(1, 1), (2, 2), (3, 2), (4, 3)]:
         model = random_bernoulli(rng, N, K)
         region = build_region(model)
         directions = build_vhat(1, N)
         assert [alpha for alpha, _ in region.inequalities] == directions
         for alpha, beta in region.inequalities:
-            assert abs(beta - support_function(model, alpha)) <= 1e-12
+            assert abs(beta - onoff_support(model.p, [n for n, a in enumerate(alpha) if a])) <= 1e-12
 
 
 def test_region_contains_basis_directions_and_positive_betas(rng):
@@ -291,6 +292,18 @@ def test_onoff_support_rejects_bad_probabilities(p, match):
     with pytest.raises(ValueError, match=match):
         onoff_support(p, [0])
 
+
+@pytest.mark.parametrize(("subset", "message"), [
+    ([], "queue subset must be nonempty"),
+    ([2], "queue subset out of range"),
+    ([-1, 0], "queue subset out of range"),
+], ids=["empty", "above", "negative"])
+def test_onoff_support_rejects_bad_subsets(subset, message):
+    with pytest.raises(ValueError) as info:
+        onoff_support([[0.5], [0.5]], subset)
+    assert str(info.value) == message
+
+
 # -- membership margin ----------------------------------------------------------
 
 
@@ -310,6 +323,17 @@ def test_margin_outside_point():
     assert abs(membership_margin(region, [0.5, 0.5]) + 0.125) <= 1e-12
     assert region.verdict([0.5, 0.5]) == "outside"
     assert region.verdict([0.1, 0.1]) == "interior"
+
+
+@pytest.mark.parametrize(("region", "rates", "message"), [
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [0.1], "rate point must have length 2"),
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [[0.1, 0.1]], "rate point must have length 2"),
+    (StabilityRegion(np.zeros((0, 2), dtype=int), []), [0.1, 0.1], "region has no inequalities"),
+], ids=["short", "2d", "no-rows"])
+def test_margin_rejects_a_rate_of_another_length_or_an_empty_region(region, rates, message):
+    with pytest.raises(ValueError) as info:
+        membership_margin(region, rates)
+    assert str(info.value) == message
 
 
 def test_margin_rejects_negative_rates():

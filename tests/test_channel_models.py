@@ -59,7 +59,7 @@ def test_validate_rejects_dimension_mismatch():
         DiscreteChannelModel(N=2, K=2, M=1, kind="bernoulli", p=((0.5, 0.5),))
 
 
-# a model of one kind given another kind's law field, or a continuous model of a discrete kind
+# a kind-tagged model, link, arrival or utility given a field of another kind
 STRAY_FIELD_MODELS = {
     "bernoulli-with-pmfs": (
         lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((0.5,),), pmfs=(((0.1, 0.9),),)),
@@ -70,33 +70,74 @@ STRAY_FIELD_MODELS = {
     "explicit_joint-with-p": (
         lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 1.0),), p=((0.5,),)),
         "field 'p' does not belong to kind 'explicit_joint'"),
-    "continuous-kind": (
-        lambda: ContinuousChannelModel(N=1, K=1, kind="bernoulli", links=((LinkDistribution("uniform", high=1.0),),)),
-        "a continuous model's kind must be 'continuous', got 'bernoulli'"),
+    "exponential-with-high": (
+        lambda: LinkDistribution("exponential", mean=1.0, high=2.0),
+        "field 'high' does not belong to kind 'exponential'"),
+    "empirical-with-mean": (
+        lambda: LinkDistribution("empirical", mean=1.0, values=(1.0, 2.0)),
+        "field 'mean' does not belong to kind 'empirical'"),
+    "deterministic-with-prob": (
+        lambda: mqms_sim.QueueArrivals("deterministic", rate_num=1, rate_den=2, prob=0.5),
+        "field 'prob' does not belong to kind 'deterministic'"),
+    "bounded_pmf-with-batch": (
+        lambda: mqms_sim.QueueArrivals("bounded_pmf", batch=2, pmf=(0.5, 0.5)),
+        "field 'batch' does not belong to kind 'bounded_pmf'"),
+    "log_shifted-with-weights": (
+        lambda: UtilitySpec("log_shifted", caps=(1.0, 1.0), weights=(1.0, 2.0)),
+        "field 'weights' does not belong to kind 'log_shifted'"),
+    "alpha_fair-with-epsilon": (
+        lambda: UtilitySpec("alpha_fair", caps=(1.0,), a=2.0, epsilon=0.5),
+        "field 'epsilon' does not belong to kind 'alpha_fair'"),
 }
 
 
-@pytest.mark.parametrize("make", [
-    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
-    lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)),
-    lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
-    lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
-    lambda: LinkDistribution("exponential", mean="x"),
-    lambda: DiscreteChannelModel(N="2", K=1, M=1, kind="bernoulli", p=((0.5,), (0.5,))),
-    *(make for make, _ in STRAY_FIELD_MODELS.values()),
-], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N", *STRAY_FIELD_MODELS])
-def test_raw_invalid_model_fails_when_built(make):
-    # without a check in the constructor, sample_states and descriptor_hash took these as given
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize(("make", "message"), [
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)), "negative probability or >1"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)), "pmf length 2"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
+     "capacity 2 outside"),
+    (lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
+     "uniform upper bound must be finite and > 0"),
+    (lambda: LinkDistribution("exponential", mean="x"), "mean must be a number"),
+    (lambda: DiscreteChannelModel(N="2", K=1, M=1, kind="bernoulli", p=((0.5,), (0.5,))), "N must be an integer"),
+    *STRAY_FIELD_MODELS.values(),
+    (lambda: DiscreteChannelModel.explicit_joint([([[1]], 0.5), ([[1]], 0.5)]), "duplicate state matrix"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=0, kind="factored", pmfs=(((1.0,),),)), "M must be >= 1, got 0"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="markov"), "^unknown model kind 'markov'$"),
+    (lambda: LinkDistribution("gamma"), "^unknown link distribution kind 'gamma'$"),
+    (lambda: LinkDistribution(["exponential"]), r"^unknown link distribution kind \['exponential'\]$"),
+    (lambda: mqms_sim.QueueArrivals("poisson"), "^unknown arrival kind 'poisson'$"),
+    (lambda: UtilitySpec(None, caps=(1.0,)), "^unknown utility kind None$"),
+    (lambda: LinkDistribution("exponential", mean=-1.0), "^exponential mean must be finite and > 0, got -1.0$"),
+    (lambda: LinkDistribution("exponential"), "^exponential mean must be finite and > 0, got 0.0$"),
+    (lambda: LinkDistribution("uniform", high=0.0), "^uniform upper bound must be finite and > 0, got 0.0$"),
+    (lambda: LinkDistribution("empirical"), "^empirical table must be nonempty, with finite nonnegative values$"),
+    (lambda: LinkDistribution("empirical", values=(1.0, -0.5)), "^empirical table must be nonempty"),
+], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N", *STRAY_FIELD_MODELS,
+        "duplicate-states", "M-zero", "unknown-model", "unknown-link", "unknown-link-list", "unknown-arrival",
+        "unknown-utility", "exp-negative", "exp-default", "uniform-zero", "empirical-empty", "empirical-negative"])
+def test_raw_invalid_model_fails_when_built(make, message):
+    # without a check in the constructor, sample_states and descriptor_hash took these as given;
+    # LinkDistribution("gamma") and LinkDistribution("exponential", mean=-1.0) built, the last
+    # with expected_value() -1.0
+    with pytest.raises(ValidationError, match=message):
         make()
 
 
 @pytest.mark.parametrize(("make", "message"), STRAY_FIELD_MODELS.values(), ids=list(STRAY_FIELD_MODELS))
 def test_stray_model_fields_are_named(make, message):
-    # the bernoulli model with pmfs built, ignored them and hashed like bernoulli([[0.5]])
+    # the bernoulli model with pmfs built, ignored them and hashed like bernoulli([[0.5]]);
+    # a deterministic arrival with prob=0.5 built and released its deterministic schedule
     with pytest.raises(ValidationError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_continuous_kind_is_a_class_constant():
+    model = ContinuousChannelModel.of([[LinkDistribution("uniform", high=1.0)]])
+    assert model.kind == ContinuousChannelModel.kind == "continuous"
+    with pytest.raises(TypeError):
+        ContinuousChannelModel(N=1, K=1, kind="bernoulli", links=model.links)
 
 
 @pytest.mark.parametrize(("make", "message"), [
@@ -111,13 +152,21 @@ def test_stray_model_fields_are_named(make, message):
     (lambda: ContinuousChannelModel(N=1, K=1, links=[[3]]), r"links\[0\]\[0\] must be a LinkDistribution, got 3"),
     (lambda: mqms_sim.ArrivalModel(queues=3), "queues must be a list, got 3"),
     (lambda: mqms_sim.ArrivalModel(queues=(1, 2)), r"queues\[0\] must be a QueueArrivals, got 1"),
+    (lambda: DiscreteChannelModel.explicit_joint([([[1]], 1.0, 0)]), r"states\[0\] must be a list of 2 entries"),
 ], ids=["raw-p", "flat-p", "link-pmf", "states", "state-matrix", "links", "empirical-values", "arrival-pmf",
-        "link-entry", "arrival-queues", "arrival-queue-entry"])
+        "link-entry", "arrival-queues", "arrival-queue-entry", "state-pair-length"])
 def test_non_list_fields_are_validation_errors(make, message):
     # a JSON null or number where a list belongs raised TypeError from len() or iteration,
     # and a number where a link or queue law belongs raised AttributeError or TypeError on use
     with pytest.raises(ValidationError, match=message):
         make()
+
+
+def test_random_explicit_refuses_more_states_than_matrices(rng):
+    # with 3 states asked of the 2 matrices [[0]] and [[1]], the generator drew forever
+    with pytest.raises(ValueError, match="only 2 distinct 1x1 matrices over 0..1, not 3"):
+        random_explicit(rng, 1, 1, 1, 3)
+    assert len(random_explicit(rng, 1, 1, 1, 2).states) == 2
 
 
 def test_built_model_keeps_its_own_copy_of_nested_inputs():
@@ -204,17 +253,18 @@ def test_descriptor_numbers_must_be_numbers(descriptor, field):
     with pytest.raises(ValidationError, match=field + " must be a number, got"):
         from_descriptor(json.loads(json.dumps(descriptor)))
 
-@pytest.mark.parametrize("link", [
-    LinkDistribution("exponential", mean=NAN),
-    LinkDistribution("exponential", mean=INF),
-    LinkDistribution("uniform", high=NAN),
-    LinkDistribution("uniform", high=INF),
-    LinkDistribution("empirical", values=(NAN, 1.0)),
-    LinkDistribution("empirical", values=(INF, 1.0)),
+@pytest.mark.parametrize("make", [
+    lambda: LinkDistribution("exponential", mean=NAN),
+    lambda: LinkDistribution("exponential", mean=INF),
+    lambda: LinkDistribution("uniform", high=NAN),
+    lambda: LinkDistribution("uniform", high=INF),
+    lambda: LinkDistribution("empirical", values=(NAN, 1.0)),
+    lambda: LinkDistribution("empirical", values=(INF, 1.0)),
 ], ids=["exp-nan", "exp-inf", "uniform-nan", "uniform-inf", "empirical-nan", "empirical-inf"])
-def test_continuous_links_reject_non_finite(link):
-    with pytest.raises(ValidationError):
-        ContinuousChannelModel.of([[link]])
+def test_continuous_links_reject_non_finite(make):
+    # a link checks itself when built, before any model holds it
+    with pytest.raises(ValidationError, match="must be finite|finite nonnegative"):
+        make()
 
 
 @pytest.mark.parametrize("states, M", [
@@ -267,6 +317,9 @@ def test_enumerate_respects_cap():
     model = DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValidationError, match="cap exceeded"):
         enumerate_states(model, cap=15)
+    explicit = DiscreteChannelModel.explicit_joint([([[1]], 0.5), ([[0]], 0.5)])
+    with pytest.raises(ValidationError, match="cap exceeded: 2 > 1"):
+        enumerate_states(explicit, cap=1)
 
 
 def test_column_distribution_bernoulli():
@@ -291,6 +344,13 @@ def test_column_distribution_rejects_explicit():
     model = DiscreteChannelModel.explicit_joint([([[1]], 1.0)])
     with pytest.raises(ValidationError, match="explicit_joint"):
         per_server_column_distribution(model, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 2])
+def test_column_distribution_rejects_a_server_out_of_range(k):
+    model = DiscreteChannelModel.bernoulli([[0.5, 0.5]])
+    with pytest.raises(ValidationError, match=f"server index {k} out of range for K=2"):
+        per_server_column_distribution(model, k)
 
 
 def test_factored_columns_reassemble_joint_probabilities(rng):

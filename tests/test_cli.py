@@ -340,6 +340,12 @@ def test_continuous_model_on_discrete_subcommand_exits_2(argv, exp_model_path, a
     assert "discrete channel model is required" in capsys.readouterr().err
 
 
+def test_discrete_model_on_fluid_boundary_exits_2(bern_model_path, capsys):
+    assert main(["fluid-boundary", "--model", bern_model_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: fluid-boundary requires a continuous model" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--lambda", "nan,0.1"],
     ["check", "--lambda", "0.1,inf"],
@@ -349,8 +355,9 @@ def test_continuous_model_on_discrete_subcommand_exits_2(argv, exp_model_path, a
     ["delay-bound", "--delta", "inf"],
     ["fairness", "--max-iters", "0"],
     ["fairness", "--tol", "nan"],
+    ["check", "--lambda", "0.3,x"],
 ], ids=["check-nan", "check-inf", "simulate-reps-0", "simulate-reps-minus-1", "delay-bound-nan", "delay-bound-inf",
-        "fairness-max-iters-0", "fairness-tol-nan"])
+        "fairness-max-iters-0", "fairness-tol-nan", "check-unparsable"])
 def test_invalid_numbers_exit_2(argv, bern_model_path, arrivals_path, capsys):
     argv = argv[:1] + ["--model", bern_model_path] + argv[1:]
     if argv[0] in ("simulate", "delay-bound"):

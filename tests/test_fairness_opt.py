@@ -107,6 +107,12 @@ def test_raw_utility_spec_stores_floats():
     assert spec.caps == (1.0, 2.0) and type(spec.a) is float
 
 
+@pytest.mark.parametrize("r", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]], ids=["short", "long", "2d"])
+def test_gradient_rejects_a_rate_of_another_shape(r):
+    with pytest.raises(ValueError, match=r"rate point must have length 2, got shape"):
+        UtilitySpec.log_shifted(2).gradient(r)
+
+
 def test_infinite_caps_are_allowed():
     assert UtilitySpec.log_shifted(2, caps=[math.inf, 1.0]).caps == (math.inf, 1.0)
 

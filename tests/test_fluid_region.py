@@ -84,6 +84,12 @@ def test_mc_support_rejects_zero_direction():
         mc_support_function(exponential_pair(1, 1), (0, 0), 100)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_mc_support_rejects_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), samples)
+
+
 @pytest.mark.parametrize("alpha", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0)])
 def test_mc_support_rejects_non_finite_or_negative_direction(alpha):
     with pytest.raises(ValueError, match="finite and nonnegative"):

@@ -281,7 +281,8 @@ def test_arrival_descriptor_rejects_null_numbers(spec, field):
     lambda: QueueArrivals(kind="bernoulli_batch", batch=1, prob=1.5),
     lambda: QueueArrivals(kind="bernoulli_batch", batch=1, prob=float("nan")),
     lambda: QueueArrivals(kind="deterministic", rate_num=-1, rate_den=2),
-], ids=["bounded_pmf-nan", "prob-above-1", "prob-nan", "negative-rate"])
+    lambda: ArrivalModel.bernoulli_batch([1, 1], [0.5]),
+], ids=["bounded_pmf-nan", "prob-above-1", "prob-nan", "negative-rate", "unequal-lengths"])
 def test_arrival_constructors_are_validated(make):
     with pytest.raises(ValidationError):
         make()
@@ -385,6 +386,21 @@ def test_run_rejects_unknown_tie_rule_before_sampling(monkeypatch, policy):
     with pytest.raises(ValueError) as got:
         run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), policy=policy, T=10, tie_rule="bogus")
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(("kwargs", "message"), [
+    ({"policy": "bogus"}, "unknown policy 'bogus'"),
+    ({"T": 0}, "horizon must be at least one slot"),
+    ({"T": -5}, "horizon must be at least one slot"),
+], ids=["policy", "T-zero", "T-negative"])
+def test_run_rejects_a_bad_policy_or_horizon_before_sampling(monkeypatch, kwargs, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    monkeypatch.setattr(mqms_sim, "sample_states", no_sampling)
+    with pytest.raises(ValueError) as info:
+        run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), **{"T": 10, **kwargs})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("reps", [0, -1])
