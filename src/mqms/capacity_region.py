@@ -17,7 +17,6 @@ margins used both for verdicts and for occupancy bounds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -75,7 +74,7 @@ class StabilityRegion:
 
     def binding(self, rates) -> tuple:
         """Rows of ``A``, as int tuples, whose slack beta - A @ rates is at most 1e-6."""
-        tight = self.beta - self.A @ rates <= 1e-6
+        tight = self.beta - self.A @ _check_rates(rates, self.N) <= 1e-6
         return tuple(map(tuple, self.A[tight].tolist()))
 
     def to_dict(self) -> dict:
@@ -86,6 +85,15 @@ class StabilityRegion:
 def _verdict(delta: float, tol: float = 1e-9) -> str:
     """"interior", "boundary" or "outside" for a membership margin delta."""
     return "interior" if delta > tol else "outside" if delta < -tol else "boundary"
+
+
+def _check_rates(rates, N: int) -> np.ndarray:
+    lam = np.asarray(rates, dtype=float)
+    if lam.shape != (N,):
+        raise ValueError(f"rate point must have length {N}")
+    if not (np.isfinite(lam) & (lam >= 0)).all():
+        raise ValueError("rates must be finite and nonnegative")
+    return lam
 
 
 def _check_direction(alpha, N: int) -> np.ndarray:
@@ -134,7 +142,7 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     and lies in the region.  Contributions are summed server by server, in
     column-law order.
     """
-    return _vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N).tolist())
+    return np.array(_vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N).tolist()))
 
 
 def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
@@ -154,10 +162,10 @@ def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
     rank pattern, each product mapped to its first position in the
     sorted list, fixes every comparison ``max_weight_argmax`` makes
     under either tie rule.  The vertex is computed once per pattern, a
-    cell of the arrangement alpha[n] c = alpha[m] c', and a repeat
-    returns the same array, bit for bit what the computation would give.
-    Callers must not mutate it.  The memo lives as long as the kernel
-    and holds at most one vertex per call.
+    cell of the arrangement alpha[n] c = alpha[m] c', and kept as a tuple
+    of N floats, so a repeat returns the same tuple, bit for bit what the
+    computation would give, with nothing to convert.  The memo lives as
+    long as the kernel and holds at most one vertex per call.
     """
     laws = column_laws(model)
     capacities = np.concatenate([v for v, _ in laws])
@@ -167,15 +175,15 @@ def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
     pairs = [(n, float(c)) for n, column in enumerate(capacities.T.tolist()) for c in sorted(set(column)) if c]
     memo = {}
 
-    def kernel(alpha) -> np.ndarray:
+    def kernel(alpha) -> tuple:
         products = [alpha[n] * c for n, c in pairs]
         products.append(0.0)
-        ranked = sorted(products)
-        key = tuple([bisect_left(ranked, x) for x in products])
+        key = tuple(map(sorted(products).index, products))
         vertex = memo.get(key)
         if vertex is None:
             winner = max_weight_argmax(values * alpha, tie_rule)
-            vertex = memo[key] = np.bincount(winner, weights=served.take(rows + winner), minlength=model.N)
+            vertex = np.bincount(winner, weights=served.take(rows + winner), minlength=model.N)
+            vertex = memo[key] = tuple(vertex.tolist())
         return vertex
 
     return kernel
@@ -224,11 +232,7 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     positive means strictly interior, zero on the boundary, negative
     outside.  This is the slack that drives the occupancy bound.
     """
-    lam = np.asarray(rates, dtype=float)
-    if lam.shape != (region.N,):
-        raise ValueError(f"rate point must have length {region.N}")
-    if not (np.isfinite(lam) & (lam >= 0)).all():
-        raise ValueError("rates must be finite and nonnegative")
+    lam = _check_rates(rates, region.N)
     if not len(region.beta):
         raise ValueError("region has no inequalities")
     # alpha . rates overflows for finite rates near the float limit.  Rates

@@ -187,7 +187,19 @@ def _cmd_fluid_boundary(args, stamp):
     return _csv(["lambda1", "lambda2", "stderr"], rows, stamp), 0
 
 
+class _UtilityOption(argparse.Action):
+    """Stores an option that one utility reads, and notes in ``given`` that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
+
+
 def _cmd_fairness(args, stamp):
+    own = {"linear": "--weights", "log": "--epsilon", "alpha_fair": "--fairness-alpha"}[args.utility]
+    for option in getattr(args, "given", ()):
+        if option != own:
+            raise ValidationError(f"{option} does not apply to the {args.utility} utility")
     model = load_model(args.model)
     caps = _parse_rates(args.caps) if args.caps else None
     if args.utility == "linear":
@@ -308,9 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--utility", choices=["log", "linear", "alpha_fair"], default="log")
     p.add_argument("--caps", help="comma-separated per-queue caps")
-    p.add_argument("--weights", help="comma-separated weights (linear utility)")
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--fairness-alpha", type=float, default=2.0)
+    p.add_argument("--weights", action=_UtilityOption, help="comma-separated weights (linear utility)")
+    p.add_argument("--epsilon", action=_UtilityOption, type=float, default=1e-6, help="log utility")
+    p.add_argument("--fairness-alpha", action=_UtilityOption, type=float, default=2.0, help="alpha_fair utility")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--out", help="output JSON path (default stdout)")
@@ -328,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # the resolved config is every argument but the output paths, plus the version
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out", "trace")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out", "trace", "given")}
     cfg["version"] = __version__
     text = json.dumps(cfg, sort_keys=True)
     print(f"config: {text}", file=sys.stderr)

@@ -82,7 +82,7 @@ class UtilitySpec:
         return len(self.caps)
 
     def value(self, r) -> float:
-        return float(self._values(r))
+        return float(self._values(self._rate_point(r)))
 
     def _values(self, r) -> np.ndarray:
         """The capped objective of every rate vector along the last axis of r."""
@@ -94,54 +94,87 @@ class UtilitySpec:
         rc = np.maximum(rc, GRAD_FLOOR)
         return (rc ** (1.0 - self.a)).sum(axis=-1) / (1.0 - self.a)
 
-    def gradient(self, r) -> np.ndarray:
-        """Supergradient of the capped objective; zero on the flat side of the cap."""
+    def _rate_point(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if r.shape != (self.N,):
             raise ValueError(f"rate point must have length {self.N}, got shape {r.shape}")
-        return np.array(self._gradient(r.tolist()))
+        return r
 
-    def _gradient(self, r) -> list:
-        """gradient on a float sequence, as a list."""
-        return [0.0 if rn >= cap else self._derivative(n, rn) for n, (rn, cap) in enumerate(zip(r, self.caps))]
+    def gradient(self, r) -> np.ndarray:
+        """Supergradient of the capped objective; zero on the flat side of the cap."""
+        return np.array(self._gradient_kernel()(self._rate_point(r).tolist()))
 
-    def _derivative(self, n: int, x: float) -> float:
-        """u_n'(x) of queue n below its cap.
+    def _gradient_kernel(self):
+        """r -> the gradient list: 0.0 at or past a cap, else u_n'(r_n) of the kind.
 
-        The one derivative formula: ``gradient`` and ``_slope`` both read
-        it.  Power-law derivatives are floored at GRAD_FLOOR, so a queue at
-        zero rate has a finite, positive pull.
+        Power-law derivatives are floored at GRAD_FLOOR, so a queue at zero
+        rate has a finite, positive pull.
         """
+        caps, weights, eps, a = self.caps, self.weights, self.epsilon, self.a
         if self.kind == "weighted_linear":
-            return self.weights[n]
+            return lambda r: [0.0 if x >= cap else w for x, cap, w in zip(r, caps, weights)]
         if self.kind == "log_shifted":
-            return 1.0 / (x + self.epsilon)
-        try:
-            return max(x, GRAD_FLOOR) ** -self.a
-        except OverflowError:  # float pow raises where numpy returns inf
-            return math.inf
+            return lambda r: [0.0 if x >= cap else 1.0 / (x + eps) for x, cap in zip(r, caps)]
+        return lambda r: [0.0 if x >= cap else _floored_power(x, a) for x, cap in zip(r, caps)]
 
-    def _slope(self, r, d, g: float) -> tuple[float, float]:
-        """Right slope and curvature of g -> value(r + g d), on float sequences.
+    def _slope_kernel(self, r, d):
+        """g -> the right slope and curvature of value(r + g d), r and d float sequences.
 
         A queue adds d_n u_n'(x_n) at x_n = r_n + g d_n while it stays below
         its cap over a small step to the right: a queue at its cap adds
-        nothing moving up and d_n u_n'(cap) moving down.  Below GRAD_FLOOR a
-        power-law derivative is constant, so it adds no curvature there.
+        nothing moving up and d_n u_n'(cap) moving down.  Queues with d_n = 0
+        add nothing and are dropped; d_n w_n, d_n^2 and a d_n^2 are computed
+        here once.  Below GRAD_FLOOR a power-law derivative is constant, so
+        it adds no curvature there.
         """
-        slope = curvature = 0.0
-        log, power = self.kind == "log_shifted", self.kind == "alpha_fair"
-        for n, (rn, dn, cap) in enumerate(zip(r, d, self.caps)):
-            x = rn + g * dn
-            if dn == 0.0 or x > cap or (x == cap and dn > 0.0):
-                continue
-            u = self._derivative(n, x)
-            slope += dn * u
-            if log:
-                curvature -= dn * dn * u * u
-            elif power and x > GRAD_FLOOR:
-                curvature -= self.a * dn * dn * u / x
-        return slope, curvature
+        eps, a = self.epsilon, self.a
+        queues = zip(map(float, r), map(float, d), self.caps)
+        if self.kind == "weighted_linear":
+            queues = [(rn, dn, cap, dn * w) for (rn, dn, cap), w in zip(queues, self.weights) if dn]
+
+            def kernel(g):
+                slope = 0.0
+                for rn, dn, cap, dw in queues:
+                    x = rn + g * dn
+                    if not (x >= cap and (x > cap or dn > 0.0)):
+                        slope += dw
+                return slope, 0.0
+        elif self.kind == "log_shifted":
+            queues = [(rn, dn, cap, dn * dn) for rn, dn, cap in queues if dn]
+
+            def kernel(g):
+                slope = curvature = 0.0
+                for rn, dn, cap, dd in queues:
+                    x = rn + g * dn
+                    if x >= cap and (x > cap or dn > 0.0):
+                        continue
+                    u = 1.0 / (x + eps)
+                    slope += dn * u
+                    curvature -= dd * u * u
+                return slope, curvature
+        else:
+            queues = [(rn, dn, cap, a * dn * dn) for rn, dn, cap in queues if dn]
+
+            def kernel(g):
+                slope = curvature = 0.0
+                for rn, dn, cap, add in queues:
+                    x = rn + g * dn
+                    if x >= cap and (x > cap or dn > 0.0):
+                        continue
+                    u = _floored_power(x, a)
+                    slope += dn * u
+                    if x > GRAD_FLOOR:
+                        curvature -= add * u / x
+                return slope, curvature
+        return kernel
+
+
+def _floored_power(x: float, a: float) -> float:
+    """max(x, GRAD_FLOOR) ** -a, or inf where Python's float pow overflows (numpy's gives inf)."""
+    try:
+        return max(x, GRAD_FLOOR) ** -a
+    except OverflowError:
+        return math.inf
 
 
 def _caps_tuple(caps, n: int) -> tuple:
@@ -173,11 +206,11 @@ def _line_search_step(utilities: UtilitySpec, r, d) -> float:
     is zero (linear pieces, plateaus).  A constant phi gives 0.  r and d
     are sequences of N numbers, taken as Python floats.
     """
-    r, d = list(map(float, r)), list(map(float, d))
-    slope, curvature = utilities._slope(r, d, 0.0)
+    slope_at = utilities._slope_kernel(r, d)
+    slope, curvature = slope_at(0.0)
     if slope <= 0.0:
         return 0.0
-    if utilities._slope(r, d, 1.0)[0] > 0.0:
+    if slope_at(1.0)[0] > 0.0:
         return 1.0
     lo, hi, g, move = 0.0, 1.0, 0.0, 2.0
     while hi - lo > _LINE_SEARCH_TOL:
@@ -189,7 +222,7 @@ def _line_search_step(utilities: UtilitySpec, r, d) -> float:
         else:
             mid = 0.5 * (lo + hi)
             move, g = abs(mid - g), mid
-        slope, curvature = utilities._slope(r, d, g)
+        slope, curvature = slope_at(g)
         if slope > 0.0:
             lo = g
         else:
@@ -243,20 +276,20 @@ def solve_fairness(
         raise ValueError("max_iters must be at least 1")
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
-    vertex = _vertex_kernel(model)
+    vertex, gradient = _vertex_kernel(model), utilities._gradient_kernel()
 
     r = [0.0] * model.N
     gap = math.inf
     trace = []
     iters = 0
     for it in range(max_iters):
-        grad = utilities._gradient(r)
+        grad = gradient(r)
         if not all(map(math.isfinite, grad)):
             raise ValueError("non-finite utility gradient")
         if not any(grad):
             gap = 0.0
             break
-        d = [vn - rn for vn, rn in zip(vertex(grad).tolist(), r)]
+        d = [vn - rn for vn, rn in zip(vertex(grad), r)]
         gap = _dot(grad, d)
         if keep_trace:
             trace.append((np.array(r), utilities.value(r), gap))
@@ -266,8 +299,8 @@ def solve_fairness(
         step = _line_search_step(utilities, r, d)
         r = [rn + step * dn for rn, dn in zip(r, d)]
     else:  # max_iters moves: the last gap belongs to the point before r
-        grad = utilities._gradient(r)
-        gap = _dot(grad, [vn - rn for vn, rn in zip(vertex(grad).tolist(), r)]) if any(grad) else 0.0
+        grad = gradient(r)
+        gap = _dot(grad, [vn - rn for vn, rn in zip(vertex(grad), r)]) if any(grad) else 0.0
 
     r_star = np.clip(r, 0.0, np.asarray(utilities.caps))
     return FairnessSolution(
@@ -296,7 +329,7 @@ def fw_gap(
     region = build_region(model) if region is None else region
     if membership_margin(region, r) < -1e-7:
         raise ValueError("rate point lies outside the region")
-    grad = utilities._gradient(r.tolist())
+    grad = utilities._gradient_kernel()(r.tolist())
     if not any(grad):
         return 0.0
     return _dot(grad, (support_vertex(model, grad) - r).tolist())

@@ -343,6 +343,23 @@ def test_margin_rejects_negative_rates():
             membership_margin(region, rates)
 
 
+@pytest.mark.parametrize(("rates", "message"), [
+    ([np.nan, 0.5], "rates must be finite and nonnegative"),
+    ([-5.0, 1.5], "rates must be finite and nonnegative"),
+    ([0.5, np.inf], "rates must be finite and nonnegative"),
+    ([0.1], "rate point must have length 2"),
+    ([[0.5, 0.5]], "rate point must have length 2"),
+], ids=["nan", "negative", "inf", "short", "2d"])
+def test_binding_checks_the_rate_point_as_the_margin_does(rates, message):
+    # binding([nan, 0.5]) gave (), binding([-5.0, 1.5]) gave ((0, 1),), and a
+    # wrong length failed inside the matrix product
+    region = build_region(DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]]))
+    for ask in (region.binding, lambda r: membership_margin(region, r)):
+        with pytest.raises(ValueError) as info:
+            ask(rates)
+        assert str(info.value) == message
+
+
 def test_margin_is_finite_for_huge_finite_rates():
     region = build_region(DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]]))
     top = np.finfo(float).max

@@ -263,6 +263,30 @@ def test_fairness_subcommand(capsys, bern_model_path, options, r_star, binding):
     assert payload["binding_constraints"] == binding
 
 
+@pytest.mark.parametrize(("options", "message"), [
+    (["--weights", "5,1", "--fairness-alpha", "7"], "--weights does not apply to the log utility"),
+    (["--fairness-alpha", "2"], "--fairness-alpha does not apply to the log utility"),
+    (["--utility", "linear", "--epsilon", "0.1"], "--epsilon does not apply to the linear utility"),
+    (["--utility", "linear", "--weights", "1,1", "--fairness-alpha", "2"],
+     "--fairness-alpha does not apply to the linear utility"),
+    (["--utility", "alpha_fair", "--eps", "1e-6"], "--epsilon does not apply to the alpha_fair utility"),
+    (["--utility", "alpha_fair", "--weights", "2,1"], "--weights does not apply to the alpha_fair utility"),
+], ids=["log-weights", "log-alpha", "linear-epsilon", "linear-alpha", "alpha-abbreviated-epsilon", "alpha-weights"])
+def test_fairness_rejects_the_options_of_another_utility(capsys, bern_model_path, options, message):
+    # these were ignored, and the solve ran with the utility's own parameters
+    assert main(["fairness", "--model", bern_model_path, *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err.splitlines()
+
+
+def test_fairness_own_option_at_its_default_keeps_the_config(capsys, bern_model_path):
+    configs = []
+    for options in ([], ["--epsilon", "1e-6"]):
+        assert main(["fairness", "--model", bern_model_path, *options]) == 0
+        configs.append(capsys.readouterr().err.splitlines()[0])
+    assert configs[0] == configs[1]
+
+
 def test_fairness_reports_convergence_and_exits_3_when_capped(capsys, bern_model_path, tmp_path):
     argv = ["fairness", "--model", bern_model_path, "--utility", "log", "--tol", "1e-6"]
     assert main(argv) == 0

@@ -113,6 +113,14 @@ def test_gradient_rejects_a_rate_of_another_shape(r):
         UtilitySpec.log_shifted(2).gradient(r)
 
 
+@pytest.mark.parametrize("r", [[0.5], [0.5, 0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]], 0.5],
+                         ids=["short", "long", "2d", "scalar"])
+def test_value_rejects_a_rate_of_another_shape(r):
+    # value([0.5]) broadcast to the value at (0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"rate point must have length 3, got shape"):
+        UtilitySpec.log_shifted(3).value(r)
+
+
 def test_infinite_caps_are_allowed():
     assert UtilitySpec.log_shifted(2, caps=[math.inf, 1.0]).caps == (math.inf, 1.0)
 
@@ -480,7 +488,7 @@ def test_vertex_kernel_matches_support_vertex_on_ties(rng, tie_rule):
         served = probs * values[np.arange(len(values)), winner]
         expected = np.bincount(winner, weights=served, minlength=model.N)
         kernel = capacity_region._vertex_kernel(model, tie_rule)(alpha.astype(float).tolist())
-        assert kernel.tobytes() == expected.tobytes()
+        assert np.array(kernel).tobytes() == expected.tobytes()
         assert support_vertex(model, alpha, tie_rule=tie_rule).tobytes() == expected.tobytes()
         checked += 1
 
@@ -507,7 +515,8 @@ def test_memoized_kernel_matches_a_fresh_kernel(rng, tie_rule):
             vertex = kernel(alpha)
             hits += any(vertex is seen for seen in returned)
             returned.append(vertex)
-            assert vertex.tobytes() == capacity_region._vertex_kernel(model, tie_rule)(alpha).tobytes()
+            fresh = capacity_region._vertex_kernel(model, tie_rule)(alpha)
+            assert np.array(vertex).tobytes() == np.array(fresh).tobytes()
     assert kinds == {"bernoulli", "factored", "explicit_joint"} and hits > 30 * 12
 
 
@@ -541,11 +550,76 @@ def test_gradient_is_the_per_queue_derivative(spec):
     for r in ([0.25, 0.0, GRAD_FLOOR, 1.5], [0.0, GRAD_FLOOR, 0.5, 0.5 * GRAD_FLOOR]):
         grad = spec.gradient(r)
         for n, (rn, cap) in enumerate(zip(r, spec.caps)):
-            expected = 0.0 if rn >= cap else spec._derivative(n, rn)
+            expected = spec._gradient_kernel()(r)[n]
             assert grad[n] == expected
             # the line search's right slope along e_n reads the same derivative
             e = [0.0] * 4
             e[n] = 1.0
-            assert spec._slope(r, e, 0.0)[0] == expected
+            assert spec._slope_kernel(r, e)(0.0)[0] == expected
     if spec.kind == "alpha_fair":
         assert spec.gradient([0.0, 0.0, 0.0, 0.0])[1] == GRAD_FLOOR ** -spec.a
+
+
+# -- the per-kind kernels against literal per-queue formulas --------------------------
+
+
+def literal_derivative(spec, n, x):
+    """u_n'(x) below the cap, one queue at a time."""
+    if spec.kind == "weighted_linear":
+        return spec.weights[n]
+    if spec.kind == "log_shifted":
+        return 1.0 / (x + spec.epsilon)
+    try:
+        return max(x, GRAD_FLOOR) ** -spec.a
+    except OverflowError:
+        return math.inf
+
+
+def literal_slope(spec, r, d, g):
+    """Right slope and curvature of g -> value(r + g d), summed queue by queue."""
+    slope = curvature = 0.0
+    for n, (rn, dn, cap) in enumerate(zip(r, d, spec.caps)):
+        x = rn + g * dn
+        if dn == 0.0 or x > cap or (x == cap and dn > 0.0):
+            continue
+        u = literal_derivative(spec, n, x)
+        slope += dn * u
+        if spec.kind == "log_shifted":
+            curvature -= dn * dn * u * u
+        elif spec.kind == "alpha_fair" and x > GRAD_FLOOR:
+            curvature -= spec.a * dn * dn * u / x
+    return slope, curvature
+
+
+KERNEL_CAPS = [0.5, 0.5, math.inf, math.inf, math.inf, math.inf, 0.5]
+
+
+@pytest.mark.parametrize("spec", [
+    UtilitySpec.weighted_linear([0.5, 2.0, 1.0, 3.0, 1.5, 0.25, 0.75], caps=KERNEL_CAPS),
+    UtilitySpec.log_shifted(7, epsilon=1e-3, caps=KERNEL_CAPS),
+    UtilitySpec.alpha_fair(7, 0.5, caps=KERNEL_CAPS),
+    UtilitySpec.alpha_fair(7, 2.0, caps=KERNEL_CAPS),
+    UtilitySpec.alpha_fair(7, 30.0, caps=KERNEL_CAPS),  # GRAD_FLOOR ** -30 overflows to inf
+], ids=["linear", "log", "alpha05", "alpha2", "alpha30"])
+def test_kernels_are_the_literal_per_queue_formulas(spec):
+    # queue 0 reaches its cap of 0.5 from below at g = 1/2, queue 1 from above;
+    # queues 2 and 5 do not move (d = 0.0 and -0.0); queue 3 runs from
+    # GRAD_FLOOR to zero and queue 4 leaves zero; queue 6 starts at its cap
+    points = [
+        ([0.25, 0.75, 0.3, GRAD_FLOOR, 0.0, 0.5 * GRAD_FLOOR, 0.5], [0.5, -0.5, 0.0, -GRAD_FLOOR, 0.25, -0.0, 0.25]),
+        ([0.5, 0.5, 0.1, 0.5 * GRAD_FLOOR, 1e-3, 0.0, 0.5], [-0.25, 0.25, 0.0, 0.5 * GRAD_FLOOR, -1e-3, 0.0, -0.25]),
+    ]
+    grid = [0.0, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0, *np.linspace(0.0, 1.0, 17).tolist()]
+    hexed = lambda values: [float(v).hex() for v in values]
+    gradient = spec._gradient_kernel()
+    infinite = set()
+    for r, d in points:
+        kernel = spec._slope_kernel(r, d)
+        for g in grid:
+            x = [rn + g * dn for rn, dn in zip(r, d)]
+            expected = [0.0 if xn >= cap else literal_derivative(spec, n, xn)
+                        for n, (xn, cap) in enumerate(zip(x, spec.caps))]
+            assert hexed(gradient(x)) == hexed(expected)
+            assert hexed(kernel(g)) == hexed(literal_slope(spec, r, d, g))
+            infinite.update(map(math.isinf, expected))
+    assert infinite == ({False, True} if spec.a == 30.0 else {False})
