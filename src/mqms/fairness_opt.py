@@ -118,7 +118,7 @@ class UtilitySpec:
         return lambda r: [0.0 if x >= cap else _floored_power(x, a) for x, cap in zip(r, caps)]
 
     def _slope_kernel(self, r, d):
-        """g -> the right slope and curvature of value(r + g d), r and d float sequences.
+        """g -> the right slope and curvature of value(r + g d), r and d sequences of Python floats.
 
         A queue adds d_n u_n'(x_n) at x_n = r_n + g d_n while it stays below
         its cap over a small step to the right: a queue at its cap adds
@@ -128,7 +128,7 @@ class UtilitySpec:
         it adds no curvature there.
         """
         eps, a = self.epsilon, self.a
-        queues = zip(map(float, r), map(float, d), self.caps)
+        queues = zip(r, d, self.caps)
         if self.kind == "weighted_linear":
             queues = [(rn, dn, cap, dn * w) for (rn, dn, cap), w in zip(queues, self.weights) if dn]
 
@@ -204,7 +204,8 @@ def _line_search_step(utilities: UtilitySpec, r, d) -> float:
     on the slope from the last point, or a bisection when that step would
     leave the bracket, would not halve the previous move, or the curvature
     is zero (linear pieces, plateaus).  A constant phi gives 0.  r and d
-    are sequences of N numbers, taken as Python floats.
+    are sequences of N Python floats; they are not converted, so a caller
+    with arrays passes ``.tolist()``.
     """
     slope_at = utilities._slope_kernel(r, d)
     slope, curvature = slope_at(0.0)

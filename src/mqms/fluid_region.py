@@ -40,17 +40,40 @@ def _link_rows(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(block.transpose(1, 2, 0))
 
 
+def _support_evaluator(rows: np.ndarray):
+    """alpha -> mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S).
+
+    The work arrays are allocated once, here, and reused by every direction:
+    the (K, S) running maxima, one (K, S) scaled block whose first row also
+    holds the deviations, and the (S,) server sums.  The statistics make the
+    ufunc calls of ``ndarray.mean`` and ``std(ddof=1)``, in their order, on
+    one pairwise sum of the sums, so they are bit-identical to those two.
+    """
+    N, K, S = rows.shape
+    peaks = np.empty((K, S))
+    scaled = np.empty((K, S))
+    vals = np.empty(S)
+    dev = scaled[0]
+    root_s = math.sqrt(S)
+
+    def support(alpha) -> tuple[float, float]:
+        np.multiply(rows[0], alpha[0], out=peaks)
+        for n in range(1, N):
+            np.maximum(peaks, np.multiply(rows[n], alpha[n], out=scaled), out=peaks)
+        np.add.reduce(peaks, axis=0, initial=0.0, out=vals)  # servers added left to right
+        mean = float(np.add.reduce(vals)) / S
+        if S == 1:
+            return mean, float("inf")
+        np.subtract(vals, mean, out=dev)
+        ssd = float(np.add.reduce(np.square(dev, out=dev)))
+        return mean, math.sqrt(ssd / (S - 1)) / root_s
+
+    return support
+
+
 def _support_on_block(rows: np.ndarray, alpha: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S)."""
-    peaks = np.multiply(rows[0], alpha[0])
-    scaled = np.empty_like(peaks)
-    for n in range(1, len(rows)):
-        np.maximum(peaks, np.multiply(rows[n], alpha[n], out=scaled), out=peaks)
-    vals = np.add.reduce(peaks, axis=0, initial=0.0)  # servers added left to right
-    n = len(vals)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return est, se
+    return _support_evaluator(rows)(alpha)
 
 
 def mc_support_function(
@@ -67,7 +90,7 @@ def mc_support_function(
     if samples < 1:
         raise ValueError("need at least one sample")
     rows = _link_rows(sample_states(model, np.random.default_rng(seed), samples))
-    return _support_on_block(rows, a)
+    return _support_evaluator(rows)(a)
 
 
 def exp_2q_boundary(mu1: float, mu2: float, lambda1: float) -> float:
@@ -116,16 +139,19 @@ def boundary_trace(
     if lambda1_values is None:
         lambda1_values = np.linspace(0.0, box1, 201)
     lam1 = np.asarray(lambda1_values, dtype=float)
+    if lam1.ndim != 1:
+        raise ValueError(f"lambda1_values must be one-dimensional, got shape {lam1.shape}")
     if not (np.isfinite(lam1) & (lam1 >= 0)).all():
         raise ValueError("lambda1 values must be finite and nonnegative")
 
     rows = _link_rows(sample_states(model, np.random.default_rng(seed), samples))
     thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    support = _support_evaluator(rows)
     est = np.empty(directions)
     se = np.empty(directions)
     for d in range(directions):
-        est[d], se[d] = _support_on_block(rows, np.array([cos_t[d], sin_t[d]]))
+        est[d], se[d] = support((cos_t[d], sin_t[d]))
 
     # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t
     cand = (est[None, :] - lam1[:, None] * cos_t[None, :]) / sin_t[None, :]

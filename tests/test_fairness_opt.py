@@ -335,7 +335,7 @@ def test_line_search_matches_dense_scan(spec, r, v, atol):
     grid = np.linspace(0.0, 1.0, 2**20 + 1)  # holds every argmax above exactly
     values = phi(grid)
     dense = grid[int(np.argmax(values))]
-    gamma = _line_search_step(spec, r, d)
+    gamma = _line_search_step(spec, r.tolist(), d.tolist())
     assert abs(gamma - dense) <= atol
     assert phi(gamma) >= max(values[0], values[-1]) - 1e-12
     if dense == 0.0:  # a constant phi, or one that falls from the start
@@ -447,7 +447,7 @@ def reference_fw(model, spec, tol, max_iters):
         if float(grad @ (v - r)) <= tol:
             break
         d = v - r
-        r = r + _line_search_step(spec, r, d) * d
+        r = r + _line_search_step(spec, r.tolist(), d.tolist()) * d
     return np.clip(r, 0.0, np.asarray(spec.caps)), iters
 
 

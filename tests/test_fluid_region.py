@@ -156,25 +156,44 @@ def test_support_on_block_matches_broadcast_on_zero_links(rng, K):
         assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
 
 
+def record_evaluators(monkeypatch):
+    """Record, per evaluator that _support_evaluator builds, the estimates it returns."""
+    built = []
+    build = fluid_region._support_evaluator
+
+    def recording_build(rows):
+        support, calls = build(rows), []
+        built.append(calls)
+
+        def recording(alpha):
+            calls.append(support(alpha))
+            return calls[-1]
+
+        return recording
+
+    monkeypatch.setattr(fluid_region, "_support_evaluator", recording_build)
+    return built
+
+
 def test_trace_estimates_equal_mc_support_function(rng, monkeypatch):
     # every direction of a trace is the support estimate of that direction
     # from the same seed, exactly
     model = random_continuous(rng, 2, 3)
-    calls = []
-    support = fluid_region._support_on_block
-
-    def recording(rows, alpha):
-        calls.append(support(rows, alpha))
-        return calls[-1]
-
-    monkeypatch.setattr(fluid_region, "_support_on_block", recording)
+    built = record_evaluators(monkeypatch)
     D, samples, seed = 9, 2_000, 31
     boundary_trace(model, directions=D, samples=samples, seed=seed, lambda1_values=[0.0])
-    traced = calls[:]
+    [traced] = built
     assert len(traced) == D
     thetas = np.arange(1, D + 1) * (math.pi / 2.0) / (D + 1)
     for t, est in zip(thetas, traced):
         assert bits(mc_support_function(model, (math.cos(t), math.sin(t)), samples, seed)) == bits(est)
+
+
+@pytest.mark.parametrize("D", [3, 181])
+def test_trace_builds_one_evaluator(rng, monkeypatch, D):
+    built = record_evaluators(monkeypatch)
+    boundary_trace(random_continuous(rng, 2, 2), directions=D, samples=50, seed=3)
+    assert [len(calls) for calls in built] == [D]
 
 
 # -- closed-form two-queue boundary ---------------------------------------------
@@ -295,3 +314,21 @@ def test_trace_requires_at_least_one_sample(samples):
 def test_trace_rejects_non_finite_or_negative_lambda1(values):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         boundary_trace(exponential_pair(1, 1), directions=5, samples=10, lambda1_values=values)
+
+
+@pytest.mark.parametrize("values", [0.5, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2-d"])
+def test_trace_rejects_lambda1_that_is_not_one_dimensional(monkeypatch, values):
+    # rejected before any sample is drawn
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking lambda1_values")
+
+    monkeypatch.setattr(fluid_region, "sample_states", no_sampling)
+    with pytest.raises(ValueError, match="lambda1_values must be one-dimensional"):
+        boundary_trace(exponential_pair(1, 1), directions=5, samples=10, lambda1_values=values)
+
+
+def test_trace_on_no_lambda1_is_an_empty_curve():
+    curve = boundary_trace(exponential_pair(1, 1), directions=5, samples=10, lambda1_values=[])
+    for arr in (curve.lambda1, curve.lambda2, curve.stderr):
+        assert arr.shape == (0,) and arr.dtype == float
+    assert (curve.directions, curve.samples) == (5, 10)
