@@ -311,8 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fluid-boundary", help="trace the two-queue fluid stability boundary")
     p.add_argument("--model", required=True)
     p.add_argument("--directions", type=int, default=181)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="accepted and ignored: the support values are exact (must be >= 1)")
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the trace draws nothing")
     p.add_argument("--out", help="curve CSV path (default stdout)")
     p.set_defaults(func=_cmd_fluid_boundary)
 

@@ -246,6 +246,17 @@ def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):
     assert first[0] == 0.0 and 0.8 <= first[1] <= 1.2
 
 
+def test_fluid_boundary_ignores_seed_and_samples(exp_model_path, tmp_path):
+    # only the '# stamp' line, which hashes the arguments, differs
+    bodies = []
+    for seed, samples in [("1", "2000"), ("7", "100000")]:
+        out = tmp_path / f"curve-{seed}.csv"
+        argv = ["fluid-boundary", "--model", exp_model_path, "--seed", seed, "--samples", samples, "--out", str(out)]
+        assert main(argv) == 0
+        bodies.append(out.read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
+
+
 @pytest.mark.parametrize(("options", "r_star", "binding"), [
     (["--utility", "log"], [0.375, 0.375], [[1, 1]]),
     (["--utility", "alpha_fair", "--fairness-alpha", "2"], [0.375, 0.375], [[1, 1]]),

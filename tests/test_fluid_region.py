@@ -1,16 +1,26 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mqms import (
     ContinuousChannelModel,
+    DiscreteChannelModel,
     LinkDistribution,
+    ValidationError,
     boundary_trace,
     exp_2q_boundary,
+    link_means,
+    load_model,
     mc_support_function,
     sample_states,
+    support_function,
 )
+import mqms
 from mqms import fluid_region
 
 
@@ -156,44 +166,154 @@ def test_support_on_block_matches_broadcast_on_zero_links(rng, K):
         assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
 
 
-def record_evaluators(monkeypatch):
-    """Record, per evaluator that _support_evaluator builds, the estimates it returns."""
-    built = []
-    build = fluid_region._support_evaluator
+def record_supports(monkeypatch):
+    """Record the directions and values of every _exact_supports call."""
+    calls = []
+    evaluate = fluid_region._exact_supports
 
-    def recording_build(rows):
-        support, calls = build(rows), []
-        built.append(calls)
+    def recording(model, alphas):
+        calls.append((np.array(alphas), evaluate(model, alphas)))
+        return calls[-1][1]
 
-        def recording(alpha):
-            calls.append(support(alpha))
-            return calls[-1]
-
-        return recording
-
-    monkeypatch.setattr(fluid_region, "_support_evaluator", recording_build)
-    return built
+    monkeypatch.setattr(fluid_region, "_exact_supports", recording)
+    return calls
 
 
 def test_trace_estimates_equal_mc_support_function(rng, monkeypatch):
-    # every direction of a trace is the support estimate of that direction
-    # from the same seed, exactly
+    # every direction of a trace is the exact support of that direction,
+    # which the independent Monte Carlo estimate agrees with
     model = random_continuous(rng, 2, 3)
-    built = record_evaluators(monkeypatch)
-    D, samples, seed = 9, 2_000, 31
-    boundary_trace(model, directions=D, samples=samples, seed=seed, lambda1_values=[0.0])
-    [traced] = built
-    assert len(traced) == D
+    calls = record_supports(monkeypatch)
+    D = 9
+    boundary_trace(model, directions=D, samples=2_000, seed=31, lambda1_values=[0.0])
+    [(alphas, supports)] = calls
     thetas = np.arange(1, D + 1) * (math.pi / 2.0) / (D + 1)
-    for t, est in zip(thetas, traced):
-        assert bits(mc_support_function(model, (math.cos(t), math.sin(t)), samples, seed)) == bits(est)
+    assert bits(alphas) == bits(np.column_stack([np.cos(thetas), np.sin(thetas)]))
+    for alpha, h in zip(alphas, supports):
+        est, se = mc_support_function(model, alpha, 200_000, seed=31)
+        assert abs(h - est) <= 4 * se
 
 
 @pytest.mark.parametrize("D", [3, 181])
 def test_trace_builds_one_evaluator(rng, monkeypatch, D):
-    built = record_evaluators(monkeypatch)
+    # one batched call for every direction, and no sampling at all
+    def no_sampling(*args):
+        raise AssertionError("boundary_trace sampled")
+
+    monkeypatch.setattr(fluid_region, "sample_states", no_sampling)
+    calls = record_supports(monkeypatch)
     boundary_trace(random_continuous(rng, 2, 2), directions=D, samples=50, seed=3)
-    assert [len(calls) for calls in built] == [D]
+    assert [alphas.shape for alphas, _ in calls] == [(D, 2)]
+
+
+# -- exact support values ------------------------------------------------------------
+
+
+def supports(model, alphas):
+    return fluid_region._exact_supports(model, np.asarray(alphas, dtype=float))
+
+
+@pytest.mark.parametrize(("u", "v"), [(1.0, 1.0), (2.0, 1.0), (0.3, 5.0), (1e-3, 7.0)])
+def test_exact_support_of_two_exponentials_is_the_closed_form(u, v):
+    model = exponential_pair(u, v)
+    alphas = np.array([[1.0, 1.0], [0.3, 0.7], [2.0, 1e-3], [math.cos(0.1), math.sin(0.1)]])
+    for alpha, h in zip(alphas, supports(model, alphas)):
+        truth = max_of_exponentials_mean(alpha[0] * u, alpha[1] * v)
+        assert abs(h - truth) <= 1e-14 * truth
+
+
+@pytest.mark.parametrize(("m", "h"), [(1.0, 1.0), (0.1, 1.0), (1e-3, 1.0), (0.3, 30.0), (2.0, 3.0)])
+def test_exact_support_of_an_exponential_and_a_uniform_is_the_closed_form(m, h):
+    # E[max(E, U)] = h/2 + m^2 (1 - e^-u (1 + u)) / h + m e^-u, u = h/m, for
+    # E exponential with mean m and U uniform on [0, h]; many exponential
+    # scales fall inside [0, h] when m is small
+    def truth(m, h):
+        u = h / m
+        return h / 2 + m * m * (-math.expm1(-u) - u * math.exp(-u)) / h + m * math.exp(-u)
+
+    model = ContinuousChannelModel.of([[LinkDistribution("exponential", mean=m)], [LinkDistribution("uniform", high=h)]])
+    alphas = np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 0.7]])
+    for (a1, a2), got in zip(alphas, supports(model, alphas)):
+        assert abs(got - truth(a1 * m, a2 * h)) <= 1e-14 * truth(a1 * m, a2 * h)
+
+
+def test_exact_support_of_integer_empirical_links_is_the_factored_support(rng):
+    # an empirical table of levels 0..M is the factored link whose pmf holds
+    # the table's frequencies; support_function reads it by the column law
+    for _ in range(20):
+        N, K, M = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        counts = rng.integers(0, 4, (N, K, M + 1))
+        counts[..., int(rng.integers(0, M + 1))] += 1  # no empty table
+        tables = [[rng.permutation(np.repeat(np.arange(M + 1), counts[n, k])).astype(float)
+                   for k in range(K)] for n in range(N)]
+        continuous = ContinuousChannelModel.of(
+            [[LinkDistribution("empirical", values=tuple(t.tolist())) for t in row] for row in tables]
+        )
+        factored = DiscreteChannelModel.factored((counts / counts.sum(axis=2, keepdims=True)).tolist())
+        alphas = rng.uniform(0.0, 2.0, (6, N)) * rng.choice([0.0, 1.0, 1e-3], (6, N))
+        alphas[:, 0] += 0.1
+        for alpha, h in zip(alphas, supports(continuous, alphas)):
+            truth = support_function(factored, alpha)
+            assert abs(h - truth) <= 1e-14 * max(1.0, truth)
+
+
+def test_exact_support_agrees_with_monte_carlo_on_mixed_models():
+    rng = np.random.default_rng(2828)
+    for _ in range(30):
+        model = random_continuous(rng, 2, 2)
+        alpha = rng.uniform(0.05, 1.0, 2)
+        est, se = mc_support_function(model, alpha, 400_000, seed=int(rng.integers(1 << 30)))
+        assert abs(supports(model, [alpha])[0] - est) <= 4 * se
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_exact_support_on_an_axis_sums_the_link_means(rng, K):
+    for _ in range(10):
+        model = random_continuous(rng, 3, K)
+        means = link_means(model)
+        for n, h in enumerate(supports(model, np.eye(3))):
+            assert abs(h - means[n].sum()) <= 1e-14 * max(1.0, means[n].sum())
+        # -0.0 weighs a link as 0 does
+        alpha = np.array([1.0, -0.0, 0.0])
+        assert bits(supports(model, [alpha])) == bits(supports(model, [np.eye(3)[0]]))
+
+
+def test_exact_support_rule_is_numpys_and_converged(rng, monkeypatch):
+    from numpy.polynomial.legendre import leggauss
+
+    assert [bits(a) for a in fluid_region._gauss_legendre()] == [bits(a) for a in leggauss(16)]
+    # 24 Gauss-Legendre nodes per piece give the 16-node values
+    models = [random_continuous(rng, 2, 2) for _ in range(50)]
+    alphas = rng.uniform(0.05, 1.0, (5, 2))
+    ours = [supports(model, alphas) for model in models]
+    monkeypatch.setattr(fluid_region, "_gauss_legendre", lambda: leggauss(24))
+    finer = [supports(model, alphas) for model in models]
+    for h, ref in zip(ours, finer):
+        assert (np.abs(h - ref) <= 1e-14 * np.maximum(1.0, ref)).all()
+
+
+def test_exact_support_edge_cases():
+    def one_server(*links):
+        return ContinuousChannelModel.of([[link] for link in links])
+
+    def emp(*values):
+        return LinkDistribution("empirical", values=values)
+
+    def exp(mean):
+        return LinkDistribution("exponential", mean=mean)
+
+    # below its smallest atom an empirical cdf is 0: max(C, 0) is C
+    assert supports(one_server(emp(1.0, 2.0), emp(0.0)), [[1.0, 1.0]])[0] == 1.5
+    assert supports(one_server(emp(1.0, 2.0), emp(0.0)), [[1.0, 5.0]])[0] == 1.5
+    # -0.0 atoms, and a link that is always zero
+    assert supports(one_server(emp(-0.0, 2.0), emp(0.0, -0.0)), [[1.0, 1.0]])[0] == 1.0
+    assert supports(one_server(emp(0.0), emp(-0.0)), [[1.0, 1.0]])[0] == 0.0
+    mixed = ContinuousChannelModel.of([[exp(1.5), emp(-0.0, 0.0)], [emp(0.0), LinkDistribution("uniform", high=2.0)]])
+    assert abs(supports(mixed, [[1.0, 1.0]])[0] - 2.5) <= 1e-15
+    # a server whose links are all exponential is the inclusion-exclusion tail alone
+    three = one_server(exp(1.0), exp(2.0), exp(4.0))
+    truth = 1 + 2 + 4 - 1 / (1 + 1 / 2) - 1 / (1 + 1 / 4) - 1 / (1 / 2 + 1 / 4) + 1 / (1 + 1 / 2 + 1 / 4)
+    assert abs(supports(three, [[1.0, 1.0, 1.0]])[0] - truth) <= 1e-14 * truth
 
 
 # -- closed-form two-queue boundary ---------------------------------------------
@@ -332,3 +452,62 @@ def test_trace_on_no_lambda1_is_an_empty_curve():
     for arr in (curve.lambda1, curve.lambda2, curve.stderr):
         assert arr.shape == (0,) and arr.dtype == float
     assert (curve.directions, curve.samples) == (5, 10)
+
+
+def test_trace_rejects_a_discrete_model():
+    model = DiscreteChannelModel.factored([[[0.5, 0.5]], [[0.25, 0.75]]])
+    with pytest.raises(ValidationError, match="continuous model"):
+        boundary_trace(model, directions=5, samples=10)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_trace_rejects_seeds_a_generator_rejects(seed):
+    with pytest.raises((ValueError, TypeError)):
+        boundary_trace(exponential_pair(1, 1), directions=5, samples=10, seed=seed)
+
+
+def test_trace_ignores_samples_and_seed(rng):
+    model = random_continuous(rng, 2, 3)
+    base = boundary_trace(model, directions=31, samples=100_000, seed=0)
+    for samples, seed in [(1, 0), (20_000, 7), (100_000, 2**40)]:
+        other = boundary_trace(model, directions=31, samples=samples, seed=seed)
+        assert other.samples == samples
+        for a, b in zip((base.lambda1, base.lambda2, base.stderr), (other.lambda1, other.lambda2, other.stderr)):
+            assert bits(a) == bits(b)
+
+
+# -- the certified bracket ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("D", [3, 11, 47, 181])
+@pytest.mark.parametrize(("mu1", "mu2"), [(2.0, 1.0), (1.0, 1.0), (0.3, 5.0)])
+def test_trace_brackets_the_closed_form(mu1, mu2, D):
+    grid = np.linspace(0.0, mu1, 401)
+    curve = boundary_trace(exponential_pair(mu1, mu2), directions=D, lambda1_values=grid)
+    truth = np.array([exp_2q_boundary(mu1, mu2, float(l1)) for l1 in grid])
+    assert (curve.stderr >= 0).all()
+    assert (curve.lambda2 - curve.stderr <= truth).all()
+    assert (truth <= curve.lambda2 + 1e-12).all()
+    # the bracket is tight where the boundary is known: at the queue-2 axis
+    assert curve.stderr[0] == 0.0 and curve.lambda2[0] == mu2
+
+
+def test_trace_bracket_holds_a_finer_envelope():
+    # both envelopes are upper bounds and the coarse bracket's floor a lower
+    # bound.  The grids do not nest (182 does not divide 4096), so the fine
+    # envelope may stand above the coarse one by its own bracket width
+    model = load_model(pathlib.Path(__file__).parents[1] / "demos" / "models" / "mixed_2x2_cont.json")
+    coarse = boundary_trace(model, directions=181)
+    fine = boundary_trace(model, directions=4095)
+    assert (coarse.lambda2 - coarse.stderr <= fine.lambda2 + 1e-12).all()
+    assert (fine.lambda2 <= coarse.lambda2 + fine.stderr + 1e-12).all()
+    assert fine.stderr.max() < coarse.stderr.max() / 10
+
+
+def test_trace_leaves_numpy_polynomial_unimported():
+    # the quadrature rule is inlined: numpy.polynomial costs 4 ms to import
+    code = ("import sys, mqms; mqms.boundary_trace(mqms.load_model(sys.argv[1]), directions=5); "
+            "assert 'numpy.polynomial' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(mqms.__file__).parents[1])}
+    model = pathlib.Path(__file__).parents[1] / "demos" / "models" / "mixed_2x2_cont.json"
+    subprocess.run([sys.executable, "-c", code, str(model)], check=True, env=env)
