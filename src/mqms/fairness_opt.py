@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel, ValidationError, _read_kind
+from .channel_models import DiscreteChannelModel, ValidationError, _read, _read_kind
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
@@ -273,6 +273,7 @@ def solve_fairness(
     _check_dimensions(model, utilities, None)
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be finite and positive")
+    max_iters = _read(max_iters, int, "max_iters")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if step_rule != "line_search":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import _check_direction
-from .channel_models import ContinuousChannelModel, ValidationError, link_means, sample_states
+from .channel_models import ContinuousChannelModel, ValidationError, _read, link_means, sample_states
 
 # The 16-point Gauss-Legendre rule on [-1, 1], one rule per piece: its
 # positive nodes and their weights, as numpy.polynomial.legendre.leggauss(16)
@@ -36,6 +36,7 @@ _GAUSS_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
                   0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176)
 _EXP_CUT_SCALES = 4   # an exponential link cuts the pieces every 4 of its scales ...
 _EXP_CUTS = 10        # ... up to 40, past which its cdf is 1 to within e^-40
+_TRACE_BLOCK = 512    # directions evaluated together: bounds a trace's work arrays
 
 
 @dataclass(frozen=True)
@@ -136,11 +137,13 @@ def _exact_supports(model: ContinuousChannelModel, alphas) -> np.ndarray:
     atom of an empirical link and the top of every uniform one, cut
     [0, T], T the largest of them, into pieces on which each empirical cdf
     is constant and each uniform cdf linear.  An exponential link adds a
-    cut every 4 of its scales alpha[n] * mean, up to 40.  A server with
-    only empirical links is summed exactly, piece by piece.  Any other
-    server is integrated with a 16-point Gauss-Legendre rule per piece:
-    exact on the polynomials that uniform links make, and at rounding
-    level on exponential factors, whose pieces span at most 4 scales.
+    cut every 4 of its scales alpha[n] * mean, up to 40.  Cuts past T and
+    coinciding breakpoints leave pieces of zero width, which add 0 and are
+    not evaluated (``_up_to_top``).  A server with only empirical links is
+    summed exactly, piece by piece.  Any other server is integrated with a
+    16-point Gauss-Legendre rule per piece: exact on the polynomials that
+    uniform links make, and at rounding level on exponential factors,
+    whose pieces span at most 4 scales.
     Past T only exponential links stay below 1, and by inclusion-exclusion
 
         integral_T^inf (1 - prod_j (1 - e^{-x r_j})) dx
@@ -150,7 +153,8 @@ def _exact_supports(model: ContinuousChannelModel, alphas) -> np.ndarray:
     tail has 2^J - 1 terms for J exponential links on a server, and its
     cancellation costs about 2^J / J ulps: meant for a few per server.
     Every sum is a ufunc reduction, not a BLAS product, so the bits do not
-    depend on the BLAS build.
+    depend on the BLAS build, and each row's value does not depend on the
+    other rows: evaluating the directions in blocks gives the same bits.
     """
     alphas = np.asarray(alphas, dtype=float)
     on = alphas > 0                      # alpha[n] = 0 (or -0.0): Y_n = 0, never above x
@@ -183,35 +187,50 @@ def _server_supports(links, alphas, on, safe) -> np.ndarray:
 
 
 def _up_to_top(steps, ramps, exps, tops, T, alphas, on, safe) -> np.ndarray:
-    """integral_0^T (1 - prod_n G_n(x)) dx, piece by piece."""
+    """integral_0^T (1 - prod_n G_n(x)) dx, piece by piece.
+
+    Clamping the breakpoints at T leaves many pieces of zero width: 71%
+    and 79% on the two servers of demos/models/mixed_2x2_cont.json at 181
+    directions.
+    Only the live pieces (hi > lo) of all directions are evaluated, as one
+    flat (pieces, nodes) array, with the same elementwise operations per
+    piece.  Each integral is put back in its (direction, piece) cell of a
+    zeroed array, so a dead piece adds the +0.0 it would add if evaluated
+    and the sum over pieces sees the same operands in the same order.
+    """
     cuts = np.arange(1, _EXP_CUTS + 1) * float(_EXP_CUT_SCALES)
     bps = np.concatenate([tops] + [alphas[:, n, None] * (mean * cuts) for n, mean in exps], axis=1)
     bps = np.sort(np.minimum(bps, T[:, None]), axis=1)
-    lo, hi = bps[:, :-1], bps[:, 1:]
+    live = bps[:, 1:] > bps[:, :-1]      # (D, pieces)
+    rows = np.nonzero(live)[0]           # the direction of each live piece
+    lo, hi = bps[:, :-1][live], bps[:, 1:][live]
     half = (hi - lo) / 2.0
     mid = lo + half
 
     # empirical cdfs are constant on each piece: read them at its midpoint
     below = np.ones_like(mid)
     for n, atoms, cdf in steps:
-        below *= _masked(cdf[np.searchsorted(atoms, mid / safe[:, n, None], side="right")], on[:, n, None])
+        below *= _masked(cdf[np.searchsorted(atoms, mid / safe[rows, n], side="right")], on[rows, n])
+    pieces = np.zeros(live.shape)
     if not (ramps or exps):
-        return np.add.reduce((hi - lo) * (1.0 - below), axis=1)
+        pieces[live] = (hi - lo) * (1.0 - below)
+        return np.add.reduce(pieces, axis=1)
 
     nodes, weights = _gauss_legendre()
-    x = half[..., None] * nodes  # (D, pieces, nodes)
-    x += mid[..., None]
-    below = np.repeat(below[..., None], len(nodes), axis=2)
+    x = half[:, None] * nodes  # (live pieces, nodes)
+    x += mid[:, None]
+    below = np.repeat(below[:, None], len(nodes), axis=1)
     cdf = np.empty_like(x)  # one work array for every link's cdf
     for n, high in ramps:
-        np.divide(x, (safe[:, n] * high)[:, None, None], out=cdf)
-        below *= _masked(np.minimum(cdf, 1.0, out=cdf), on[:, n, None, None])
+        np.divide(x, (safe[rows, n] * high)[:, None], out=cdf)
+        below *= _masked(np.minimum(cdf, 1.0, out=cdf), on[rows, n, None])
     for n, mean in exps:
-        np.divide(x, -(safe[:, n] * mean)[:, None, None], out=cdf)
-        below *= _masked(np.negative(np.expm1(cdf, out=cdf), out=cdf), on[:, n, None, None])
+        np.divide(x, -(safe[rows, n] * mean)[:, None], out=cdf)
+        below *= _masked(np.negative(np.expm1(cdf, out=cdf), out=cdf), on[rows, n, None])
     np.subtract(1.0, below, out=below)
     below *= weights
-    return np.add.reduce(half * np.add.reduce(below, axis=2), axis=1)
+    pieces[live] = half * np.add.reduce(below, axis=1)
+    return np.add.reduce(pieces, axis=1)
 
 
 def _exp_tail(exps, T, on, safe) -> np.ndarray:
@@ -265,13 +284,19 @@ def boundary_trace(
     the envelope is an upper bound on the boundary everywhere; the axis
     directions enter exactly through the per-queue mean-capacity bounds,
     and the curve is clamped at zero.  ``stderr`` is the width of the
-    bracket below it (``_bracket_floor``).  ``samples`` and ``seed`` are
-    checked as the Monte Carlo tracer checked them, and otherwise ignored.
+    bracket below it (``_bracket_floor``).  The directions are evaluated
+    ``_TRACE_BLOCK`` at a time and the envelope is folded block by block
+    with an exact minimum, so a fine grid's work arrays stay those of one block and the
+    curve has the bits of one evaluation of every direction.
+    ``directions`` and ``samples`` must be integers (an integral float
+    reads as one; a bool does not).  ``samples`` and ``seed`` are checked
+    as the Monte Carlo tracer checked them, and otherwise ignored.
     """
     if not isinstance(model, ContinuousChannelModel):
         raise ValidationError("boundary tracing requires a continuous model")
     if model.N != 2:
         raise ValueError("boundary tracing is defined for N = 2 only")
+    directions, samples = _read(directions, int, "directions"), _read(samples, int, "samples")
     if directions < 3:
         raise ValueError("need at least 3 directions")
     if samples < 1:
@@ -289,11 +314,15 @@ def boundary_trace(
 
     thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    h = _exact_supports(model, np.column_stack([cos_t, sin_t]))
-
-    # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t
-    cand = (h[None, :] - lam1[:, None] * cos_t[None, :]) / sin_t[None, :]
-    lam2 = np.clip(cand.min(axis=1), 0.0, box2)
+    h = np.empty(directions)
+    lam2 = np.full(len(lam1), np.inf)
+    for b in range(0, directions, _TRACE_BLOCK):
+        block = slice(b, b + _TRACE_BLOCK)
+        h[block] = _exact_supports(model, np.column_stack([cos_t[block], sin_t[block]]))
+        # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t
+        cand = (h[None, block] - lam1[:, None] * cos_t[None, block]) / sin_t[None, block]
+        np.minimum(lam2, cand.min(axis=1), out=lam2)
+    lam2 = np.clip(lam2, 0.0, box2)
     floor = _bracket_floor(h, cos_t, sin_t, box1, box2, lam1)
     err = lam2 - np.clip(floor, 0.0, lam2)
     return BoundaryCurve(

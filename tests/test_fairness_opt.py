@@ -242,6 +242,14 @@ def test_solve_rejects_bad_budget_or_tolerance(kwargs):
         solve_fairness(SYM, UtilitySpec.log_shifted(2), **kwargs)
 
 
+@pytest.mark.parametrize("max_iters", [True, 2.5, "3", math.inf])
+def test_solve_rejects_a_max_iters_that_is_not_an_integer(max_iters):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        solve_fairness(SYM, UtilitySpec.log_shifted(2), max_iters=max_iters)
+    # an integral float reads as the integer
+    assert solve_fairness(SYM, UtilitySpec.log_shifted(2), tol=1e-12, max_iters=1.0).iterations == 1
+
+
 def test_solve_builds_the_channel_law_once(rng, monkeypatch):
     model = random_factored(rng, 3, 2, 2)
     calls = []

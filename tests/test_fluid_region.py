@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,39 @@ def test_exact_support_edge_cases():
     assert abs(supports(three, [[1.0, 1.0, 1.0]])[0] - truth) <= 1e-14 * truth
 
 
+def test_exact_support_skips_zero_width_pieces_inside_a_row():
+    # the uniform top 1 falls on the atom 1, so a piece of zero width lies
+    # inside the row; U <= 1 <= E makes E[max(U, E)] = E[E] = 2.  An
+    # exponential X of mean 0.25 cuts at 1, 2, 3 (two cuts on the atoms) and
+    # then at 4..10, clamped to the top 3, and E[max(U, E, X)] = 2 + E[(X - E)^+]
+    # = 2 + 0.125 (e^-4 + e^-12).  Scaling the direction scales the support
+    uniform = LinkDistribution("uniform", high=1.0)
+    atoms = LinkDistribution("empirical", values=(1.0, 3.0))
+    exp = LinkDistribution("exponential", mean=0.25)
+    scales = np.array([1.0, 0.5, 2.0])
+    two = supports(ContinuousChannelModel.of([[uniform], [atoms]]), scales[:, None] * [1.0, 1.0])
+    three = supports(ContinuousChannelModel.of([[uniform], [atoms], [exp]]), scales[:, None] * [1.0, 1.0, 1.0])
+    for got, truth in [(two, 2.0 * scales), (three, (2.0 + 0.125 * (math.exp(-4) + math.exp(-12))) * scales)]:
+        assert (np.abs(got - truth) <= 1e-14 * truth).all()
+
+
+def test_exact_support_of_directions_with_a_zero_coordinate():
+    # a link weighted 0 puts all its breakpoints at 0; every row of a batch
+    # has the bits it has alone
+    model = ContinuousChannelModel.of([
+        [LinkDistribution("uniform", high=1.0)],
+        [LinkDistribution("empirical", values=(1.0, 3.0))],
+        [LinkDistribution("exponential", mean=0.25)],
+    ])
+    alphas = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                       [0.0, 0.7, 0.0], [0.3, 0.6, 0.9]])
+    got = supports(model, alphas)
+    truth = [2.0, 2.0 + 0.125 * (math.exp(-4) + math.exp(-12)), 0.5, 0.25, 1.4]
+    assert (np.abs(got[:5] - truth) <= 1e-14 * np.array(truth)).all()
+    for alpha, h in zip(alphas, got):
+        assert bits(supports(model, [alpha])) == bits([h])
+
+
 # -- closed-form two-queue boundary ---------------------------------------------
 
 
@@ -413,6 +447,45 @@ def test_trace_curve_is_concave():
         assert chord <= interp + slack + 1e-9
 
 
+def test_trace_in_blocks_is_one_envelope(monkeypatch):
+    # past one block the directions are evaluated a block at a time and the
+    # envelope folded block by block: the same bits as one evaluation of
+    # every direction and one envelope over them all
+    model = load_model(pathlib.Path(__file__).parents[1] / "demos" / "models" / "mixed_2x2_cont.json")
+    B = fluid_region._TRACE_BLOCK
+    D = 2 * B + 1
+    evaluate = fluid_region._exact_supports
+    calls = record_supports(monkeypatch)
+    curve = boundary_trace(model, directions=D)
+    assert [alphas.shape for alphas, _ in calls] == [(B, 2), (B, 2), (1, 2)]
+
+    thetas = np.arange(1, D + 1) * (math.pi / 2.0) / (D + 1)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    h = evaluate(model, np.column_stack([cos_t, sin_t]))
+    assert bits(np.concatenate([values for _, values in calls])) == bits(h)
+    means = link_means(model)
+    box1, box2 = float(means[0].sum()), float(means[1].sum())
+    lam1 = curve.lambda1
+    lam2 = np.clip(((h[None, :] - lam1[:, None] * cos_t[None, :]) / sin_t[None, :]).min(axis=1), 0.0, box2)
+    floor = fluid_region._bracket_floor(h, cos_t, sin_t, box1, box2, lam1)
+    assert bits(curve.lambda2) == bits(lam2)
+    assert bits(curve.stderr) == bits(lam2 - np.clip(floor, 0.0, lam2))
+
+
+def test_trace_peak_memory_is_bounded():
+    # the directions are evaluated in blocks, so a fine trace's transient
+    # memory stays near that of one block; evaluating all 20,000 directions
+    # at once peaked at about 119 MB
+    model = load_model(pathlib.Path(__file__).parents[1] / "demos" / "models" / "mixed_2x2_cont.json")
+    tracemalloc.start()
+    try:
+        boundary_trace(model, directions=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
 def test_trace_requires_two_queues():
     model = ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]])
     with pytest.raises(ValueError, match="N = 2"):
@@ -422,6 +495,21 @@ def test_trace_requires_two_queues():
 def test_trace_requires_enough_directions():
     with pytest.raises(ValueError, match="directions"):
         boundary_trace(exponential_pair(1, 1), directions=2, samples=10)
+
+
+@pytest.mark.parametrize("directions", [True, 10.5, "11", math.nan, math.inf])
+def test_trace_rejects_directions_that_are_not_integers(directions):
+    with pytest.raises(ValueError, match="directions must be an integer"):
+        boundary_trace(exponential_pair(1, 1), directions=directions, samples=10)
+    # an integral float reads as the integer
+    assert boundary_trace(exponential_pair(1, 1), directions=11.0).directions == 11
+
+
+@pytest.mark.parametrize("samples", [True, 2.5, "10", math.nan])
+def test_trace_rejects_samples_that_are_not_integers(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        boundary_trace(exponential_pair(1, 1), directions=5, samples=samples)
+    assert boundary_trace(exponential_pair(1, 1), directions=5, samples=10.0).samples == 10
 
 
 @pytest.mark.parametrize("samples", [0, -1])
