@@ -179,7 +179,7 @@ def _cmd_fluid_boundary(args, stamp):
     model = load_model(args.model)
     if not isinstance(model, ContinuousChannelModel):
         raise ValidationError("fluid-boundary requires a continuous model")
-    curve = boundary_trace(model, directions=args.directions, samples=args.samples, seed=args.seed)
+    curve = boundary_trace(model, directions=args.directions)
     rows = [
         [float(l1), float(l2), float(se)]
         for l1, l2, se in zip(curve.lambda1, curve.lambda2, curve.stderr)
@@ -311,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fluid-boundary", help="trace the two-queue fluid stability boundary")
     p.add_argument("--model", required=True)
     p.add_argument("--directions", type=int, default=181)
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="accepted and ignored: the support values are exact (must be >= 1)")
-    p.add_argument("--seed", type=int, default=0, help="accepted and ignored: the trace draws nothing")
     p.add_argument("--out", help="curve CSV path (default stdout)")
     p.set_defaults(func=_cmd_fluid_boundary)
 

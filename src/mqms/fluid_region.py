@@ -59,47 +59,6 @@ class BoundaryCurve:
     samples: int
 
 
-def _link_rows(block: np.ndarray) -> np.ndarray:
-    """A (S, N, K) sample block as contiguous per-link rows, shape (N, K, S)."""
-    return np.ascontiguousarray(block.transpose(1, 2, 0))
-
-
-def _support_evaluator(rows: np.ndarray):
-    """alpha -> mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S).
-
-    The work arrays are allocated once, here, and reused by every direction:
-    the (K, S) running maxima, one (K, S) scaled block whose first row also
-    holds the deviations, and the (S,) server sums.  The statistics make the
-    ufunc calls of ``ndarray.mean`` and ``std(ddof=1)``, in their order, on
-    one pairwise sum of the sums, so they are bit-identical to those two.
-    """
-    N, K, S = rows.shape
-    peaks = np.empty((K, S))
-    scaled = np.empty((K, S))
-    vals = np.empty(S)
-    dev = scaled[0]
-    root_s = math.sqrt(S)
-
-    def support(alpha) -> tuple[float, float]:
-        np.multiply(rows[0], alpha[0], out=peaks)
-        for n in range(1, N):
-            np.maximum(peaks, np.multiply(rows[n], alpha[n], out=scaled), out=peaks)
-        np.add.reduce(peaks, axis=0, initial=0.0, out=vals)  # servers added left to right
-        mean = float(np.add.reduce(vals)) / S
-        if S == 1:
-            return mean, float("inf")
-        np.subtract(vals, mean, out=dev)
-        ssd = float(np.add.reduce(np.square(dev, out=dev)))
-        return mean, math.sqrt(ssd / (S - 1)) / root_s
-
-    return support
-
-
-def _support_on_block(rows: np.ndarray, alpha: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of sum_k max_n alpha[n] * C[n,k] over link rows (N, K, S)."""
-    return _support_evaluator(rows)(alpha)
-
-
 def mc_support_function(
     model: ContinuousChannelModel,
     alpha,
@@ -108,14 +67,19 @@ def mc_support_function(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[sum_k max_n alpha[n] * C[n,k]].
 
-    Returns (estimate, standard error).  Deterministic for a fixed seed.
-    An oracle for the exact support values that ``boundary_trace`` uses.
+    Returns (estimate, standard error), the error infinite for one sample.
+    Deterministic for a fixed seed.  An oracle for the exact support values
+    that ``boundary_trace`` uses.  ``samples`` must be an integer (an
+    integral float reads as one; a bool does not).
     """
     a = _check_direction(alpha, model.N)
+    samples = _read(samples, int, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
-    rows = _link_rows(sample_states(model, np.random.default_rng(seed), samples))
-    return _support_evaluator(rows)(a)
+    block = sample_states(model, np.random.default_rng(seed), samples)
+    vals = (a[:, None] * block).max(axis=1).sum(axis=1)
+    se = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
+    return float(vals.mean()), se
 
 
 @functools.cache

@@ -347,10 +347,11 @@ class RunResult:
 # break even at about 7 replications on 1x1 ON-OFF channels, 4 on 2x2, 2
 # on 4x4 and 1 on 8x8 (ON-OFF, or factored with M = 2); on 8x8 batching is
 # 1.8x faster at R = 2, 3x at R = 4 and 4x at R = 7.  At R = 1 over 25k
-# slots of 8x8 the scalar loop is 1.25-1.35x faster.  The threshold is set
-# by 1x1, where batching is no faster at R = 7, so fewer than 8
-# replications run the scalar loop, which holds one replication's blocks
-# instead of all R.
+# slots of 8x8 (either channel, best of 5 in each of 3 processes), batching
+# is 0-13% faster with lowest-index ties and the scalar loop 1.1-1.25x
+# faster with highest-index ties.  The threshold is set by 1x1, where
+# batching is no faster at R = 7, so fewer than 8 replications run the
+# scalar loop, which holds one replication's blocks instead of all R.
 _BATCH_MIN_REPS = 8
 
 # the batched loop converts its compact blocks to int64 in chunks of whole
@@ -486,7 +487,8 @@ def run(
     longest-connected-queue delivers exactly max-weight's service with
     lowest-index ties, so ``policy="as_lcq"`` runs the max-weight loop with
     that tie rule.  The trace (slot, queue lengths, departures, arrivals)
-    is recorded for replication 0 only.
+    is recorded for replication 0 only.  ``T`` and ``replications`` must be
+    integers (an integral float reads as one; a bool does not).
 
     Backlogs, weights and occupancy sums are kept in int64, so a run whose
     bound T * (largest arrival batch) * max(T, M) exceeds the int64 range is
@@ -502,6 +504,7 @@ def run(
         if model.M > 1:
             raise ValidationError("as_lcq requires ON-OFF channels (M = 1)")
         tie_rule = "lowest_index"
+    T, replications = _read(T, int, "T"), _read(replications, int, "replications")
     if T < 1:
         raise ValueError("horizon must be at least one slot")
     if replications < 1:

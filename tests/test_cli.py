@@ -236,8 +236,7 @@ def test_delay_bound_rejects_arrivals_of_another_dimension(capsys, tmp_path, que
 def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):
     out = tmp_path / "curve.csv"
     code = main(
-        ["fluid-boundary", "--model", exp_model_path, "--directions", "21",
-         "--samples", "2000", "--seed", "7", "--out", str(out)]
+        ["fluid-boundary", "--model", exp_model_path, "--directions", "21", "--out", str(out)]
     )
     assert code == 0
     lines = out.read_text().strip().splitlines()
@@ -246,15 +245,14 @@ def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):
     assert first[0] == 0.0 and 0.8 <= first[1] <= 1.2
 
 
-def test_fluid_boundary_ignores_seed_and_samples(exp_model_path, tmp_path):
-    # only the '# stamp' line, which hashes the arguments, differs
-    bodies = []
-    for seed, samples in [("1", "2000"), ("7", "100000")]:
-        out = tmp_path / f"curve-{seed}.csv"
-        argv = ["fluid-boundary", "--model", exp_model_path, "--seed", seed, "--samples", samples, "--out", str(out)]
-        assert main(argv) == 0
-        bodies.append(out.read_text().split("\n", 1)[1])
-    assert bodies[0] == bodies[1]
+def test_fluid_boundary_rejects_seed_and_samples(capsys, exp_model_path):
+    # the support values are exact and the trace draws nothing, so neither option exists
+    for option in (["--samples", "10"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["fluid-boundary", "--model", exp_model_path, *option])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
 
 @pytest.mark.parametrize(("options", "r_star", "binding"), [
@@ -435,8 +433,8 @@ def test_resolved_config_is_printed(subcommand, capsys, bern_model_path, exp_mod
         ),
         "delay-bound": (["--model", bern, "--arrivals", arrivals], {"model": bern, "arrivals": arrivals, "delta": None}),
         "fluid-boundary": (
-            ["--model", exp, "--directions", "5", "--samples", "100"],
-            {"model": exp, "directions": 5, "samples": 100, "seed": 0},
+            ["--model", exp, "--directions", "5"],
+            {"model": exp, "directions": 5},
         ),
         "fairness": (
             ["--model", bern],

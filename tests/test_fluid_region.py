@@ -18,7 +18,6 @@ from mqms import (
     link_means,
     load_model,
     mc_support_function,
-    sample_states,
     support_function,
 )
 import mqms
@@ -46,13 +45,6 @@ def random_continuous(rng, N, K):
                 row.append(LinkDistribution("empirical", values=tuple(values.tolist())))
         links.append(row)
     return ContinuousChannelModel.of(links)
-
-
-def broadcast_support(block, alpha):
-    # the (S, N, K) broadcast that _support_on_block replaces, kept as its oracle
-    vals = (alpha[None, :, None] * block).max(axis=1).sum(axis=1)
-    n = len(vals)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
 
 
 def bits(pair):
@@ -121,50 +113,28 @@ def test_mc_support_is_seed_deterministic():
     assert a == b
 
 
-# -- link-row evaluation against the broadcast oracle ------------------------------
+def test_mc_support_on_many_servers_agrees_with_the_exact_support():
+    # from 8 servers on, numpy sums the servers pairwise
+    rng = np.random.default_rng(930)
+    model = random_continuous(rng, 3, 9)
+    for alpha in ([1.0, 0.5, 0.25], [0.0, 1.0, 2.0]):
+        est, se = mc_support_function(model, alpha, 100_000, seed=9)
+        assert abs(supports(model, [alpha])[0] - est) <= 4 * se
+        assert mc_support_function(model, alpha, 100_000, seed=9) == (est, se)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 7])
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_support_on_block_is_bit_identical_to_broadcast(rng, N, K):
-    for _ in range(5):
-        model = random_continuous(rng, N, K)
-        block = sample_states(model, rng, int(rng.choice([1, 2, 3, 500])))
-        alpha = rng.uniform(0.0, 2.0, N) * rng.choice([0.0, 1.0, 1e-3, 1e3], N)
-        alpha[0] += 0.1
-        rows = fluid_region._link_rows(block)
-        assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
+@pytest.mark.parametrize("samples", [True, 10.5, "10", math.nan])
+def test_mc_support_rejects_samples_that_are_not_integers(samples):
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), samples)
+    # an integral float reads as the integer
+    assert mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 10.0, seed=4) == \
+        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 10, seed=4)
 
 
-@pytest.mark.parametrize("K", [8, 9, 15, 16, 17, 33, 129, 200])
-def test_support_on_block_adds_many_servers_in_numpy_order(rng, K):
-    # the link rows add servers left to right, numpy's order for a reduction
-    # over the outer axis; from 8 servers on the broadcast sums its inner
-    # axis pairwise.  Each sum of K nonnegative terms is then within
-    # (K - 1) * 2^-52 of the other, relatively, and so are their means.
-    # The standard error, std / sqrt(300), moves by at most that fraction of
-    # the sums' root mean square over sqrt(300), well below the mean.
-    for N in (1, 2, 3):
-        model = random_continuous(rng, N, K)
-        block = sample_states(model, rng, 300)
-        alpha = rng.uniform(0.1, 2.0, N)
-        rows = fluid_region._link_rows(block)
-        est, se = fluid_region._support_on_block(rows, alpha)
-        est_ref, se_ref = broadcast_support(block, alpha)
-        assert abs(est - est_ref) <= K * 2**-52 * est_ref
-        assert abs(se - se_ref) <= K * 2**-52 * est_ref
-
-
-@pytest.mark.parametrize("K", [2, 9])
-def test_support_on_block_matches_broadcast_on_zero_links(rng, K):
-    # mostly zero links, and -0.0, a valid direction coordinate and
-    # empirical value
-    block = np.where(rng.random((40, 2, K)) < 0.5, -0.0, 0.0)
-    block[:20] *= rng.exponential(1.0, (20, 2, K)) * (rng.random((20, 2, K)) < 0.2)
-    rows = fluid_region._link_rows(block)
-    for alpha in ([1.0, -0.0], [-0.0, 2.0], [0.5, 0.5]):
-        alpha = np.array(alpha)
-        assert bits(fluid_region._support_on_block(rows, alpha)) == bits(broadcast_support(block, alpha))
+def test_mc_support_of_one_sample_has_infinite_error():
+    est, se = mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 1)
+    assert math.isfinite(est) and se == math.inf
 
 
 def record_supports(monkeypatch):

@@ -413,6 +413,19 @@ def test_run_rejects_fewer_than_one_replication_before_sampling(monkeypatch, rep
         run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), T=10, replications=reps)
 
 
+@pytest.mark.parametrize(("name", "value"), [
+    ("T", 10.5), ("T", True), ("T", "10"), ("replications", 2.5), ("replications", True), ("replications", math.nan),
+])
+def test_run_rejects_a_horizon_or_replication_count_that_is_not_an_integer(name, value):
+    arrivals = ArrivalModel.deterministic([0.1, 0.1])
+    with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+        run(MODEL_2x2, arrivals, **{"T": 10, name: value})
+    # an integral float reads as the integer
+    a = run(MODEL_2x2, arrivals, T=100.0, replications=2.0)
+    b = run(MODEL_2x2, arrivals, T=100, replications=2)
+    assert a.replications == b.replications and a.replications[0].horizon == 100
+
+
 @pytest.mark.parametrize("reps", [1, mqms_sim._BATCH_MIN_REPS])
 def test_run_rejects_backlogs_that_could_overflow_int64(reps):
     # backlogs, weights X * C and occupancy sums are bounded by
