@@ -19,6 +19,8 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from .channel_models import _read
+
 DEFAULT_ENUM_CAP = 10_000_000
 
 
@@ -54,8 +56,12 @@ def wn_count(M: int, N: int) -> int:
 
 
 def canonicalize(alpha: Sequence[int]) -> tuple[int, ...]:
-    """Scale-free representative: divide by the gcd of the nonzero coordinates."""
-    coords = [int(a) for a in alpha]
+    """Scale-free representative: divide by the gcd of the nonzero coordinates.
+
+    Coordinates must be integers; an integral float reads as one, and any
+    other number (a fraction, inf, NaN) or a bool is a ValueError.
+    """
+    coords = _read(tuple(alpha), [int], "alpha")
     if any(a < 0 for a in coords):
         raise ValueError("direction coordinates must be nonnegative")
     g = 0
@@ -72,7 +78,10 @@ def _to_fraction(x) -> Fraction:
     try:
         return Fraction(operator.index(x))  # ints, incl. numpy integer scalars
     except TypeError:
-        return Fraction(float(x))  # exact: a float is a binary rational
+        x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"direction coordinates must be finite, got {x!r}")
+    return Fraction(x)  # exact: a finite float is a binary rational
 
 
 def _ratio_connected(alpha: Sequence[int], M: int) -> bool:

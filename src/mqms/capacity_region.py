@@ -33,6 +33,7 @@ from .channel_models import (
 )
 
 BRUTE_FORCE_CAP = 4096
+_VERDICT_TOL = 1e-9  # a margin within this of 0 reads as "boundary"
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +70,8 @@ class StabilityRegion:
         """(alpha, beta) pairs in row order, alpha an int tuple and beta a float."""
         return tuple(zip(map(tuple, self.A.tolist()), self.beta.tolist()))
 
-    def verdict(self, rates, tol: float = 1e-9) -> str:
-        return _verdict(membership_margin(self, rates), tol)
+    def verdict(self, rates) -> str:
+        return _verdict(membership_margin(self, rates))
 
     def binding(self, rates) -> tuple:
         """Rows of ``A``, as int tuples, whose slack beta - A @ rates is at most 1e-6."""
@@ -82,15 +83,15 @@ class StabilityRegion:
         return {"N": self.N, "inequalities": inequalities, "provenance": self.provenance}
 
 
-def _verdict(delta: float, tol: float = 1e-9) -> str:
+def _verdict(delta: float) -> str:
     """"interior", "boundary" or "outside" for a membership margin delta."""
-    return "interior" if delta > tol else "outside" if delta < -tol else "boundary"
+    return "interior" if delta > _VERDICT_TOL else "outside" if delta < -_VERDICT_TOL else "boundary"
 
 
 def _check_rates(rates, N: int) -> np.ndarray:
     lam = np.asarray(rates, dtype=float)
     if lam.shape != (N,):
-        raise ValueError(f"rate point must have length {N}")
+        raise ValueError(f"rate point must have length {N}, got shape {lam.shape}")
     if not (np.isfinite(lam) & (lam >= 0)).all():
         raise ValueError("rates must be finite and nonnegative")
     return lam

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_region import StabilityRegion, _vertex_kernel, build_region, membership_margin, support_vertex
+from .capacity_region import StabilityRegion, _check_rates, _vertex_kernel, build_region, membership_margin, support_vertex
 from .channel_models import DiscreteChannelModel, ValidationError, _read, _read_kind
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
@@ -82,7 +82,7 @@ class UtilitySpec:
         return len(self.caps)
 
     def value(self, r) -> float:
-        return float(self._values(self._rate_point(r)))
+        return float(self._values(_check_rates(r, self.N)))
 
     def _values(self, r) -> np.ndarray:
         """The capped objective of every rate vector along the last axis of r."""
@@ -94,15 +94,9 @@ class UtilitySpec:
         rc = np.maximum(rc, GRAD_FLOOR)
         return (rc ** (1.0 - self.a)).sum(axis=-1) / (1.0 - self.a)
 
-    def _rate_point(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.N,):
-            raise ValueError(f"rate point must have length {self.N}, got shape {r.shape}")
-        return r
-
     def gradient(self, r) -> np.ndarray:
         """Supergradient of the capped objective; zero on the flat side of the cap."""
-        return np.array(self._gradient_kernel()(self._rate_point(r).tolist()))
+        return np.array(self._gradient_kernel()(_check_rates(r, self.N).tolist()))
 
     def _gradient_kernel(self):
         """r -> the gradient list: 0.0 at or past a cap, else u_n'(r_n) of the kind.
@@ -193,7 +187,6 @@ class FairnessSolution:
     gap: float
     iterations: int
     converged: bool        # gap <= tol, the gap taken at r_star
-    trajectory: tuple = ()
 
 
 def _line_search_step(utilities: UtilitySpec, r, d) -> float:
@@ -252,7 +245,6 @@ def solve_fairness(
     tol: float = 1e-6,
     max_iters: int = 10_000,
     step_rule: str = "line_search",
-    keep_trace: bool = False,
 ) -> FairnessSolution:
     """Frank-Wolfe over the stability region starting from the origin.
 
@@ -282,7 +274,6 @@ def solve_fairness(
 
     r = [0.0] * model.N
     gap = math.inf
-    trace = []
     iters = 0
     for it in range(max_iters):
         grad = gradient(r)
@@ -293,8 +284,6 @@ def solve_fairness(
             break
         d = [vn - rn for vn, rn in zip(vertex(grad), r)]
         gap = _dot(grad, d)
-        if keep_trace:
-            trace.append((np.array(r), utilities.value(r), gap))
         iters = it + 1
         if gap <= tol:
             break
@@ -311,7 +300,6 @@ def solve_fairness(
         gap=gap,
         iterations=iters,
         converged=gap <= tol,
-        trajectory=tuple(trace),
     )
 
 

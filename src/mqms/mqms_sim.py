@@ -15,8 +15,8 @@ int64 arrays in preallocated buffers.  Its compact blocks take about
 T*R*(K+1)*N bytes while M and the arrival caps are < 128, and are
 converted to int64 in reused chunks of at most 256 KiB of slots.  Fewer
 replications run one at a time on Python ints, read through memoryviews
-of a (T, K, N) copy of the channel block in the same compact type, where
-servers scan only the backlogged queues.  The two loops break even at
+of one (T, K, N) channel block in the same compact type, where servers
+scan only the backlogged queues.  The two loops break even at
 about 7 replications on 1x1 ON-OFF channels, 4 on 2x2, 2 on 4x4 and 1
 on 8x8, so on wide systems 2 to 7 replications take the slower loop.
 """
@@ -291,7 +291,16 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
 
 
 def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:
-    """Occupancy bound (N * a_max_sq + (M*K)^2) / (2 * delta) for a margin 0 < delta < inf."""
+    """Occupancy bound (N * a_max_sq + (M*K)^2) / (2 * delta) for a margin 0 < delta < inf.
+
+    N, M and K must be integers of at least 1 (an integral float reads as
+    one) and a_max_sq a finite, nonnegative number, else ValueError.
+    """
+    N, M, K = (_read(x, int, name) for x, name in ((N, "N"), (M, "M"), (K, "K")))
+    if min(N, M, K) < 1:
+        raise ValueError(f"N, M and K must be at least 1, got {N}, {M} and {K}")
+    if not 0 <= _read(a_max_sq, float, "a_max_sq") < np.inf:
+        raise ValueError(f"a_max_sq must be finite and nonnegative, got {a_max_sq}")
     if not delta < np.inf:
         raise ValueError(f"margin must be finite, got {delta}")
     if delta <= 0:
@@ -359,10 +368,21 @@ _BATCH_MIN_REPS = 8
 _SLOT_CHUNK_BYTES = 1 << 18
 
 
-def _blocks(model, arrivals, T, seed):
-    """One replication's channel block (T, N, K), then its arrival block (T, N), from default_rng(seed)."""
+def _compact_types(model, arrivals):
+    """The smallest signed types holding 0..M and 0..cap, which convert to int64 exactly."""
+    return np.min_scalar_type(-model.M - 1), np.min_scalar_type(-max(q.cap for q in arrivals.queues) - 1)
+
+
+def _blocks(model, arrivals, T, seed, C):
+    """Write one replication's channel block into C (T, K, N), server-major, then return its arrivals (T, N).
+
+    Both come from default_rng(seed).  The sampled (T, N, K) channel block
+    is freed before the arrivals are drawn, and they are returned in the
+    compact type.
+    """
     rng = np.random.default_rng(seed)
-    return sample_states(model, rng, T), arrivals.sample(rng, T)
+    C[...] = sample_states(model, rng, T).transpose(0, 2, 1)
+    return arrivals.sample(rng, T).astype(_compact_types(model, arrivals)[1])
 
 
 def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
@@ -377,14 +397,11 @@ def _simulate_batched(model, arrivals, T, seed, R, tie_rule, record_trace):
     over the servers.
     """
     N, K = model.N, model.K
-    cap = max(q.cap for q in arrivals.queues)
-    # blocks in the smallest signed types holding 0..M and 0..cap, which convert to int64 exactly
-    C = np.empty((T, K, R, N), dtype=np.min_scalar_type(-model.M - 1))
-    A = np.empty((T, R, N), dtype=np.min_scalar_type(-cap - 1))
+    c_type, a_type = _compact_types(model, arrivals)
+    C = np.empty((T, K, R, N), dtype=c_type)
+    A = np.empty((T, R, N), dtype=a_type)
     for r in range(R):
-        C_r, A[:, r] = _blocks(model, arrivals, T, seed + r)
-        C[:, :, r] = C_r.transpose(0, 2, 1)
-        del C_r  # free this replication's block before the next one is sampled
+        A[:, r] = _blocks(model, arrivals, T, seed + r, C[:, :, r])
 
     chunk = min(T, max(1, _SLOT_CHUNK_BYTES // (8 * K * R * N)))
     C_chunk = np.empty((chunk, K, R, N), dtype=np.int64)
@@ -432,13 +449,13 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
     order = range(N - 1, -1, -1) if tie_rule == "highest_index" else range(N)
     X_all, occupancy_all, arrived = (np.zeros((R, N), dtype=np.int64) for _ in range(3))
     X0, A0 = np.empty((T, N), dtype=np.int64) if record_trace else None, None
+    # one (T, K, N) block for every replication: server k's column of slot t starts at (t*K + k)*N
+    C_block = np.empty((T, K, N), dtype=_compact_types(model, arrivals)[0])
+    C = memoryview(C_block.reshape(-1))
     for r in range(R):
-        C_r, A_r = _blocks(model, arrivals, T, seed + r)
+        A_r = _blocks(model, arrivals, T, seed + r, C_block)
         if r == 0 and record_trace:
             A0 = A_r
-        # one contiguous (T, K, N) copy: server k's column of slot t starts at (t*K + k)*N
-        C = memoryview(C_r.transpose(0, 2, 1).ravel())
-        del C_r
         A = memoryview(A_r.reshape(-1))
         X = [0] * N
         occupancy = [0] * N
@@ -460,8 +477,8 @@ def _simulate_scalar(model, arrivals, T, seed, R, tie_rule, record_trace):
                 occupancy[n] += X[n]
             if trace is not None:
                 trace[t] = X
-        X_all[r], occupancy_all[r], arrived[r] = X, occupancy, A_r.sum(axis=0)
-        del C, A, A_r  # free this replication's blocks before the next ones are sampled
+        X_all[r], occupancy_all[r], arrived[r] = X, occupancy, A_r.sum(axis=0, dtype=np.int64)
+        del A, A_r  # free this replication's arrivals before the next ones are sampled
     return X_all, occupancy_all, arrived, X0, A0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -163,11 +164,32 @@ def test_canonicalize_divides_by_gcd():
     assert canonicalize((2, 4, 0)) == (1, 2, 0)
     assert canonicalize((3, 3, 3)) == (1, 1, 1)
     assert canonicalize((0, 7)) == (0, 1)
+    # an integral float reads as an integer
+    assert canonicalize((2.0, 4.0, 0.0)) == (1, 2, 0)
+    assert all(type(a) is int for a in canonicalize((2.0, 4.0)))
 
 
 def test_canonicalize_rejects_zero_vector():
     with pytest.raises(ValueError):
         canonicalize((0, 0))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: canonicalize((1.5, 3)), r"alpha\[0\] must be an integer, got 1\.5"),
+    (lambda: canonicalize((2, 0.5)), r"alpha\[1\] must be an integer, got 0\.5"),
+    (lambda: canonicalize((math.inf, 1)), r"alpha\[0\] must be an integer, got inf"),
+    (lambda: canonicalize((math.nan, 1)), r"alpha\[0\] must be an integer, got nan"),
+    (lambda: canonicalize((True, 2)), r"alpha\[0\] must be an integer, got True"),
+    (lambda: in_v((math.inf, 1.0), 2), "direction coordinates must be finite, got inf"),
+    (lambda: in_v((1.0, -math.inf), 2), "direction coordinates must be finite, got -inf"),
+    (lambda: in_v((math.nan, 1.0), 2), "direction coordinates must be finite, got nan"),
+], ids=["canonicalize-fraction", "canonicalize-second", "canonicalize-inf", "canonicalize-nan",
+        "canonicalize-bool", "in_v-inf", "in_v-minus-inf", "in_v-nan"])
+def test_direction_readers_reject_non_integral_or_non_finite_coordinates(call, message):
+    # canonicalize((1.5, 3)) truncated to (1, 3), and an infinite coordinate
+    # raised OverflowError from int() or Fraction()
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- build_vhat ----------------------------------------------------------------

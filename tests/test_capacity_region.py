@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,16 @@ from mqms import (
     build_region,
     build_vhat,
     enumerate_states,
+    from_descriptor,
     link_means,
     membership_margin,
     onoff_support,
     support_function,
     support_vertex,
+    to_descriptor,
 )
 from conftest import random_bernoulli, random_discrete, random_factored
+import exact_betas
 
 SYM = DiscreteChannelModel.bernoulli([[0.5], [0.5]])
 
@@ -304,6 +309,93 @@ def test_onoff_support_rejects_bad_subsets(subset, message):
     assert str(info.value) == message
 
 
+# -- exact and metamorphic checks of the betas ----------------------------------
+
+
+def test_build_region_betas_are_the_exact_supports():
+    # every row of the demo models, 60 seeded small models and two N = K = 3, M = 4
+    # factored models against the Fraction sums of tests/exact_betas.py
+    worst = exact_betas.worst_ulps(exact_betas.corpus())
+    assert set(worst) == {"bernoulli", "factored", "explicit_joint"}
+    assert max(err for err, _ in worst.values()) <= 8, worst
+
+
+def seeded_models(count=100):
+    rng = np.random.default_rng(1310)
+    return [random_discrete(rng) for _ in range(count)]
+
+
+def rearranged(model, rows, cols):
+    """Queue n takes row rows[n] of the model and server k its column cols[k]; None is a server of capacity 0."""
+    d = to_descriptor(model)
+    zero = {"bernoulli": 0.0, "factored": [1.0] + [0.0] * model.M, "explicit_joint": 0}[model.kind]
+
+    def grid(g):
+        return [[zero if k is None else g[n][k] for k in cols] for n in rows]
+
+    if model.kind == "explicit_joint":
+        d["states"] = [{"C": grid(s["C"]), "prob": s["prob"]} for s in d["states"]]
+    else:
+        field = "p" if model.kind == "bernoulli" else "pmfs"
+        d[field] = grid(d[field])
+    d["K"] = len(cols)
+    return from_descriptor(d)
+
+
+def as_explicit(model):
+    """An independent-link model rewritten as the explicit joint law of its links."""
+    d = to_descriptor(model)
+    pmfs = [[(1.0 - q, q) for q in row] for row in d["p"]] if model.kind == "bernoulli" else d["pmfs"]
+    links = list(itertools.product(range(model.N), range(model.K)))
+    states = []
+    for combo in itertools.product(*[[(c, q) for c, q in enumerate(pmfs[n][k]) if q > 0] for n, k in links]):
+        C, prob = [[0] * model.K for _ in range(model.N)], 1.0
+        for (n, k), (c, q) in zip(links, combo):
+            C[n][k] = c
+            prob *= q
+        states.append((C, prob))
+    return DiscreteChannelModel.explicit_joint(states, M=model.M)
+
+
+def assert_same_betas(region, other, rel):
+    assert np.array_equal(region.A, other.A)
+    assert (abs(other.beta - region.beta) <= rel * region.beta).all()
+
+
+def test_betas_keep_under_an_explicit_rewrite():
+    checked = 0
+    for model in seeded_models():
+        if model.kind != "explicit_joint":
+            assert_same_betas(build_region(model), build_region(as_explicit(model)), 1e-14)
+            checked += 1
+    assert checked >= 30
+
+
+def test_betas_keep_under_a_server_permutation():
+    rng = np.random.default_rng(1311)
+    for model in seeded_models():
+        cols = rng.permutation(model.K).tolist()
+        assert_same_betas(build_region(model), build_region(rearranged(model, range(model.N), cols)), 1e-14)
+
+
+def test_an_all_zero_server_keeps_the_betas_bit_for_bit():
+    for model in seeded_models():
+        region, widened = build_region(model), build_region(rearranged(model, range(model.N), [*range(model.K), None]))
+        assert np.array_equal(widened.A, region.A)
+        assert widened.beta.tobytes() == region.beta.tobytes()
+
+
+def test_reversing_the_queues_reverses_the_directions_and_mirrors_the_vertices():
+    for model in seeded_models():
+        reversed_model = rearranged(model, range(model.N - 1, -1, -1), range(model.K))
+        betas = dict(build_region(reversed_model).inequalities)
+        for alpha, beta in build_region(model).inequalities:
+            assert abs(betas[alpha[::-1]] - beta) <= 1e-14
+            vertex = support_vertex(model, alpha, "lowest_index")
+            mirrored = support_vertex(reversed_model, alpha[::-1], "highest_index")[::-1]
+            assert (abs(mirrored - vertex) <= 1e-14).all()
+
+
 # -- membership margin ----------------------------------------------------------
 
 
@@ -326,8 +418,8 @@ def test_margin_outside_point():
 
 
 @pytest.mark.parametrize(("region", "rates", "message"), [
-    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [0.1], "rate point must have length 2"),
-    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [[0.1, 0.1]], "rate point must have length 2"),
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [0.1], "rate point must have length 2, got shape (1,)"),
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [[0.1, 0.1]], "rate point must have length 2, got shape (1, 2)"),
     (StabilityRegion(np.zeros((0, 2), dtype=int), []), [0.1, 0.1], "region has no inequalities"),
 ], ids=["short", "2d", "no-rows"])
 def test_margin_rejects_a_rate_of_another_length_or_an_empty_region(region, rates, message):
@@ -347,8 +439,8 @@ def test_margin_rejects_negative_rates():
     ([np.nan, 0.5], "rates must be finite and nonnegative"),
     ([-5.0, 1.5], "rates must be finite and nonnegative"),
     ([0.5, np.inf], "rates must be finite and nonnegative"),
-    ([0.1], "rate point must have length 2"),
-    ([[0.5, 0.5]], "rate point must have length 2"),
+    ([0.1], "rate point must have length 2, got shape (1,)"),
+    ([[0.5, 0.5]], "rate point must have length 2, got shape (1, 2)"),
 ], ids=["nan", "negative", "inf", "short", "2d"])
 def test_binding_checks_the_rate_point_as_the_margin_does(rates, message):
     # binding([nan, 0.5]) gave (), binding([-5.0, 1.5]) gave ((0, 1),), and a

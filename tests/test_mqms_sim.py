@@ -187,11 +187,31 @@ def test_per_slot_ops_reject_bad_input(call, match):
 def test_delay_bound_arithmetic():
     assert delay_bound(2, 4.0, 1, 2, 0.1) == pytest.approx(60.0)
     assert delay_bound(1, 1.0, 1, 1, 0.5) == pytest.approx(2.0)
+    assert delay_bound(2.0, 4, 1.0, 2, 0.1) == delay_bound(2, 4.0, 1, 2, 0.1)  # integral floats read as integers
 
 
 def test_delay_bound_decreasing_in_margin():
     bounds = [delay_bound(2, 4.0, 1, 2, d) for d in (0.01, 0.1, 0.5, 1.0)]
     assert bounds == sorted(bounds, reverse=True)
+
+
+@pytest.mark.parametrize(("args", "message"), [
+    ((2, math.nan, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got nan"),
+    ((2, -5.0, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got -5.0"),
+    ((2, math.inf, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got inf"),
+    ((0, 1.0, 1, 1, 0.5), "N, M and K must be at least 1, got 0, 1 and 1"),
+    ((1, 1.0, 0, 1, 0.5), "N, M and K must be at least 1, got 1, 0 and 1"),
+    ((1, 1.0, 1, -2, 0.5), "N, M and K must be at least 1, got 1, 1 and -2"),
+    ((1.5, 1.0, 1, 1, 0.5), "N must be an integer, got 1.5"),
+    ((1, 1.0, True, 1, 0.5), "M must be an integer, got True"),
+    ((1, "1", 1, 1, 0.5), "a_max_sq must be a number, got '1'"),
+], ids=["nan-moment", "negative-moment", "inf-moment", "no-queues", "zero-M", "negative-K",
+        "fractional-N", "bool-M", "string-moment"])
+def test_delay_bound_rejects_bad_dimensions_and_moments(args, message):
+    # delay_bound(2, nan, 1, 1, 0.5) returned nan, a_max_sq = -5.0 gave -9.0, and N = 0 passed
+    with pytest.raises(ValueError) as exc:
+        delay_bound(*args)
+    assert str(exc.value) == message
 
 
 def test_delay_bound_requires_interior_rate():
@@ -630,12 +650,13 @@ def test_scalar_run_frees_each_replication_before_sampling_the_next():
     assert peaks[3] <= peaks[1] + block / 2
 
 
-@pytest.mark.parametrize(("R", "bytes_per_link_slot"), [(1, 4), (mqms_sim._BATCH_MIN_REPS, 1.75)])
+@pytest.mark.parametrize(("R", "bytes_per_link_slot"), [(1, 2.5), (mqms_sim._BATCH_MIN_REPS, 1.75)])
 def test_run_peak_memory_per_link_slot(R, bytes_per_link_slot):
     # a factored 8x8, M = 2 run samples one-byte channel blocks.  The scalar
-    # loop holds a sampled block, its (T, K, N) copy and the int64 arrival
-    # block (8/N bytes per link-slot), about 3 bytes per link-slot; the
-    # batched loop holds all R blocks plus one replication being sampled.
+    # loop holds its (T, K, N) block and, at most, one sampled channel block
+    # or the int64 arrival block (8/N bytes per link-slot), about 2.2 bytes
+    # per link-slot; the batched loop holds all R blocks plus one
+    # replication being sampled.
     # An int64 block alone takes 8 bytes per link-slot.
     N, T = 8, 20_000
     model = random_factored(np.random.default_rng(3), N, N, 2)
