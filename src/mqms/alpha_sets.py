@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
-from .channel_models import _read
+from .channel_models import ValidationError, _read, _read_count
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -30,10 +30,7 @@ def build_w(M: int, N: int) -> list[int]:
     Always contains 0 (any zero factor) and 1 (all-ones).  For N = 1 the
     empty product leaves {1}.
     """
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    M, N = _read_count(M, "M", 1), _read_count(N, "N", 1)
     vals = {1}
     for _ in range(N - 1):
         vals = {v * m for v in vals for m in range(M + 1)}
@@ -50,8 +47,7 @@ def wn_count(M: int, N: int) -> int:
     factor).  From M = 4 upward collisions such as 2*2 = 1*4 make the
     enumerated set strictly smaller than this count.
     """
-    if M < 1 or N < 2:
-        raise ValueError(f"need M >= 1 and N >= 2, got ({M}, {N})")
+    M, N = _read_count(M, "M", 1), _read_count(N, "N", 2)
     return (math.comb(M + N - 2, N - 1) + 1) ** N
 
 
@@ -72,15 +68,15 @@ def canonicalize(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(a // g for a in coords)
 
 
-def _to_fraction(x) -> Fraction:
+def _to_fraction(x, where: str) -> Fraction:
+    """x exactly: a Fraction as given, an integer (numpy's too) as itself, any other finite number as its float."""
     if isinstance(x, Fraction):
         return x
-    try:
-        return Fraction(operator.index(x))  # ints, incl. numpy integer scalars
-    except TypeError:
-        x = float(x)
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return Fraction(int(x))
+    x = _read(x, float, where)
     if not math.isfinite(x):
-        raise ValueError(f"direction coordinates must be finite, got {x!r}")
+        raise ValidationError(f"{where} must be finite, got {x!r}")
     return Fraction(x)  # exact: a finite float is a binary rational
 
 
@@ -115,11 +111,10 @@ def in_v(alpha: Sequence, M: int) -> bool:
     scaled to integers by the lcm of their denominators, so the ratio test
     is never subject to rounding.  Positive scalings of the same vector
     agree whenever the scaling is exact (integers, or powers of two for
-    float inputs).
+    float inputs).  A bool is not a coordinate.
     """
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
-    coords = [_to_fraction(x) for x in alpha]
+    M = _read_count(M, "M", 1)
+    coords = [_to_fraction(x, f"alpha[{i}]") for i, x in enumerate(alpha)]
     if any(c < 0 for c in coords):
         raise ValueError("direction coordinates must be nonnegative")
     if all(c == 0 for c in coords):
@@ -136,8 +131,9 @@ def build_vhat(M: int, N: int, cap: int = DEFAULT_ENUM_CAP) -> list[tuple[int, .
     canonicalizes by gcd, and deduplicates scalar multiples.  The result
     is sorted and contains every standard basis vector.
     """
+    M, N, cap = _read_count(M, "M", 1), _read_count(N, "N", 1), _read_count(cap, "cap", 1)
     # for N >= 2, W holds {0..M}: (M+1)^N bounds |W|^N before W is built, and 2^N > cap from N = cap.bit_length()
-    if M >= 1 and N >= 2 and (N >= cap.bit_length() or (M + 1) ** N > cap):
+    if N >= 2 and (N >= cap.bit_length() or (M + 1) ** N > cap):
         raise ValueError(f"enumeration cap exceeded: |W|^N >= {M + 1}^{N} > {cap}")
     W = build_w(M, N)
     total = len(W) ** N

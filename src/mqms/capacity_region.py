@@ -26,6 +26,9 @@ from .alpha_sets import build_vhat
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
+    _read,
+    _read_count,
+    _read_nonnegative,
     column_laws,
     descriptor_hash,
     enumerate_states,
@@ -75,7 +78,7 @@ class StabilityRegion:
 
     def binding(self, rates) -> tuple:
         """Rows of ``A``, as int tuples, whose slack beta - A @ rates is at most 1e-6."""
-        tight = self.beta - self.A @ _check_rates(rates, self.N) <= 1e-6
+        tight = self.beta - self.A @ _read_nonnegative(rates, "rates", (self.N,)) <= 1e-6
         return tuple(map(tuple, self.A[tight].tolist()))
 
     def to_dict(self) -> dict:
@@ -88,26 +91,6 @@ def _verdict(delta: float) -> str:
     return "interior" if delta > _VERDICT_TOL else "outside" if delta < -_VERDICT_TOL else "boundary"
 
 
-def _check_rates(rates, N: int) -> np.ndarray:
-    lam = np.asarray(rates, dtype=float)
-    if lam.shape != (N,):
-        raise ValueError(f"rate point must have length {N}, got shape {lam.shape}")
-    if not (np.isfinite(lam) & (lam >= 0)).all():
-        raise ValueError("rates must be finite and nonnegative")
-    return lam
-
-
-def _check_direction(alpha, N: int) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (N,):
-        raise ValueError(f"direction must have length {N}, got shape {a.shape}")
-    if not (np.isfinite(a) & (a >= 0)).all():
-        raise ValueError("direction coordinates must be finite and nonnegative")
-    if not a.any():
-        raise ValueError("zero vector is not a direction")
-    return a
-
-
 def support_function(model: DiscreteChannelModel, alpha) -> float:
     """Largest value of alpha . rate over the region.
 
@@ -115,7 +98,7 @@ def support_function(model: DiscreteChannelModel, alpha) -> float:
     at cost sum_k S_k * N for S_k column states of server k.
     """
     laws = column_laws(model)
-    a = _check_direction(alpha, model.N)
+    a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
     return sum(float(probs @ (values * a).max(axis=1)) for values, probs in laws)
 
 
@@ -143,7 +126,8 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     and lies in the region.  Contributions are summed server by server, in
     column-law order.
     """
-    return np.array(_vertex_kernel(model, tie_rule)(_check_direction(alpha, model.N).tolist()))
+    a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
+    return np.array(_vertex_kernel(model, tie_rule)(a.tolist()))
 
 
 def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
@@ -198,12 +182,10 @@ def onoff_support(p, queue_subset) -> float:
     server contributes the probability that at least one queue in Q sees
     an ON link.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"p must be an N x K matrix, got shape {p.shape}")
-    if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails both comparisons
-        raise ValueError("success probabilities must lie in [0, 1]")
-    Q = sorted(set(int(n) for n in queue_subset))
+    p = _read_nonnegative(p, "p", (None, None))
+    if not (p <= 1.0).all():
+        raise ValidationError("p must lie in [0, 1]")
+    Q = sorted({_read(n, int, f"queue_subset[{i}]") for i, n in enumerate(queue_subset)})
     if not Q:
         raise ValueError("queue subset must be nonempty")
     N, K = p.shape
@@ -233,7 +215,7 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     positive means strictly interior, zero on the boundary, negative
     outside.  This is the slack that drives the occupancy bound.
     """
-    lam = _check_rates(rates, region.N)
+    lam = _read_nonnegative(rates, "rates", (region.N,))
     if not len(region.beta):
         raise ValueError("region has no inequalities")
     # alpha . rates overflows for finite rates near the float limit.  Rates
@@ -257,7 +239,8 @@ def brute_force_support(
     the literal maximum.  No per-server decomposition is used, so this
     cross-checks the fast path.  Only for small instances.
     """
-    a = _check_direction(alpha, model.N)
+    a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
+    state_cap, alloc_cap = _read_count(state_cap, "state_cap", 1), _read_count(alloc_cap, "alloc_cap", 1)
     n_alloc = model.N ** model.K
     if n_alloc > alloc_cap:
         raise ValidationError(f"allocation cap exceeded: N^K = {n_alloc} > {alloc_cap}")

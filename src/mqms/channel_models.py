@@ -257,6 +257,31 @@ def _read(x, spec, where: str):
     return out
 
 
+def _read_count(x, name: str, least: int = 0) -> int:
+    """x read as ``_read(x, int, name)`` reads it, and at least ``least``; else ValidationError naming ``name``."""
+    n = _read(x, int, name)
+    if n < least:
+        raise ValidationError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
+def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=float) -> np.ndarray:
+    """x as an array of ``shape``, finite and >= 0; else ValidationError naming ``name``.
+
+    A ``None`` in ``shape`` is a free axis.  With ``nonzero`` some entry
+    must be positive.  x is read as float, or with ``dtype=None`` in its
+    own boolean, integer or float type.
+    """
+    a = np.asarray(x, dtype=dtype)
+    if a.shape != shape and (a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape))):
+        raise ValidationError(f"{name} must have shape {str(shape).replace('None', '*')}, got {a.shape}")
+    if a.dtype.kind not in "biuf" or not (np.isfinite(a) & (a >= 0)).all():
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    if nonzero and not a.any():
+        raise ValidationError(f"{name} must not be all zero")
+    return a
+
+
 def _read_fields(obj, spec: dict) -> None:
     """Replace each field of a frozen dataclass named in ``spec`` by its reading."""
     # getattr, not vars(obj): a materialised __dict__ slows every later attribute read
@@ -343,6 +368,7 @@ def enumerate_states(model: DiscreteChannelModel, cap: int = DEFAULT_STATE_CAP):
     Matrices are returned as int arrays of shape (N, K).  Raises
     ValidationError when the joint state space exceeds ``cap``.
     """
+    cap = _read_count(cap, "cap", 1)
     if model.kind == "explicit_joint":
         if len(model.states) > cap:
             raise ValidationError(f"state-space cap exceeded: {len(model.states)} > {cap}")
@@ -361,11 +387,12 @@ def per_server_column_distribution(model: DiscreteChannelModel, k: int):
     column law alone.  Returns the law of ``column_laws(model)[k]``, built
     for server k alone, as a list of (tuple of length N, probability).
     """
+    validate_discrete(model)
     if model.kind == "explicit_joint":
         raise ValidationError("per-server column law undefined for explicit_joint; use enumerate_states")
+    k = _read(k, int, "k")
     if not 0 <= k < model.K:
         raise ValidationError(f"server index {k} out of range for K={model.K}")
-    validate_discrete(model)
     return list(zip(*_column_law(model, k)))
 
 
@@ -425,6 +452,7 @@ def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
     models and ``_categorical`` over the state probabilities for
     explicit_joint ones, each the draws of ``rng.choice`` with ``p=``.
     """
+    size = _read_count(size, "size")
     N, K = model.N, model.K
     if isinstance(model, ContinuousChannelModel):
         out = np.empty((size, N, K), dtype=float)

@@ -28,7 +28,6 @@ from .capacity_region import (
     build_region,
     membership_margin,
     onoff_support,
-    support_function,
 )
 from .channel_models import (
     ContinuousChannelModel,
@@ -228,20 +227,19 @@ def oracle_check(model: DiscreteChannelModel, state_cap: int = BRUTE_FORCE_CAP) 
     Compares the fast path with the literal all-allocations enumeration on
     every canonical direction, and for ON-OFF models, whose directions
     (M = 1) are the indicators of the nonempty queue sets, also with the
-    subset closed form.  Returns the largest deviations.
+    subset closed form.  The fast values are the betas of ``build_region``.
+    Returns the largest deviations.
     """
-    validate_discrete(model)
-    directions = build_vhat(model.M, model.N)
+    inequalities = build_region(model).inequalities
     deviations, onoff_dev = [], 0.0
-    for alpha in directions:
-        fast = support_function(model, alpha)
+    for alpha, fast in inequalities:
         slow = brute_force_support(model, alpha, state_cap=state_cap, alloc_cap=state_cap)
         deviations.append(abs(fast - slow))
         if model.kind == "bernoulli":
             Q = [n for n, a in enumerate(alpha) if a]
             onoff_dev = max(onoff_dev, abs(fast - onoff_support(model.p, Q)))
     report = {
-        "directions_checked": len(directions),
+        "directions_checked": len(inequalities),
         "max_abs_deviation": max(deviations),
         "ok": max(deviations) <= 1e-9,
     }

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_region import StabilityRegion, _check_rates, _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel, ValidationError, _read, _read_kind
+from .capacity_region import _vertex_kernel, build_region, membership_margin, support_vertex
+from .channel_models import DiscreteChannelModel, ValidationError, _read, _read_count, _read_kind, _read_nonnegative
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
@@ -71,10 +71,12 @@ class UtilitySpec:
 
     @classmethod
     def log_shifted(cls, n_queues: int, epsilon: float = 1e-6, caps=None) -> "UtilitySpec":
+        n_queues = _read_count(n_queues, "n_queues", 1)
         return cls(kind="log_shifted", caps=_caps_tuple(caps, n_queues), epsilon=epsilon)
 
     @classmethod
     def alpha_fair(cls, n_queues: int, a: float, caps=None) -> "UtilitySpec":
+        n_queues = _read_count(n_queues, "n_queues", 1)
         return cls(kind="alpha_fair", caps=_caps_tuple(caps, n_queues), a=a)
 
     @property
@@ -82,7 +84,7 @@ class UtilitySpec:
         return len(self.caps)
 
     def value(self, r) -> float:
-        return float(self._values(_check_rates(r, self.N)))
+        return float(self._values(_read_nonnegative(r, "r", (self.N,))))
 
     def _values(self, r) -> np.ndarray:
         """The capped objective of every rate vector along the last axis of r."""
@@ -96,7 +98,7 @@ class UtilitySpec:
 
     def gradient(self, r) -> np.ndarray:
         """Supergradient of the capped objective; zero on the flat side of the cap."""
-        return np.array(self._gradient_kernel()(_check_rates(r, self.N).tolist()))
+        return np.array(self._gradient_kernel()(_read_nonnegative(r, "r", (self.N,)).tolist()))
 
     def _gradient_kernel(self):
         """r -> the gradient list: 0.0 at or past a cap, else u_n'(r_n) of the kind.
@@ -232,11 +234,9 @@ def _dot(x, y) -> float:
     return total
 
 
-def _check_dimensions(model: DiscreteChannelModel, utilities: UtilitySpec, region: StabilityRegion | None) -> None:
+def _check_dimensions(model: DiscreteChannelModel, utilities: UtilitySpec) -> None:
     if utilities.N != model.N:
         raise ValueError(f"dimension mismatch: utilities for {utilities.N} queues, model N={model.N}")
-    if region is not None and region.N != model.N:
-        raise ValueError(f"dimension mismatch: region for {region.N} queues, model N={model.N}")
 
 
 def solve_fairness(
@@ -262,12 +262,11 @@ def solve_fairness(
     utilities are nondecreasing.  The iterations need only that oracle,
     so the region is never built here.
     """
-    _check_dimensions(model, utilities, None)
+    _check_dimensions(model, utilities)
+    tol = _read(tol, float, "tol")
     if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive")
-    max_iters = _read(max_iters, int, "max_iters")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    max_iters = _read_count(max_iters, "max_iters", 1)
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")
     vertex, gradient = _vertex_kernel(model), utilities._gradient_kernel()
@@ -303,21 +302,15 @@ def solve_fairness(
     )
 
 
-def fw_gap(
-    model: DiscreteChannelModel,
-    r,
-    utilities: UtilitySpec,
-    region: StabilityRegion | None = None,
-) -> float:
+def fw_gap(model: DiscreteChannelModel, r, utilities: UtilitySpec) -> float:
     """Linearization gap at a feasible point; certifies (sub)optimality.
 
     Returns grad . (vertex(grad) - r), which is nonnegative and upper
     bounds how much utility any feasible point can add over r.
     """
-    _check_dimensions(model, utilities, region)
-    r = np.asarray(r, dtype=float)
-    region = build_region(model) if region is None else region
-    if membership_margin(region, r) < -1e-7:
+    _check_dimensions(model, utilities)
+    r = _read_nonnegative(r, "r", (model.N,))
+    if membership_margin(build_region(model), r) < -1e-7:
         raise ValueError("rate point lies outside the region")
     grad = utilities._gradient_kernel()(r.tolist())
     if not any(grad):

@@ -23,8 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity_region import _check_direction
-from .channel_models import ContinuousChannelModel, ValidationError, _read, link_means, sample_states
+from .channel_models import (
+    ContinuousChannelModel,
+    ValidationError,
+    _read,
+    _read_count,
+    _read_nonnegative,
+    link_means,
+    sample_states,
+)
 
 # The 16-point Gauss-Legendre rule on [-1, 1], one rule per piece: its
 # positive nodes and their weights, as numpy.polynomial.legendre.leggauss(16)
@@ -69,13 +76,11 @@ def mc_support_function(
 
     Returns (estimate, standard error), the error infinite for one sample.
     Deterministic for a fixed seed.  An oracle for the exact support values
-    that ``boundary_trace`` uses.  ``samples`` must be an integer (an
-    integral float reads as one; a bool does not).
+    that ``boundary_trace`` uses.  ``samples`` is a count of at least 1
+    (an integral float reads as one; a bool does not).
     """
-    a = _check_direction(alpha, model.N)
-    samples = _read(samples, int, "samples")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
+    samples = _read_count(samples, "samples", 1)
     block = sample_states(model, np.random.default_rng(seed), samples)
     vals = (a[:, None] * block).max(axis=1).sum(axis=1)
     se = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
@@ -222,10 +227,12 @@ def exp_2q_boundary(mu1: float, mu2: float, lambda1: float) -> float:
     dropping from mu2 at lambda1 = 0 to zero when queue 1 saturates the
     server at lambda1 = mu1.
     """
-    if not (math.isfinite(mu1) and math.isfinite(mu2) and mu1 > 0 and mu2 > 0):
-        raise ValueError("exponential means must be finite and positive")
-    if not (math.isfinite(lambda1) and lambda1 >= 0):
-        raise ValueError("rates must be finite and nonnegative")
+    mu1, mu2, lambda1 = _read(mu1, float, "mu1"), _read(mu2, float, "mu2"), _read(lambda1, float, "lambda1")
+    for mu, name in ((mu1, "mu1"), (mu2, "mu2")):
+        if not 0 < mu < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {mu}")
+    if not 0 <= lambda1 < math.inf:
+        raise ValueError(f"lambda1 must be finite and nonnegative, got {lambda1}")
     if lambda1 > mu1:
         raise ValueError("outside single-queue capacity")
     s = math.sqrt(1.0 - lambda1 / mu1)
@@ -252,29 +259,22 @@ def boundary_trace(
     ``_TRACE_BLOCK`` at a time and the envelope is folded block by block
     with an exact minimum, so a fine grid's work arrays stay those of one block and the
     curve has the bits of one evaluation of every direction.
-    ``directions`` and ``samples`` must be integers (an integral float
-    reads as one; a bool does not).  ``samples`` and ``seed`` are checked
-    as the Monte Carlo tracer checked them, and otherwise ignored.
+    ``directions`` and ``samples`` are counts of at least 3 and 1 (an
+    integral float reads as one; a bool does not).  ``samples`` and
+    ``seed`` are checked as the Monte Carlo tracer checked them, and
+    otherwise ignored.
     """
     if not isinstance(model, ContinuousChannelModel):
         raise ValidationError("boundary tracing requires a continuous model")
     if model.N != 2:
         raise ValueError("boundary tracing is defined for N = 2 only")
-    directions, samples = _read(directions, int, "directions"), _read(samples, int, "samples")
-    if directions < 3:
-        raise ValueError("need at least 3 directions")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    directions, samples = _read_count(directions, "directions", 3), _read_count(samples, "samples", 1)
     np.random.default_rng(seed)  # accepts what the Monte Carlo tracer accepted; nothing is drawn
     means = link_means(model)
     box1, box2 = float(means[0].sum()), float(means[1].sum())
     if lambda1_values is None:
         lambda1_values = np.linspace(0.0, box1, 201)
-    lam1 = np.asarray(lambda1_values, dtype=float)
-    if lam1.ndim != 1:
-        raise ValueError(f"lambda1_values must be one-dimensional, got shape {lam1.shape}")
-    if not (np.isfinite(lam1) & (lam1 >= 0)).all():
-        raise ValueError("lambda1 values must be finite and nonnegative")
+    lam1 = _read_nonnegative(lambda1_values, "lambda1_values", (None,))
 
     thetas = np.arange(1, directions + 1) * (math.pi / 2.0) / (directions + 1)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)

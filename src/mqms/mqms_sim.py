@@ -16,9 +16,8 @@ T*R*(K+1)*N bytes while M and the arrival caps are < 128, and are
 converted to int64 in reused chunks of at most 256 KiB of slots.  Fewer
 replications run one at a time on Python ints, read through memoryviews
 of one (T, K, N) channel block in the same compact type, where servers
-scan only the backlogged queues.  The two loops break even at
-about 7 replications on 1x1 ON-OFF channels, 4 on 2x2, 2 on 4x4 and 1
-on 8x8, so on wide systems 2 to 7 replications take the slower loop.
+scan only the backlogged queues (``_BATCH_MIN_REPS`` measures where the
+two loops break even).
 """
 
 from __future__ import annotations
@@ -35,8 +34,10 @@ from .channel_models import (
     _categorical,
     _kind_fields,
     _read,
+    _read_count,
     _read_fields,
     _read_kind,
+    _read_nonnegative,
     check_pmf,
     sample_states,
     validate_discrete,
@@ -158,6 +159,7 @@ class ArrivalModel:
 
     def sample(self, rng: np.random.Generator, T: int) -> np.ndarray:
         """(T, N) integer arrivals for slots 1..T, one queue at a time."""
+        T = _read_count(T, "T")
         out = np.empty((T, self.N), dtype=np.int64)
         for n, q in enumerate(self.queues):
             if q.kind == "deterministic":
@@ -200,27 +202,14 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
 # -- per-slot operations ---------------------------------------------------
 
 
-def _finite_nonnegative(value, name: str) -> np.ndarray:
-    a = np.asarray(value)
-    kind = a.dtype.kind  # integers are finite; only floats need the isfinite pass
-    if kind not in "biuf" or not (a >= 0).all() or (kind == "f" and not np.isfinite(a).all()):
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return a
-
-
 def _is_binary(a: np.ndarray) -> bool:
     return bool(((a == 0) | (a == 1)).all())
 
 
 def _backlogs_and_capacities(X, C) -> tuple[np.ndarray, np.ndarray]:
     """X of shape (N,) and C of shape (N, K), both finite and >= 0, else ValueError."""
-    X = _finite_nonnegative(X, "queue lengths")
-    if X.ndim != 1:
-        raise ValueError(f"queue lengths must have shape (N,), got {X.shape}")
-    C = _finite_nonnegative(C, "capacities")
-    if C.ndim != 2 or C.shape[0] != X.shape[0]:
-        raise ValueError(f"capacities must have shape ({X.shape[0]}, K), got {C.shape}")
-    return X, C
+    X = _read_nonnegative(X, "queue lengths", (None,), dtype=None)
+    return X, _read_nonnegative(C, "capacities", (len(X), None), dtype=None)
 
 
 def _allocation(weights, tie_rule: str) -> np.ndarray:
@@ -274,9 +263,7 @@ def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"allocation must have shape {C.shape}, got {I.shape}")
     if not _is_binary(I):
         raise ValueError("allocation entries must be 0 or 1")
-    A = _finite_nonnegative(A, "arrivals")
-    if A.shape != X.shape:
-        raise ValueError(f"arrivals must have shape {X.shape}, got {A.shape}")
+    A = _read_nonnegative(A, "arrivals", X.shape, dtype=None)
     for a, name in ((X, "queue lengths"), (A, "arrivals")):
         if a.dtype.kind == "f" and (a % 1).any():
             raise ValueError(f"{name} must be integers")
@@ -296,13 +283,12 @@ def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:
     N, M and K must be integers of at least 1 (an integral float reads as
     one) and a_max_sq a finite, nonnegative number, else ValueError.
     """
-    N, M, K = (_read(x, int, name) for x, name in ((N, "N"), (M, "M"), (K, "K")))
-    if min(N, M, K) < 1:
-        raise ValueError(f"N, M and K must be at least 1, got {N}, {M} and {K}")
-    if not 0 <= _read(a_max_sq, float, "a_max_sq") < np.inf:
+    N, M, K = (_read_count(x, name, 1) for x, name in ((N, "N"), (M, "M"), (K, "K")))
+    a_max_sq, delta = _read(a_max_sq, float, "a_max_sq"), _read(delta, float, "delta")
+    if not 0 <= a_max_sq < np.inf:
         raise ValueError(f"a_max_sq must be finite and nonnegative, got {a_max_sq}")
     if not delta < np.inf:
-        raise ValueError(f"margin must be finite, got {delta}")
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta <= 0:
         raise ValueError("rate not strictly interior; bound undefined")
     return (N * a_max_sq + (M * K) ** 2) / (2.0 * delta)
@@ -504,8 +490,9 @@ def run(
     longest-connected-queue delivers exactly max-weight's service with
     lowest-index ties, so ``policy="as_lcq"`` runs the max-weight loop with
     that tie rule.  The trace (slot, queue lengths, departures, arrivals)
-    is recorded for replication 0 only.  ``T`` and ``replications`` must be
-    integers (an integral float reads as one; a bool does not).
+    is recorded for replication 0 only.  ``T`` and ``replications`` are
+    counts of at least 1 and ``seed`` one of at least 0 (an integral float
+    reads as one; a bool does not).
 
     Backlogs, weights and occupancy sums are kept in int64, so a run whose
     bound T * (largest arrival batch) * max(T, M) exceeds the int64 range is
@@ -521,11 +508,8 @@ def run(
         if model.M > 1:
             raise ValidationError("as_lcq requires ON-OFF channels (M = 1)")
         tie_rule = "lowest_index"
-    T, replications = _read(T, int, "T"), _read(replications, int, "replications")
-    if T < 1:
-        raise ValueError("horizon must be at least one slot")
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    T, replications = _read_count(T, "T", 1), _read_count(replications, "replications", 1)
+    seed = _read_count(seed, "seed")
     cap = max(q.cap for q in arrivals.queues)
     if T * cap * max(T, model.M) > np.iinfo(np.int64).max:
         raise ValidationError("backlogs could overflow 64-bit integers; shorten T or lower the arrival caps")

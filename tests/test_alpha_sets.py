@@ -101,12 +101,12 @@ def test_all_ones_passes_any_m():
 
 
 @pytest.mark.parametrize(("call", "message"), [
-    (lambda: build_w(0, 2), "need M >= 1, got 0"),
-    (lambda: build_w(2, 0), "need N >= 1, got 0"),
-    (lambda: wn_count(0, 2), r"need M >= 1 and N >= 2, got \(0, 2\)"),
-    (lambda: wn_count(2, 1), r"need M >= 1 and N >= 2, got \(2, 1\)"),
+    (lambda: build_w(0, 2), "M must be at least 1, got 0"),
+    (lambda: build_w(2, 0), "N must be at least 1, got 0"),
+    (lambda: wn_count(0, 2), "M must be at least 1, got 0"),
+    (lambda: wn_count(2, 1), "N must be at least 2, got 1"),
     (lambda: canonicalize((2, -4)), "direction coordinates must be nonnegative"),
-    (lambda: in_v((1, 1), 0), "need M >= 1, got 0"),
+    (lambda: in_v((1, 1), 0), "M must be at least 1, got 0"),
 ], ids=["build_w-M", "build_w-N", "wn_count-M", "wn_count-N", "canonicalize-negative", "in_v-M"])
 def test_bad_arguments_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -147,6 +147,12 @@ def test_in_v_invariant_under_exact_float_scaling(alpha, q, M):
     assert in_v(alpha, M) == in_v([q * a for a in alpha], M)
 
 
+def test_in_v_reads_fraction_coordinates_exactly():
+    # thirds have no float form: (1/3, 2/3) is (1, 2) and (1/3, 1) is (1, 3), exactly
+    assert in_v((Fraction(1, 3), Fraction(2, 3)), 2) is in_v((1, 2), 2) is True
+    assert in_v((Fraction(1, 3), Fraction(1)), 2) is in_v((1, 3), 2) is False
+
+
 def test_in_v_agrees_with_naive_oracle(rng):
     for _ in range(200):
         N = int(rng.integers(2, 5))
@@ -180,9 +186,9 @@ def test_canonicalize_rejects_zero_vector():
     (lambda: canonicalize((math.inf, 1)), r"alpha\[0\] must be an integer, got inf"),
     (lambda: canonicalize((math.nan, 1)), r"alpha\[0\] must be an integer, got nan"),
     (lambda: canonicalize((True, 2)), r"alpha\[0\] must be an integer, got True"),
-    (lambda: in_v((math.inf, 1.0), 2), "direction coordinates must be finite, got inf"),
-    (lambda: in_v((1.0, -math.inf), 2), "direction coordinates must be finite, got -inf"),
-    (lambda: in_v((math.nan, 1.0), 2), "direction coordinates must be finite, got nan"),
+    (lambda: in_v((math.inf, 1.0), 2), r"alpha\[0\] must be finite, got inf"),
+    (lambda: in_v((1.0, -math.inf), 2), r"alpha\[1\] must be finite, got -inf"),
+    (lambda: in_v((math.nan, 1.0), 2), r"alpha\[0\] must be finite, got nan"),
 ], ids=["canonicalize-fraction", "canonicalize-second", "canonicalize-inf", "canonicalize-nan",
         "canonicalize-bool", "in_v-inf", "in_v-minus-inf", "in_v-nan"])
 def test_direction_readers_reject_non_integral_or_non_finite_coordinates(call, message):

@@ -9,6 +9,7 @@ from mqms import (
     DiscreteChannelModel,
     LinkDistribution,
     StabilityRegion,
+    UtilitySpec,
     ValidationError,
     brute_force_support,
     build_region,
@@ -18,6 +19,7 @@ from mqms import (
     link_means,
     membership_margin,
     onoff_support,
+    solve_fairness,
     support_function,
     support_vertex,
     to_descriptor,
@@ -287,10 +289,10 @@ def test_onoff_closed_form_matches_support(rng):
     ("p", "match"),
     [
         ([[1.5]], r"\[0, 1\]"),
-        ([[float("nan")]], r"\[0, 1\]"),
-        ([[-0.5, 0.2]], r"\[0, 1\]"),
-        ([0.5, 0.5], "N x K matrix"),
-        ([[[0.5]]], "N x K matrix"),
+        ([[float("nan")]], "finite and nonnegative"),
+        ([[-0.5, 0.2]], "finite and nonnegative"),
+        ([0.5, 0.5], r"shape \(\*, \*\)"),
+        ([[[0.5]]], r"shape \(\*, \*\)"),
     ],
 )
 def test_onoff_support_rejects_bad_probabilities(p, match):
@@ -378,6 +380,24 @@ def test_betas_keep_under_a_server_permutation():
         assert_same_betas(build_region(model), build_region(rearranged(model, range(model.N), cols)), 1e-14)
 
 
+def test_fairness_objective_keeps_under_a_server_permutation():
+    # both solves are within their gap of the one optimum, so converged objectives
+    # agree within the larger gap; on these draws they differ by at most 8.9e-16
+    rng = np.random.default_rng(1312)
+    converged = 0
+    for model in seeded_models(60):
+        permuted = rearranged(model, range(model.N), rng.permutation(model.K).tolist())
+        weights = rng.uniform(0.1, 2.0, model.N).tolist()
+        for spec in (UtilitySpec.log_shifted(model.N), UtilitySpec.alpha_fair(model.N, 2.0),
+                     UtilitySpec.weighted_linear(weights)):
+            a = solve_fairness(model, spec, tol=1e-9, max_iters=2000)
+            b = solve_fairness(permuted, spec, tol=1e-9, max_iters=2000)
+            if a.converged and b.converged:
+                converged += 1
+                assert abs(a.objective - b.objective) <= max(a.gap, b.gap) + 1e-12
+    assert converged >= 160
+
+
 def test_an_all_zero_server_keeps_the_betas_bit_for_bit():
     for model in seeded_models():
         region, widened = build_region(model), build_region(rearranged(model, range(model.N), [*range(model.K), None]))
@@ -418,8 +438,8 @@ def test_margin_outside_point():
 
 
 @pytest.mark.parametrize(("region", "rates", "message"), [
-    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [0.1], "rate point must have length 2, got shape (1,)"),
-    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [[0.1, 0.1]], "rate point must have length 2, got shape (1, 2)"),
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [0.1], "rates must have shape (2,), got (1,)"),
+    (StabilityRegion([[1, 0], [0, 1]], [0.5, 0.5]), [[0.1, 0.1]], "rates must have shape (2,), got (1, 2)"),
     (StabilityRegion(np.zeros((0, 2), dtype=int), []), [0.1, 0.1], "region has no inequalities"),
 ], ids=["short", "2d", "no-rows"])
 def test_margin_rejects_a_rate_of_another_length_or_an_empty_region(region, rates, message):
@@ -439,8 +459,8 @@ def test_margin_rejects_negative_rates():
     ([np.nan, 0.5], "rates must be finite and nonnegative"),
     ([-5.0, 1.5], "rates must be finite and nonnegative"),
     ([0.5, np.inf], "rates must be finite and nonnegative"),
-    ([0.1], "rate point must have length 2, got shape (1,)"),
-    ([[0.5, 0.5]], "rate point must have length 2, got shape (1, 2)"),
+    ([0.1], "rates must have shape (2,), got (1,)"),
+    ([[0.5, 0.5]], "rates must have shape (2,), got (1, 2)"),
 ], ids=["nan", "negative", "inf", "short", "2d"])
 def test_binding_checks_the_rate_point_as_the_margin_does(rates, message):
     # binding([nan, 0.5]) gave (), binding([-5.0, 1.5]) gave ((0, 1),), and a

@@ -199,9 +199,9 @@ def test_delay_bound_decreasing_in_margin():
     ((2, math.nan, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got nan"),
     ((2, -5.0, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got -5.0"),
     ((2, math.inf, 1, 1, 0.5), "a_max_sq must be finite and nonnegative, got inf"),
-    ((0, 1.0, 1, 1, 0.5), "N, M and K must be at least 1, got 0, 1 and 1"),
-    ((1, 1.0, 0, 1, 0.5), "N, M and K must be at least 1, got 1, 0 and 1"),
-    ((1, 1.0, 1, -2, 0.5), "N, M and K must be at least 1, got 1, 1 and -2"),
+    ((0, 1.0, 1, 1, 0.5), "N must be at least 1, got 0"),
+    ((1, 1.0, 0, 1, 0.5), "M must be at least 1, got 0"),
+    ((1, 1.0, 1, -2, 0.5), "K must be at least 1, got -2"),
     ((1.5, 1.0, 1, 1, 0.5), "N must be an integer, got 1.5"),
     ((1, 1.0, True, 1, 0.5), "M must be an integer, got True"),
     ((1, "1", 1, 1, 0.5), "a_max_sq must be a number, got '1'"),
@@ -410,8 +410,8 @@ def test_run_rejects_unknown_tie_rule_before_sampling(monkeypatch, policy):
 
 @pytest.mark.parametrize(("kwargs", "message"), [
     ({"policy": "bogus"}, "unknown policy 'bogus'"),
-    ({"T": 0}, "horizon must be at least one slot"),
-    ({"T": -5}, "horizon must be at least one slot"),
+    ({"T": 0}, "T must be at least 1, got 0"),
+    ({"T": -5}, "T must be at least 1, got -5"),
 ], ids=["policy", "T-zero", "T-negative"])
 def test_run_rejects_a_bad_policy_or_horizon_before_sampling(monkeypatch, kwargs, message):
     def no_sampling(*args, **kwargs):
@@ -429,7 +429,7 @@ def test_run_rejects_fewer_than_one_replication_before_sampling(monkeypatch, rep
         raise AssertionError("sampled before checking the replication count")
 
     monkeypatch.setattr(mqms_sim, "sample_states", no_sampling)
-    with pytest.raises(ValueError, match="at least one replication"):
+    with pytest.raises(ValueError, match="replications must be at least 1"):
         run(MODEL_2x2, ArrivalModel.deterministic([0.1, 0.1]), T=10, replications=reps)
 
 
