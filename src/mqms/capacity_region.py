@@ -26,6 +26,7 @@ from .alpha_sets import build_vhat
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
+    _check_probability,
     _read,
     _read_count,
     _read_nonnegative,
@@ -183,8 +184,7 @@ def onoff_support(p, queue_subset) -> float:
     an ON link.
     """
     p = _read_nonnegative(p, "p", (None, None))
-    if not (p <= 1.0).all():
-        raise ValidationError("p must lie in [0, 1]")
+    _check_probability(p, "p")
     Q = sorted({_read(n, int, f"queue_subset[{i}]") for i, n in enumerate(queue_subset)})
     if not Q:
         raise ValueError("queue subset must be nonempty")

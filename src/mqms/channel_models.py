@@ -74,10 +74,10 @@ class DiscreteChannelModel:
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
         pmfs = _read(pmfs, _DISCRETE_KINDS["factored"]["pmfs"], "pmfs")
-        lengths = {len(link) for row in pmfs for link in row}
-        if len(lengths) != 1:
-            raise ValidationError("dimension mismatch: link pmfs have unequal lengths")
-        return cls(N=len(pmfs), K=len(pmfs[0]), M=lengths.pop() - 1, kind="factored", pmfs=pmfs)
+        N = len(pmfs)
+        K = len(pmfs[0]) if N else 0
+        M = len(pmfs[0][0]) - 1 if K else 0
+        return cls(N=N, K=K, M=M, kind="factored", pmfs=pmfs)
 
     @classmethod
     def explicit_joint(cls, states, M: int | None = None) -> "DiscreteChannelModel":
@@ -113,12 +113,13 @@ class LinkDistribution:
 
     def __post_init__(self):
         _read_kind(self, _LINK_KINDS, "link distribution")
-        if self.kind == "exponential" and not 0 < self.mean < math.inf:
-            raise ValidationError(f"exponential mean must be finite and > 0, got {self.mean}")
-        if self.kind == "uniform" and not 0 < self.high < math.inf:
-            raise ValidationError(f"uniform upper bound must be finite and > 0, got {self.high}")
-        if self.kind == "empirical" and not (self.values and all(0 <= v < math.inf for v in self.values)):
-            raise ValidationError("empirical table must be nonempty, with finite nonnegative values")
+        if self.kind != "empirical":
+            name = "mean" if self.kind == "exponential" else "high"
+            _read_nonnegative(getattr(self, name), name, (), nonzero=True)
+        elif not self.values:
+            raise ValidationError("values must be nonempty")
+        else:
+            _read_nonnegative(self.values, "values", (None,))
 
     def expected_value(self) -> float:
         if self.kind == "exponential":
@@ -156,55 +157,44 @@ class ContinuousChannelModel:
 
 
 def validate(model) -> None:
-    """Check every structural invariant; raise ValidationError on the first violation."""
-    if model.N < 1 or model.K < 1:
-        raise ValidationError(f"dimension mismatch: need N >= 1 and K >= 1, got ({model.N}, {model.K})")
-
-    if isinstance(model, ContinuousChannelModel):
-        _check_grid_shape(model.links, model.N, model.K)  # each link checked itself when built
+    """Check every structural invariant; raise ValidationError naming the first field at fault."""
+    N, K = _read_count(model.N, "N", 1), _read_count(model.K, "K", 1)
+    if isinstance(model, ContinuousChannelModel):  # each link checked itself when built
+        if len(model.links) != N or any(len(row) != K for row in model.links):
+            raise ValidationError(f"links must have shape ({N}, {K})")
         return
+    M = _read_count(model.M, "M", 1)
     if model.kind == "bernoulli":
-        if model.M != 1:
-            raise ValidationError(f"bernoulli links are ON-OFF, so M must be 1, got {model.M}")
-        _check_grid_shape(model.p, model.N, model.K)
-        for row in model.p:
-            for q in row:
-                if not 0.0 <= q <= 1.0:
-                    raise ValidationError(f"negative probability or >1: p={q}")
+        if M != 1:
+            raise ValidationError(f"M must be 1 for ON-OFF links, got {M}")
+        _check_probability(_read_nonnegative(model.p, "p", (N, K)), "p")
     elif model.kind == "factored":
-        _check_grid_shape(model.pmfs, model.N, model.K)
-        for n, row in enumerate(model.pmfs):
-            for k, pmf in enumerate(row):
-                if len(pmf) != model.M + 1:
-                    raise ValidationError(f"dimension mismatch: link ({n},{k}) pmf length {len(pmf)}")
-                check_pmf(pmf, f"link ({n},{k}) pmf")
+        check_pmf(model.pmfs, "pmfs", (N, K, M + 1))
     else:  # explicit_joint
-        seen = set()
-        for mat, _ in model.states:
-            if len(mat) != model.N or any(len(row) != model.K for row in mat):
-                raise ValidationError("dimension mismatch: state matrix shape differs from (N, K)")
-            for row in mat:
-                for x in row:
-                    if x < 0 or x > model.M:
-                        raise ValidationError(f"capacity {x} outside {{0..{model.M}}}")
-            if mat in seen:
-                raise ValidationError("duplicate state matrix in explicit_joint model")
-            seen.add(mat)
-        check_pmf([prob for _, prob in model.states], "state probabilities")
-    if model.M < 1:
-        raise ValidationError(f"max capacity M must be >= 1, got {model.M}")
+        mats = _read_nonnegative([mat for mat, _ in model.states], "states", (None, N, K))
+        if (mats > M).any():
+            raise ValidationError(f"states must be matrices of capacities in {{0..{M}}}")
+        if len(np.unique(mats, axis=0)) < len(mats):
+            raise ValidationError("states must be distinct matrices")
+        check_pmf([prob for _, prob in model.states], "states", (len(mats),))
 
 
-def check_pmf(pmf, what: str) -> None:
-    """Raise ValidationError unless pmf is finite, nonnegative and sums to 1.
+def check_pmf(pmf, name: str, shape: tuple) -> None:
+    """Raise ValidationError naming ``name`` unless pmf sums to 1 along its last axis.
 
-    Every comparison is written so that NaN fails it.
+    pmf is first read by ``_read_nonnegative`` at ``shape``, so one call
+    checks every link pmf of a factored model.
     """
-    if not all(q >= 0 for q in pmf):
-        raise ValidationError(f"negative or NaN probability in {what}")
-    total = sum(pmf)
-    if not abs(total - 1.0) <= PMF_TOL:
-        raise ValidationError(f"pmf not normalized: {what} sums to {total}")
+    sums = _read_nonnegative(pmf, name, shape).sum(axis=-1)
+    bad = abs(sums - 1.0) > PMF_TOL
+    if bad.any():
+        raise ValidationError(f"{name} must be normalised, got a sum of {sums[bad].flat[0]}")
+
+
+def _check_probability(a: np.ndarray, name: str) -> None:
+    """Raise ValidationError naming ``name`` unless every entry of the read array a is at most 1."""
+    if not (a <= 1.0).all():
+        raise ValidationError(f"{name} must be in [0, 1]")
 
 
 def _read(x, spec, where: str):
@@ -270,15 +260,29 @@ def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=f
 
     A ``None`` in ``shape`` is a free axis.  With ``nonzero`` some entry
     must be positive.  x is read as float, or with ``dtype=None`` in its
-    own boolean, integer or float type.
+    own boolean, integer or float type.  A float read refuses bools; every
+    read refuses strings, other objects and ragged lists.  A scalar
+    (``shape`` ``()``) is first read as ``_read(x, float, name)`` reads it.
     """
-    a = np.asarray(x, dtype=dtype)
+    got = ""
+    if shape == ():
+        x = _read(x, float, name)
+        got = f", got {x!r}"
+    try:
+        a = np.asarray(x)
+    except (ValueError, Warning):  # a ragged list: numpy >= 1.24 raises, older numpy warns (an error under -W error)
+        a = None
+    # where older numpy only warns, a ragged list reads as an object array
+    if a is None or a.dtype.kind not in ("biuf" if dtype is None else "iuf"):
+        raise ValidationError(f"{name} must be a rectangular array of numbers, got {x!r}")
     if a.shape != shape and (a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape))):
         raise ValidationError(f"{name} must have shape {str(shape).replace('None', '*')}, got {a.shape}")
-    if a.dtype.kind not in "biuf" or not (np.isfinite(a) & (a >= 0)).all():
-        raise ValidationError(f"{name} must be finite and nonnegative")
+    if dtype is not None:
+        a = a.astype(dtype, copy=False)
+    if not (np.isfinite(a) & (a >= 0)).all():
+        raise ValidationError(f"{name} must be finite and nonnegative{got}")
     if nonzero and not a.any():
-        raise ValidationError(f"{name} must not be all zero")
+        raise ValidationError(f"{name} must be nonzero{got}")
     return a
 
 
@@ -324,11 +328,6 @@ def validate_discrete(model) -> None:
             f"a discrete channel model is required, got {type(model).__name__}; "
             "continuous models have a fluid region only"
         )
-
-
-def _check_grid_shape(grid, N, K) -> None:
-    if len(grid) != N or any(len(row) != K for row in grid):
-        raise ValidationError("dimension mismatch: grid shape differs from (N, K)")
 
 
 # -- enumeration ---------------------------------------------------------

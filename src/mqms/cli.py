@@ -233,7 +233,7 @@ def oracle_check(model: DiscreteChannelModel, state_cap: int = BRUTE_FORCE_CAP) 
     inequalities = build_region(model).inequalities
     deviations, onoff_dev = [], 0.0
     for alpha, fast in inequalities:
-        slow = brute_force_support(model, alpha, state_cap=state_cap, alloc_cap=state_cap)
+        slow = brute_force_support(model, alpha, state_cap=state_cap)
         deviations.append(abs(fast - slow))
         if model.kind == "bernoulli":
             Q = [n for n, a in enumerate(alpha) if a]

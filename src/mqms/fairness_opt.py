@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity_region import _vertex_kernel, build_region, membership_margin, support_vertex
-from .channel_models import DiscreteChannelModel, ValidationError, _read, _read_count, _read_kind, _read_nonnegative
+from .channel_models import DiscreteChannelModel, ValidationError, _read_count, _read_kind, _read_nonnegative
 
 GRAD_FLOOR = 1e-12  # keeps power-law gradients finite at zero rates
 # The line search stops once its bracket is this wide, or once a Newton
@@ -51,18 +51,17 @@ class UtilitySpec:
 
     def __post_init__(self):
         _read_kind(self, _UTILITY_KINDS, "utility")
+        if not self.caps:
+            raise ValidationError("caps must be nonempty")
+        _read_nonnegative([c for c in self.caps if c != math.inf], "caps other than inf", (None,))
         if self.kind == "weighted_linear":
-            if not all(0 <= w < math.inf for w in self.weights):
-                raise ValidationError("linear utility weights must be finite and nonnegative")
-            if len(self.caps) != len(self.weights):
-                raise ValidationError(f"need {len(self.weights)} caps, got {len(self.caps)}")
+            _read_nonnegative(self.weights, "weights", (self.N,))
         elif self.kind == "log_shifted":
-            if not 0 < self.epsilon < math.inf:
-                raise ValidationError("epsilon must be finite and positive")
-        elif not 0 <= self.a < math.inf or self.a == 1.0:
-            raise ValidationError("fairness exponent must be finite, >= 0 and != 1")
-        if not all(c >= 0 for c in self.caps):
-            raise ValidationError("caps must be nonnegative (infinity allowed), not NaN")
+            _read_nonnegative(self.epsilon, "epsilon", (), nonzero=True)
+        else:
+            _read_nonnegative(self.a, "a", ())
+            if self.a == 1.0:
+                raise ValidationError("a must be other than 1, got 1.0")
 
     @classmethod
     def weighted_linear(cls, weights, caps=None) -> "UtilitySpec":
@@ -263,9 +262,7 @@ def solve_fairness(
     so the region is never built here.
     """
     _check_dimensions(model, utilities)
-    tol = _read(tol, float, "tol")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    tol = float(_read_nonnegative(tol, "tol", (), nonzero=True))
     max_iters = _read_count(max_iters, "max_iters", 1)
     if step_rule != "line_search":
         raise ValueError(f"unknown step rule {step_rule!r}")

@@ -26,7 +26,6 @@ import numpy as np
 from .channel_models import (
     ContinuousChannelModel,
     ValidationError,
-    _read,
     _read_count,
     _read_nonnegative,
     link_means,
@@ -227,12 +226,9 @@ def exp_2q_boundary(mu1: float, mu2: float, lambda1: float) -> float:
     dropping from mu2 at lambda1 = 0 to zero when queue 1 saturates the
     server at lambda1 = mu1.
     """
-    mu1, mu2, lambda1 = _read(mu1, float, "mu1"), _read(mu2, float, "mu2"), _read(lambda1, float, "lambda1")
-    for mu, name in ((mu1, "mu1"), (mu2, "mu2")):
-        if not 0 < mu < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {mu}")
-    if not 0 <= lambda1 < math.inf:
-        raise ValueError(f"lambda1 must be finite and nonnegative, got {lambda1}")
+    mu1 = float(_read_nonnegative(mu1, "mu1", (), nonzero=True))
+    mu2 = float(_read_nonnegative(mu2, "mu2", (), nonzero=True))
+    lambda1 = float(_read_nonnegative(lambda1, "lambda1", ()))
     if lambda1 > mu1:
         raise ValueError("outside single-queue capacity")
     s = math.sqrt(1.0 - lambda1 / mu1)

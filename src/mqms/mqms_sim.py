@@ -32,6 +32,7 @@ from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
     _categorical,
+    _check_probability,
     _kind_fields,
     _read,
     _read_count,
@@ -75,13 +76,13 @@ class QueueArrivals:
         # fields become ints, floats and a tuple first, so every instance is checked alike and hashable
         _read_kind(self, _ARRIVAL_KINDS, "arrival")
         if self.kind == "deterministic":
-            if self.rate_num < 0 or self.rate_den < 1:
-                raise ValidationError(f"bad deterministic rate {self.rate_num}/{self.rate_den}")
+            _read_count(self.rate_num, "rate_num")
+            _read_count(self.rate_den, "rate_den", 1)
         elif self.kind == "bernoulli_batch":
-            if self.batch < 0 or not 0.0 <= self.prob <= 1.0:
-                raise ValidationError(f"bad bernoulli_batch parameters ({self.batch}, {self.prob})")
+            _read_count(self.batch, "batch")
+            _check_probability(_read_nonnegative(self.prob, "prob", ()), "prob")
         else:
-            check_pmf(self.pmf, "arrival pmf")
+            check_pmf(self.pmf, "pmf", (None,))
 
     @property
     def mean(self) -> float:
@@ -284,11 +285,9 @@ def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:
     one) and a_max_sq a finite, nonnegative number, else ValueError.
     """
     N, M, K = (_read_count(x, name, 1) for x, name in ((N, "N"), (M, "M"), (K, "K")))
-    a_max_sq, delta = _read(a_max_sq, float, "a_max_sq"), _read(delta, float, "delta")
-    if not 0 <= a_max_sq < np.inf:
-        raise ValueError(f"a_max_sq must be finite and nonnegative, got {a_max_sq}")
+    a_max_sq, delta = float(_read_nonnegative(a_max_sq, "a_max_sq", ())), _read(delta, float, "delta")
     if not delta < np.inf:
-        raise ValueError(f"delta must be finite, got {delta}")
+        raise ValidationError(f"delta must be finite, got {delta}")
     if delta <= 0:
         raise ValueError("rate not strictly interior; bound undefined")
     return (N * a_max_sq + (M * K) ** 2) / (2.0 * delta)

@@ -38,24 +38,24 @@ def test_validate_accepts_wellformed_bernoulli():
 
 
 def test_validate_rejects_unnormalized_explicit():
-    with pytest.raises(ValidationError, match="not normalized"):
+    with pytest.raises(ValidationError, match="states must be normalised"):
         DiscreteChannelModel.explicit_joint(
             [([[1]], 0.6), ([[0]], 0.5)],
         )
 
 
 def test_validate_rejects_unnormalized_factored_pmf():
-    with pytest.raises(ValidationError, match="not normalized"):
+    with pytest.raises(ValidationError, match="pmfs must be normalised"):
         DiscreteChannelModel.factored([[[0.5, 0.5, 0.2]]])
 
 
 def test_validate_rejects_negative_probability():
-    with pytest.raises(ValidationError, match="negative probability"):
+    with pytest.raises(ValidationError, match="p must be finite and nonnegative"):
         DiscreteChannelModel.bernoulli([[-0.1]])
 
 
 def test_validate_rejects_dimension_mismatch():
-    with pytest.raises(ValidationError, match="dimension mismatch"):
+    with pytest.raises(ValidationError, match=r"p must have shape \(2, 2\), got \(1, 2\)"):
         DiscreteChannelModel(N=2, K=2, M=1, kind="bernoulli", p=((0.5, 0.5),))
 
 
@@ -92,27 +92,27 @@ STRAY_FIELD_MODELS = {
 
 
 @pytest.mark.parametrize(("make", "message"), [
-    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)), "negative probability or >1"),
-    (lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)), "pmf length 2"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)), r"p must be in \[0, 1\]"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)), r"pmfs must have shape \(1, 1, 3\), got \(1, 1, 2\)"),
     (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
-     "capacity 2 outside"),
+     "states must be matrices of capacities in {0..1}"),
     (lambda: ContinuousChannelModel(N=1, K=1, links=((LinkDistribution("uniform", high=-1.0),),)),
-     "uniform upper bound must be finite and > 0"),
+     "high must be finite and nonnegative, got -1.0"),
     (lambda: LinkDistribution("exponential", mean="x"), "mean must be a number"),
     (lambda: DiscreteChannelModel(N="2", K=1, M=1, kind="bernoulli", p=((0.5,), (0.5,))), "N must be an integer"),
     *STRAY_FIELD_MODELS.values(),
-    (lambda: DiscreteChannelModel.explicit_joint([([[1]], 0.5), ([[1]], 0.5)]), "duplicate state matrix"),
-    (lambda: DiscreteChannelModel(N=1, K=1, M=0, kind="factored", pmfs=(((1.0,),),)), "M must be >= 1, got 0"),
+    (lambda: DiscreteChannelModel.explicit_joint([([[1]], 0.5), ([[1]], 0.5)]), "states must be distinct matrices"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=0, kind="factored", pmfs=(((1.0,),),)), "M must be at least 1, got 0"),
     (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="markov"), "^unknown model kind 'markov'$"),
     (lambda: LinkDistribution("gamma"), "^unknown link distribution kind 'gamma'$"),
     (lambda: LinkDistribution(["exponential"]), r"^unknown link distribution kind \['exponential'\]$"),
     (lambda: mqms_sim.QueueArrivals("poisson"), "^unknown arrival kind 'poisson'$"),
     (lambda: UtilitySpec(None, caps=(1.0,)), "^unknown utility kind None$"),
-    (lambda: LinkDistribution("exponential", mean=-1.0), "^exponential mean must be finite and > 0, got -1.0$"),
-    (lambda: LinkDistribution("exponential"), "^exponential mean must be finite and > 0, got 0.0$"),
-    (lambda: LinkDistribution("uniform", high=0.0), "^uniform upper bound must be finite and > 0, got 0.0$"),
-    (lambda: LinkDistribution("empirical"), "^empirical table must be nonempty, with finite nonnegative values$"),
-    (lambda: LinkDistribution("empirical", values=(1.0, -0.5)), "^empirical table must be nonempty"),
+    (lambda: LinkDistribution("exponential", mean=-1.0), "^mean must be finite and nonnegative, got -1.0$"),
+    (lambda: LinkDistribution("exponential"), "^mean must be nonzero, got 0.0$"),
+    (lambda: LinkDistribution("uniform", high=0.0), "^high must be nonzero, got 0.0$"),
+    (lambda: LinkDistribution("empirical"), "^values must be nonempty$"),
+    (lambda: LinkDistribution("empirical", values=(1.0, -0.5)), "^values must be finite and nonnegative$"),
 ], ids=["bernoulli", "factored", "explicit_joint", "continuous", "string-mean", "string-N", *STRAY_FIELD_MODELS,
         "duplicate-states", "M-zero", "unknown-model", "unknown-link", "unknown-link-list", "unknown-arrival",
         "unknown-utility", "exp-negative", "exp-default", "uniform-zero", "empirical-empty", "empirical-negative"])

@@ -348,6 +348,16 @@ def test_oracle_check_explicit_toy_model_is_exact():
     assert report["max_abs_deviation"] == 0.0
 
 
+def test_oracle_check_state_cap_leaves_the_allocations_alone():
+    # 2 states but N^K = 81 allocations: the state cap of 64 used to cap the allocations too
+    model = DiscreteChannelModel.explicit_joint([
+        ([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], 0.5),
+        ([[0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 0]], 0.5),
+    ])
+    report = oracle_check(model, state_cap=64)
+    assert report["ok"] and report["directions_checked"] == 7
+
+
 def test_oracle_check_subcommand_on_factored_demo(capsys):
     code = main(["oracle-check", "--model", str(DEMO_MODELS / "factored_2x2_m2.json")])
     summary, payload = capsys.readouterr().out.split("\n", 1)

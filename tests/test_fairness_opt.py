@@ -69,10 +69,10 @@ UNCAPPED = (math.inf, math.inf)
 @pytest.mark.parametrize(("kwargs", "match"), [
     ({"kind": "bogus"}, "unknown utility kind"),
     ({"kind": "weighted_linear", "weights": (1.0, -0.5)}, "weights must be finite and nonnegative"),
-    ({"kind": "weighted_linear", "weights": (1.0,)}, "need 1 caps, got 2"),
-    ({"kind": "log_shifted", "epsilon": -1.0}, "epsilon must be finite and positive"),
-    ({"kind": "alpha_fair", "a": 1.0}, "fairness exponent must be finite"),
-    ({"kind": "alpha_fair", "a": 2.0, "caps": (float("nan"), 1.0)}, "caps must be nonnegative"),
+    ({"kind": "weighted_linear", "weights": (1.0,)}, r"weights must have shape \(2,\), got \(1,\)"),
+    ({"kind": "log_shifted", "epsilon": -1.0}, "epsilon must be finite and nonnegative, got -1.0"),
+    ({"kind": "alpha_fair", "a": 1.0}, "a must be other than 1"),
+    ({"kind": "alpha_fair", "a": 2.0, "caps": (float("nan"), 1.0)}, "caps other than inf must be finite and nonnegative"),
     ({"kind": "log_shifted", "caps": ("1.0", 1.0)}, r"caps\[0\] must be a number, got '1.0'"),
     ({"kind": "log_shifted", "caps": (True, 1.0)}, r"caps\[0\] must be a number, got True"),
     ({"kind": "log_shifted", "epsilon": "0.5"}, "epsilon must be a number, got '0.5'"),
@@ -87,12 +87,12 @@ def test_raw_utility_spec_is_checked(kwargs, match):
 
 @pytest.mark.parametrize(("make", "message"), [
     (lambda: UtilitySpec(kind="bogus", caps=UNCAPPED), "unknown utility kind 'bogus'"),
-    (lambda: UtilitySpec.log_shifted(2, epsilon=0.0), "epsilon must be finite and positive"),
-    (lambda: UtilitySpec.alpha_fair(2, a=1.0), "fairness exponent must be finite, >= 0 and != 1"),
-    (lambda: UtilitySpec.log_shifted(2, caps=[-0.5, 1.0]), "caps must be nonnegative (infinity allowed), not NaN"),
-    (lambda: UtilitySpec.log_shifted(2, caps=[math.nan, 1.0]), "caps must be nonnegative (infinity allowed), not NaN"),
+    (lambda: UtilitySpec.log_shifted(2, epsilon=0.0), "epsilon must be nonzero, got 0.0"),
+    (lambda: UtilitySpec.alpha_fair(2, a=1.0), "a must be other than 1, got 1.0"),
+    (lambda: UtilitySpec.log_shifted(2, caps=[-0.5, 1.0]), "caps other than inf must be finite and nonnegative"),
+    (lambda: UtilitySpec.log_shifted(2, caps=[math.nan, 1.0]), "caps other than inf must be finite and nonnegative"),
     (lambda: UtilitySpec.weighted_linear([1.0, 2.0], caps=[1.0]), "need 2 caps, got 1"),
-    (lambda: UtilitySpec(kind="weighted_linear", caps=UNCAPPED, weights=(1.0,)), "need 1 caps, got 2"),
+    (lambda: UtilitySpec(kind="weighted_linear", caps=UNCAPPED, weights=(1.0,)), "weights must have shape (2,), got (1,)"),
 ], ids=["kind", "epsilon", "exponent", "negative-cap", "nan-cap", "caps-count", "raw-caps-count"])
 def test_utility_spec_range_faults_are_validation_errors(make, message):
     # one error type for every bad spec, as for the model and arrival dataclasses

@@ -342,7 +342,7 @@ def test_boundary_closed_form_rejects_overload():
     [(np.nan, 1.0, 0.5), (2.0, np.nan, 0.5), (np.inf, 1.0, 0.5), (2.0, np.inf, 0.5), (-1.0, 1.0, 0.5)],
 )
 def test_boundary_closed_form_rejects_bad_means(args):
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="^mu[12] must be finite and nonnegative"):
         exp_2q_boundary(*args)
 
 

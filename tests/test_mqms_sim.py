@@ -267,7 +267,7 @@ def test_arrival_descriptor_round_trip():
 
 
 def test_arrival_pmf_must_normalize():
-    with pytest.raises(ValidationError, match="not normalized"):
+    with pytest.raises(ValidationError, match="pmf must be normalised"):
         ArrivalModel.bounded_pmf([[0.5, 0.4]])
 
 
