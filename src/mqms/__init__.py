@@ -31,7 +31,6 @@ from .channel_models import (
     link_means,
     load_model,
     per_server_column_distribution,
-    sample_state,
     sample_states,
     to_descriptor,
     validate,
@@ -89,7 +88,6 @@ __all__ = [
     "onoff_support",
     "per_server_column_distribution",
     "run",
-    "sample_state",
     "sample_states",
     "solve_fairness",
     "step",

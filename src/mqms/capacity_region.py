@@ -226,24 +226,20 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     return float(delta.min() / scale)
 
 
-def brute_force_support(
-    model: DiscreteChannelModel,
-    alpha,
-    state_cap: int = BRUTE_FORCE_CAP,
-    alloc_cap: int = BRUTE_FORCE_CAP,
-) -> float:
+def brute_force_support(model: DiscreteChannelModel, alpha, state_cap: int = BRUTE_FORCE_CAP) -> float:
     """Independent oracle for support_function: try every allocation matrix.
 
     Enumerates all joint channel states and, per state, the value of all
     N^K allocation matrices (every server-to-queue assignment), then takes
     the literal maximum.  No per-server decomposition is used, so this
-    cross-checks the fast path.  Only for small instances.
+    cross-checks the fast path.  Only for small instances: at most
+    ``state_cap`` states and ``BRUTE_FORCE_CAP`` allocations.
     """
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    state_cap, alloc_cap = _read_count(state_cap, "state_cap", 1), _read_count(alloc_cap, "alloc_cap", 1)
+    state_cap = _read_count(state_cap, "state_cap", 1)
     n_alloc = model.N ** model.K
-    if n_alloc > alloc_cap:
-        raise ValidationError(f"allocation cap exceeded: N^K = {n_alloc} > {alloc_cap}")
+    if n_alloc > BRUTE_FORCE_CAP:
+        raise ValidationError(f"allocation cap exceeded: N^K = {n_alloc} > {BRUTE_FORCE_CAP}")
     states = enumerate_states(model, cap=state_cap)
     total = 0.0
     for mat, prob in states:

@@ -11,6 +11,7 @@ and it is safe to share; all sampling goes through a caller-owned
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -89,7 +90,7 @@ class DiscreteChannelModel:
         states = _read(states, _DISCRETE_KINDS["explicit_joint"]["states"], "states")
         cleaned = [(C, prob) for C, prob in states if prob != 0.0]
         if not cleaned:
-            raise ValidationError("explicit_joint model has no positive-probability states")
+            raise ValidationError("states must hold a state of positive probability")
         if M is None:
             M = max(1, max((x for C, _ in cleaned for row in C for x in row), default=1))
         C = cleaned[0][0]
@@ -180,21 +181,34 @@ def validate(model) -> None:
 
 
 def check_pmf(pmf, name: str, shape: tuple) -> None:
-    """Raise ValidationError naming ``name`` unless pmf sums to 1 along its last axis.
+    """Raise ValidationError naming the first pmf in ``name`` that does not sum to 1 along the last axis.
 
     pmf is first read by ``_read_nonnegative`` at ``shape``, so one call
     checks every link pmf of a factored model.
     """
     sums = _read_nonnegative(pmf, name, shape).sum(axis=-1)
-    bad = abs(sums - 1.0) > PMF_TOL
-    if bad.any():
-        raise ValidationError(f"{name} must be normalised, got a sum of {sums[bad].flat[0]}")
+    _refuse_first(abs(sums - 1.0) > PMF_TOL, sums, name, "must be normalised, got a sum of")
 
 
 def _check_probability(a: np.ndarray, name: str) -> None:
-    """Raise ValidationError naming ``name`` unless every entry of the read array a is at most 1."""
-    if not (a <= 1.0).all():
-        raise ValidationError(f"{name} must be in [0, 1]")
+    """Raise ValidationError naming the first entry of the read array a above 1."""
+    _refuse_first(a > 1.0, a, name, "must be in [0, 1], got")
+
+
+def _refuse_first(bad: np.ndarray, a: np.ndarray, name: str, rule: str) -> None:
+    """Raise ValidationError ``name[i][j] rule a[i, j]`` at the first true entry of bad, if any."""
+    if bad.any():
+        i = np.unravel_index(bad.argmax(), bad.shape)
+        raise ValidationError(f"{name}{''.join(f'[{j}]' for j in i)} {rule} {a[i].item()!r}")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """Prefix the message of a ValidationError raised inside by ``path``, the JSON path of what is built."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}{exc}") from None
 
 
 def _read(x, spec, where: str):
@@ -260,7 +274,8 @@ def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=f
 
     A ``None`` in ``shape`` is a free axis.  With ``nonzero`` some entry
     must be positive.  x is read as float, or with ``dtype=None`` in its
-    own boolean, integer or float type.  A float read refuses bools; every
+    own boolean, integer or float type.  A float read refuses bools, also
+    one among numbers in a list or tuple (an array is not scanned); every
     read refuses strings, other objects and ragged lists.  A scalar
     (``shape`` ``()``) is first read as ``_read(x, float, name)`` reads it.
     """
@@ -273,7 +288,8 @@ def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=f
     except (ValueError, Warning):  # a ragged list: numpy >= 1.24 raises, older numpy warns (an error under -W error)
         a = None
     # where older numpy only warns, a ragged list reads as an object array
-    if a is None or a.dtype.kind not in ("biuf" if dtype is None else "iuf"):
+    if a is None or a.dtype.kind not in ("biuf" if dtype is None else "iuf") or (
+            dtype is not None and isinstance(x, (list, tuple)) and _holds_bool(x)):
         raise ValidationError(f"{name} must be a rectangular array of numbers, got {x!r}")
     if a.shape != shape and (a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape))):
         raise ValidationError(f"{name} must have shape {str(shape).replace('None', '*')}, got {a.shape}")
@@ -284,6 +300,12 @@ def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=f
     if nonzero and not a.any():
         raise ValidationError(f"{name} must be nonzero{got}")
     return a
+
+
+def _holds_bool(x) -> bool:
+    """Whether a bool, or a boolean array, sits anywhere in the nested lists and tuples x."""
+    return any(isinstance(v, (bool, np.bool_)) or isinstance(v, np.ndarray) and v.dtype.kind == "b"
+               or isinstance(v, (list, tuple)) and _holds_bool(v) for v in x)
 
 
 def _read_fields(obj, spec: dict) -> None:
@@ -507,11 +529,6 @@ def _categorical(rng: np.random.Generator, pmf, size: int) -> np.ndarray:
     return count
 
 
-def sample_state(model, rng: np.random.Generator) -> np.ndarray:
-    """Draw one channel matrix; shape (N, K)."""
-    return sample_states(model, rng, 1)[0]
-
-
 # -- JSON descriptors ----------------------------------------------------
 
 
@@ -547,18 +564,29 @@ _DESCRIPTOR = ("kind", {
 
 
 def from_descriptor(d: dict):
-    """Build and validate a model from its JSON descriptor; ``N`` and ``K``, if given, must match its arrays."""
+    """Build and validate a model from its JSON descriptor; ``N`` and ``K``, if given, must match its arrays.
+
+    A fault found while a link or the model is built is named by its JSON
+    path (``descriptor.links[0][1].mean``, ``descriptor.p[0][1]``).
+    """
     kind, fields = _read(d, _DESCRIPTOR, "descriptor")
-    if kind == "bernoulli":
-        model = DiscreteChannelModel.bernoulli(fields["p"])
-    elif kind == "factored":
-        model = DiscreteChannelModel.factored(fields["pmfs"])
-    elif kind == "explicit_joint":
-        states = [(s["C"], s["prob"]) for s in fields["states"]]
-        model = DiscreteChannelModel.explicit_joint(states, M=fields.get("M"))
-    else:
-        model = ContinuousChannelModel.of([[LinkDistribution(dist, **spec) for dist, spec in row]
-                                           for row in fields["links"]])
+    if kind == "continuous":
+        links = []
+        for n, row in enumerate(fields["links"]):
+            links.append([])
+            for k, (dist, spec) in enumerate(row):
+                with _at(f"descriptor.links[{n}][{k}]."):
+                    links[n].append(LinkDistribution(dist, **spec))
+    with _at("descriptor."):
+        if kind == "bernoulli":
+            model = DiscreteChannelModel.bernoulli(fields["p"])
+        elif kind == "factored":
+            model = DiscreteChannelModel.factored(fields["pmfs"])
+        elif kind == "explicit_joint":
+            states = [(s["C"], s["prob"]) for s in fields["states"]]
+            model = DiscreteChannelModel.explicit_joint(states, M=fields.get("M"))
+        else:
+            model = ContinuousChannelModel.of(links)
     for key, size in (("N", model.N), ("K", model.K)):
         if fields.get(key, size) != size:
             raise ValidationError(f"descriptor.{key} must be {size} to match its arrays, got {fields[key]}")

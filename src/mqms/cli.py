@@ -5,7 +5,8 @@ fairness, oracle-check.  Each subcommand only computes its result; ``main``
 resolves the configuration (every argument, defaults included, but the
 output paths, plus the version), prints it to stderr, stamps its hash and
 the tool version into the output and writes it, so any artifact can be
-regenerated byte-for-byte.
+regenerated byte-for-byte.  stdout carries only that output; notes (the
+configuration, ``wrote <path>``, ``oracle-check``'s summary) go to stderr.
 Exit codes: 0 success, 2 bad input or validation failure, 1 internal error,
 3 a solver ran but missed its tolerance (``fairness``; the output is still
 written).
@@ -253,7 +254,7 @@ def _cmd_oracle_check(args, stamp):
     report = oracle_check(load_model(args.model), state_cap=args.state_cap)
     n = report["directions_checked"]
     status = "==" if report["ok"] else "!="
-    print(f"support_function {status} brute_force on {n}/{n} directions")
+    print(f"support_function {status} brute_force on {n}/{n} directions", file=sys.stderr)
     return report, 0 if report["ok"] else 1
 
 

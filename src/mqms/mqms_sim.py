@@ -31,9 +31,9 @@ from .capacity_region import max_weight_argmax
 from .channel_models import (
     DiscreteChannelModel,
     ValidationError,
+    _at,
     _categorical,
     _check_probability,
-    _kind_fields,
     _read,
     _read_count,
     _read_fields,
@@ -118,7 +118,9 @@ def _exact_rate(rate) -> tuple[int, int]:
     try:
         frac = Fraction(str(rate))
     except (ArithmeticError, ValueError):
-        raise ValidationError(f"arrival rate {rate!r} is not a finite number") from None
+        frac = None
+    if frac is None or frac < 0:
+        raise ValidationError(f"rate must be a finite number >= 0, got {rate!r}")
     return frac.numerator, frac.denominator
 
 
@@ -172,17 +174,6 @@ class ArrivalModel:
                 out[:, n] = _categorical(rng, q.pmf, T)
         return out
 
-    def to_descriptor(self) -> dict:
-        qs = []
-        for q in self.queues:
-            if q.kind == "deterministic":
-                rate = Fraction(q.rate_num, q.rate_den)
-                exact = Fraction(repr(float(rate))) == rate  # 0.3 reads back as 3/10, 1/3 needs "1/3"
-                qs.append({"kind": "deterministic", "rate": float(rate) if exact else str(rate)})
-            else:
-                qs.append({"kind": q.kind, **_kind_fields(q, _ARRIVAL_KINDS)})
-        return {"queues": qs}
-
 
 # the deterministic rate is a number or a fraction string, which _exact_rate reads
 _ARRIVALS = {"queues": [("kind", {**_ARRIVAL_KINDS, "deterministic": {"rate": object}})]}
@@ -191,12 +182,10 @@ _ARRIVALS = {"queues": [("kind", {**_ARRIVAL_KINDS, "deterministic": {"rate": ob
 def arrivals_from_descriptor(d: dict) -> ArrivalModel:
     qs = []
     for n, (kind, fields) in enumerate(_read(d, _ARRIVALS, "arrivals")["queues"]):
-        if kind == "deterministic":
-            try:
+        with _at(f"arrivals.queues[{n}]."):
+            if kind == "deterministic":
                 fields["rate_num"], fields["rate_den"] = _exact_rate(fields.pop("rate"))
-            except ValidationError as exc:
-                raise ValidationError(f"arrivals.queues[{n}].rate: {exc}") from None
-        qs.append(QueueArrivals(kind=kind, **fields))
+            qs.append(QueueArrivals(kind=kind, **fields))
     return ArrivalModel(queues=qs)
 
 

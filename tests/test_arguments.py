@@ -7,10 +7,10 @@ ValidationError whose message starts with the argument's name.  The integer
 arguments whose bool and fraction cases other tests already hold (``T``,
 ``replications``, ``N``, ``M``, ``K``, ``directions``, ``samples``) appear
 here with their value below the bound.  An array argument refuses strings,
-bools, ragged lists and other objects.  The fields of the raw model, link,
-arrival and utility constructors are read by the same readers, and each
-out-of-range value, and each ragged array field, raises its full message,
-which starts with the field's name.
+bools, a bool among numbers, ragged lists and other objects.  The fields
+of the raw model, link, arrival and utility constructors are read by the
+same readers, and each out-of-range value, and each ragged array field,
+raises its full message, which starts with the field's name.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ COUNTS = [
     ("sample_states", "size", lambda x: sample_states(SYM, np.random.default_rng(0), x), 0),
     ("enumerate_states", "cap", lambda x: enumerate_states(SYM, cap=x), 1),
     ("brute_force_support", "state_cap", lambda x: brute_force_support(SYM, (1, 1), state_cap=x), 1),
-    ("brute_force_support", "alloc_cap", lambda x: brute_force_support(SYM, (1, 1), alloc_cap=x), 1),
 ]
 # indices, whose range is checked against the model: a bool and a fraction
 INDICES = [
@@ -119,8 +118,8 @@ ARRAYS = [
     ("boundary_trace", "lambda1_values", lambda x: boundary_trace(EXP, directions=3, lambda1_values=x)),
     ("onoff_support", "p", lambda x: onoff_support([x] if isinstance(x, list) else x, [0])),
 ]
-LEAKS = [("strings", ["0.1", "0.2"]), ("bools", [True, False]), ("ragged", [[0.1, 0.2], [0.3]]),
-         ("object", {"a": 1})]
+LEAKS = [("strings", ["0.1", "0.2"]), ("bools", [True, False]), ("mixed", [True, 0.2]),
+         ("ragged", [[0.1, 0.2], [0.3]]), ("object", {"a": 1})]
 # the per-slot operations keep bools (ON-OFF blocks are bool) but refuse ragged lists and objects
 SLOT_ARRAYS = [
     ("mw_allocate", "queue lengths", lambda x: mw_allocate(x, [[1, 0], [0, 1]])),
@@ -141,14 +140,14 @@ FIELDS = [
     *[("bernoulli", size, _discrete("bernoulli", p=P, **{size: 0}), "must be at least 1, got 0")
       for size in ("N", "K")],
     ("bernoulli", "M", _discrete("bernoulli", M=2, p=P), "must be 1 for ON-OFF links, got 2"),
-    ("bernoulli", "p", _discrete("bernoulli", p=((1.5,),)), "must be in [0, 1]"),
+    ("bernoulli", "p[0][0]", _discrete("bernoulli", p=((1.5,),)), "must be in [0, 1], got 1.5"),
     ("bernoulli", "p", _discrete("bernoulli", N=2, p=((0.5,), (0.5, 0.5))),
      "must be a rectangular array of numbers, got ((0.5,), (0.5, 0.5))"),
     *[("factored", size, _discrete("factored", pmfs=PMFS, **{size: 0}), "must be at least 1, got 0")
       for size in ("N", "K")],
     ("factored", "M", _discrete("factored", M=-1, pmfs=(((),),)), "must be at least 1, got -1"),
     ("factored", "pmfs", _discrete("factored", pmfs=(((-0.5, 1.5),),)), "must be finite and nonnegative"),
-    ("factored", "pmfs", _discrete("factored", pmfs=(((0.5, 0.6),),)), "must be normalised, got a sum of 1.1"),
+    ("factored", "pmfs[0][0]", _discrete("factored", pmfs=(((0.5, 0.6),),)), "must be normalised, got a sum of 1.1"),
     ("factored", "pmfs", _discrete("factored", N=2, pmfs=(((0.5, 0.5),), ((1.0,),))),
      "must be a rectangular array of numbers, got (((0.5, 0.5),), ((1.0,),))"),
     *[("explicit_joint", size, _discrete("explicit_joint", states=STATES, **{size: 0}), "must be at least 1, got 0")
@@ -172,7 +171,8 @@ FIELDS = [
     ("deterministic", "rate_num", lambda: QueueArrivals("deterministic", rate_num=-1), "must be at least 0, got -1"),
     ("deterministic", "rate_den", lambda: QueueArrivals("deterministic", rate_den=0), "must be at least 1, got 0"),
     ("bernoulli_batch", "batch", lambda: QueueArrivals("bernoulli_batch", batch=-1), "must be at least 0, got -1"),
-    ("bernoulli_batch", "prob", lambda: QueueArrivals("bernoulli_batch", batch=1, prob=1.5), "must be in [0, 1]"),
+    ("bernoulli_batch", "prob", lambda: QueueArrivals("bernoulli_batch", batch=1, prob=1.5),
+     "must be in [0, 1], got 1.5"),
     ("bounded_pmf", "pmf", lambda: QueueArrivals("bounded_pmf", pmf=(0.5, 0.4)),
      "must be normalised, got a sum of 0.9"),
     ("bounded_pmf", "pmf", lambda: QueueArrivals("bounded_pmf", pmf=(-0.5, 1.5)), "must be finite and nonnegative"),
@@ -212,18 +212,29 @@ def cases():
         for kind, x in LEAKS:
             yield pytest.param(call, x, _named(name), id=f"{fn}-{name}-{kind}")
     for fn, name, call in SLOT_ARRAYS:
-        for kind, x in LEAKS[2:]:
+        for kind, x in LEAKS[3:]:
             yield pytest.param(call, x, _named(name), id=f"{fn}-{name}-{kind}")
     # a field's whole message is matched
     for i, (kind, name, make, rest) in enumerate(FIELDS):
         message = rf"^{re.escape(f'{name} {rest}')}$"
-        yield pytest.param(lambda _, make=make: make(), None, message, id=f"{kind}-{name}-{i}")
+        yield pytest.param(lambda _, make=make: make(), None, message, id=f"{kind}-{name.partition('[')[0]}-{i}")
 
 
 @pytest.mark.parametrize(("call", "x", "message"), list(cases()))
 def test_a_bad_argument_is_rejected_by_name(call, x, message):
     with pytest.raises(ValidationError, match=message):
         call(x)
+
+
+@pytest.mark.parametrize("p", [[[0.5, 0.5], (np.True_, 0.5)], [np.array([True, False]), [0.5, 0.5]]],
+                         ids=["numpy-bool", "bool-row"])
+def test_a_nested_bool_among_numbers_is_refused(p):
+    with pytest.raises(ValidationError, match=r"^p must be a rectangular array of numbers"):
+        onoff_support(p, [0])
+
+
+def test_the_per_slot_operations_keep_bools_among_numbers():
+    assert mw_allocate([True, 2], [[1, 0], [0, True]]).tolist() == mw_allocate([1, 2], [[1, 0], [0, 1]]).tolist()
 
 
 def test_a_numpy_seed_is_stored_as_an_int():

@@ -509,6 +509,7 @@ def test_brute_force_equals_fast_path(rng):
 
 
 def test_brute_force_allocation_cap():
-    model = random_bernoulli(np.random.default_rng(0), 3, 3)
-    with pytest.raises(Exception, match="cap exceeded"):
-        brute_force_support(model, (1, 1, 1), alloc_cap=10)
+    # 3^8 = 6,561 allocations; the cap is checked before the 2^24 states are enumerated
+    model = random_bernoulli(np.random.default_rng(0), 3, 8)
+    with pytest.raises(ValidationError, match=r"^allocation cap exceeded: N\^K = 6561 > 4096$"):
+        brute_force_support(model, (1, 1, 1))

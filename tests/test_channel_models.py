@@ -21,7 +21,6 @@ from mqms import (
     link_means,
     per_server_column_distribution,
     run,
-    sample_state,
     sample_states,
     solve_fairness,
     support_vertex,
@@ -45,7 +44,7 @@ def test_validate_rejects_unnormalized_explicit():
 
 
 def test_validate_rejects_unnormalized_factored_pmf():
-    with pytest.raises(ValidationError, match="pmfs must be normalised"):
+    with pytest.raises(ValidationError, match=r"pmfs\[0\]\[0\] must be normalised"):
         DiscreteChannelModel.factored([[[0.5, 0.5, 0.2]]])
 
 
@@ -92,7 +91,7 @@ STRAY_FIELD_MODELS = {
 
 
 @pytest.mark.parametrize(("make", "message"), [
-    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)), r"p must be in \[0, 1\]"),
+    (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)), r"p\[0\]\[0\] must be in \[0, 1\], got 1\.5"),
     (lambda: DiscreteChannelModel(N=1, K=1, M=2, kind="factored", pmfs=(((0.5, 0.5),),)), r"pmfs must have shape \(1, 1, 3\), got \(1, 1, 2\)"),
     (lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((2,),), 1.0),)),
      "states must be matrices of capacities in {0..1}"),
@@ -450,7 +449,7 @@ def test_sampling_is_seed_reproducible():
     a = sample_states(model, np.random.default_rng(99), 200)
     b = sample_states(model, np.random.default_rng(99), 200)
     assert (a == b).all()
-    one = sample_state(model, np.random.default_rng(99))
+    one = sample_states(model, np.random.default_rng(99), 1)[0]
     assert (one == a[0]).all()
 
 
@@ -586,7 +585,18 @@ def test_descriptor_unknown_kind_rejected():
      "descriptor.M must be an integer, got True"),
     ({"N": 1, "K": 1, "kind": "bernoulli"}, "descriptor is missing 'p'"),
     ({"kind": "continuous", "links": [[{"mean": 1.0}]]}, "descriptor.links[0][0] is missing 'dist'"),
-], ids=["N", "K", "bool-M", "missing-p", "missing-dist"])
+    # a fault found while the model or a link is built is named by its path, down to the entry
+    ({"kind": "bernoulli", "p": [[0.5, 1.5], [0.2, 0.3]]}, "descriptor.p[0][1] must be in [0, 1], got 1.5"),
+    ({"kind": "factored", "pmfs": [[[0.5, 0.5], [0.5, 0.6]]]},
+     "descriptor.pmfs[0][1] must be normalised, got a sum of 1.1"),
+    ({"kind": "explicit_joint", "states": [{"C": [[1]], "prob": 0.6}, {"C": [[0]], "prob": 0.5}]},
+     "descriptor.states must be normalised, got a sum of 1.1"),
+    ({"kind": "explicit_joint", "states": [{"C": [[1]], "prob": 0.0}]},
+     "descriptor.states must hold a state of positive probability"),
+    ({"kind": "continuous", "links": [[{"dist": "exponential", "mean": 1.0}, {"dist": "uniform", "high": -1.0}]]},
+     "descriptor.links[0][1].high must be finite and nonnegative, got -1.0"),
+], ids=["N", "K", "bool-M", "missing-p", "missing-dist", "p-entry", "pmf-entry", "state-probs", "no-state",
+        "link-field"])
 def test_descriptor_contract(descriptor, message):
     with pytest.raises(ValidationError) as info:
         from_descriptor(json.loads(json.dumps(descriptor)))

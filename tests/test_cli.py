@@ -325,9 +325,10 @@ def test_check_huge_finite_rates_prints_a_finite_margin(capsys):
 
 def test_oracle_check_subcommand(capsys, bern_model_path):
     code = main(["oracle-check", "--model", bern_model_path])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert "support_function == brute_force on 3/3 directions" in out
+    assert "support_function == brute_force on 3/3 directions\n" in captured.err
+    assert strict_json(captured.out)["ok"] is True
 
 
 def test_oracle_check_function_factored(rng):
@@ -360,10 +361,12 @@ def test_oracle_check_state_cap_leaves_the_allocations_alone():
 
 def test_oracle_check_subcommand_on_factored_demo(capsys):
     code = main(["oracle-check", "--model", str(DEMO_MODELS / "factored_2x2_m2.json")])
-    summary, payload = capsys.readouterr().out.split("\n", 1)
+    captured = capsys.readouterr()
     assert code == 0
-    assert summary == "support_function == brute_force on 5/5 directions"
-    assert json.loads(payload)["ok"] is True
+    # the summary goes to stderr, after the configuration, so stdout is one JSON document
+    config, summary = captured.err.splitlines()
+    assert config.startswith("config: ") and summary == "support_function == brute_force on 5/5 directions"
+    assert strict_json(captured.out)["ok"] is True
 
 
 @pytest.mark.parametrize("argv", [

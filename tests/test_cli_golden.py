@@ -84,6 +84,20 @@ def test_cli_matches_the_pinned_outputs(tmp_path):
     assert len(golden) == 57 and codes.count(2) == 2 and codes.count(0) == 55
 
 
+def test_every_json_stdout_is_one_document():
+    # every pinned stdout but the two CSV writers' is one strict JSON document and nothing
+    # else (the rejected options print nothing); oracle-check's summary goes to stderr
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    golden = json.loads(GOLDEN.read_text())
+    documents = [case["stdout"] for cmd, case in golden.items()
+                 if case["stdout"] and "--format csv" not in cmd and not cmd.startswith("fluid-boundary")]
+    assert len(documents) == 49
+    for stdout in documents:
+        assert isinstance(json.loads(stdout, parse_constant=reject), dict)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmpdir:
         GOLDEN.write_text(json.dumps(run_all(tmpdir), indent=1, sort_keys=True) + "\n")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -250,20 +251,37 @@ def test_bounded_pmf_moments():
     assert q.cap == 2
 
 
-def test_arrival_descriptor_round_trip():
-    # deterministic rates are written as floats only when those read back
-    # exactly; 1/3 as a float read back as 3333333333333333/10^16 and
-    # released its first packet a slot late
-    for arr in (
-        ArrivalModel.bernoulli_batch([1, 2], [0.65, 0.1]),
-        ArrivalModel.deterministic([Fraction(1, 3), 0.3, "2/7", 2]),
-        ArrivalModel.bounded_pmf([[0.5, 0.25, 0.25], [0.1, 0.9]]),
+def test_arrival_descriptor_reads_like_the_constructors():
+    # a deterministic rate is read exactly: 0.3 as 3/10 and "1/3" as 1/3,
+    # where the float 1/3 would read as 3333333333333333/10^16 and release
+    # its first packet a slot late
+    rates = ["1/3", 0.3, "2/7", 2]
+    for queues, arr in (
+        ([{"kind": "bernoulli_batch", "batch": 1, "prob": 0.65}, {"kind": "bernoulli_batch", "batch": 2, "prob": 0.1}],
+         ArrivalModel.bernoulli_batch([1, 2], [0.65, 0.1])),
+        ([{"kind": "deterministic", "rate": r} for r in rates],
+         ArrivalModel.deterministic([Fraction(1, 3), 0.3, Fraction(2, 7), 2])),
+        ([{"kind": "bounded_pmf", "pmf": [0.5, 0.25, 0.25]}, {"kind": "bounded_pmf", "pmf": [0.1, 0.9]}],
+         ArrivalModel.bounded_pmf([[0.5, 0.25, 0.25], [0.1, 0.9]])),
     ):
-        back = arrivals_from_descriptor(json.loads(json.dumps(arr.to_descriptor())))
+        back = arrivals_from_descriptor(json.loads(json.dumps({"queues": queues})))
         assert back == arr
         assert (back.sample(np.random.default_rng(3), 12) == arr.sample(np.random.default_rng(3), 12)).all()
-    rates = [q["rate"] for q in ArrivalModel.deterministic([Fraction(1, 3), 0.3]).to_descriptor()["queues"]]
-    assert rates == ["1/3", 0.3]
+    exact = arrivals_from_descriptor({"queues": [{"kind": "deterministic", "rate": r} for r in rates]})
+    assert [(q.rate_num, q.rate_den) for q in exact.queues] == [(1, 3), (3, 10), (2, 7), (2, 1)]
+    assert exact.sample(np.random.default_rng(0), 6)[:, 0].tolist() == [0, 0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize(("queue", "message"), [
+    ({"kind": "bernoulli_batch", "batch": 1, "prob": 1.5}, "arrivals.queues[1].prob must be in [0, 1], got 1.5"),
+    ({"kind": "bernoulli_batch", "batch": -1, "prob": 0.5}, "arrivals.queues[1].batch must be at least 0, got -1"),
+    ({"kind": "bounded_pmf", "pmf": [0.5, 0.4]}, "arrivals.queues[1].pmf must be normalised, got a sum of 0.9"),
+    ({"kind": "deterministic", "rate": -0.5}, "arrivals.queues[1].rate must be a finite number >= 0, got -0.5"),
+], ids=["prob", "batch", "pmf", "rate"])
+def test_an_arrival_fault_is_named_by_its_path(queue, message):
+    d = {"queues": [{"kind": "deterministic", "rate": 0.5}, queue]}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        arrivals_from_descriptor(d)
 
 
 def test_arrival_pmf_must_normalize():
@@ -290,7 +308,7 @@ def test_arrival_descriptor_is_validated(spec):
     ({"kind": "bounded_pmf", "pmf": [0.5, None]}, r"arrivals\.queues\[0\]\.pmf\[1\] must be a number, got None"),
     ({"kind": "bernoulli_batch", "batch": None, "prob": 0.5},
      r"arrivals\.queues\[0\]\.batch must be an integer, got None"),
-    ({"kind": "deterministic", "rate": None}, "arrival rate None is not a finite number"),
+    ({"kind": "deterministic", "rate": None}, r"arrivals\.queues\[0\]\.rate must be a finite number >= 0, got None"),
 ], ids=["prob", "pmf-entry", "batch", "rate"])
 def test_arrival_descriptor_rejects_null_numbers(spec, field):
     with pytest.raises(ValidationError, match=field):
