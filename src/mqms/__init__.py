@@ -36,7 +36,7 @@ from .channel_models import (
     validate,
 )
 from .fairness_opt import FairnessSolution, UtilitySpec, fw_gap, solve_fairness
-from .fluid_region import BoundaryCurve, boundary_trace, exp_2q_boundary, mc_support_function
+from .fluid_region import BoundaryCurve, boundary_trace, exp_2q_boundary
 from .mqms_sim import (
     ArrivalModel,
     QueueArrivals,
@@ -82,7 +82,6 @@ __all__ = [
     "in_v",
     "link_means",
     "load_model",
-    "mc_support_function",
     "membership_margin",
     "mw_allocate",
     "onoff_support",

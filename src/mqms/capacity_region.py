@@ -1,4 +1,4 @@
-"""The stability-region polytope of a discrete channel model.
+"""The stability-region polytope of a discrete channel model; the support values of every model.
 
 For a direction ``alpha >= 0`` the region's support value is
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .alpha_sets import build_vhat
 from .channel_models import (
+    ContinuousChannelModel,
     DiscreteChannelModel,
     ValidationError,
     _check_probability,
@@ -35,6 +36,7 @@ from .channel_models import (
     enumerate_states,
     validate_discrete,
 )
+from .fluid_region import _exact_supports
 
 BRUTE_FORCE_CAP = 4096
 _VERDICT_TOL = 1e-9  # a margin within this of 0 reads as "boundary"
@@ -92,15 +94,36 @@ def _verdict(delta: float) -> str:
     return "interior" if delta > _VERDICT_TOL else "outside" if delta < -_VERDICT_TOL else "boundary"
 
 
-def support_function(model: DiscreteChannelModel, alpha) -> float:
-    """Largest value of alpha . rate over the region.
+def support_function(model, alpha) -> float:
+    """Largest value of alpha . rate over the region, sum_k E[max_n alpha[n] C[n,k]].
 
-    Evaluated per server against its column law, sum_k E[max_n alpha[n] C[n,k]],
-    at cost sum_k S_k * N for S_k column states of server k.
+    A discrete model is evaluated per server against its column law, at
+    cost sum_k S_k * N for S_k column states of server k; a continuous one
+    is the value that ``boundary_trace`` uses for this direction,
+    integrated from the link cdfs (``fluid_region._exact_supports``).
     """
-    laws = column_laws(model)
+    laws = None if isinstance(model, ContinuousChannelModel) else column_laws(model)
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    return sum(float(probs @ (values * a).max(axis=1)) for values, probs in laws)
+    scale = _overflow_scale(a)
+    a = a * scale
+    if laws is None:
+        return float(_exact_supports(model, a[None])[0]) / scale
+    return sum(float(probs @ (values * a).max(axis=1)) for values, probs in laws) / scale
+
+
+def _overflow_scale(x: np.ndarray) -> float:
+    """1.0, or once x's largest entry passes 2**896 the power of two that brings it just below.
+
+    Products and sums of entries of x overflow near the float limit even
+    where their result is finite, but not below 2**896, which leaves 2**128
+    for an int64 capacity times a sum of up to 2**64 terms.  Multiplying by
+    a power of two is exact, so x times the scale keeps its digits, and a
+    result divided by it comes back.  Below the threshold nothing is
+    scaled, so a tiny entry beside a large one is never pushed under the
+    normal range.
+    """
+    top = x.max()
+    return 2.0 ** (896 - math.frexp(top)[1]) if top > 2.0**896 else 1.0
 
 
 def max_weight_argmax(weights, tie_rule: str = "lowest_index") -> np.ndarray:
@@ -128,7 +151,7 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     column-law order.
     """
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    return np.array(_vertex_kernel(model, tie_rule)(a.tolist()))
+    return np.array(_vertex_kernel(model, tie_rule)((a * _overflow_scale(a)).tolist()))
 
 
 def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
@@ -218,10 +241,7 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     lam = _read_nonnegative(rates, "rates", (region.N,))
     if not len(region.beta):
         raise ValueError("region has no inequalities")
-    # alpha . rates overflows for finite rates near the float limit.  Rates
-    # and betas are then divided by a power of two, which is exact, so the
-    # margin keeps its digits; below the threshold nothing is scaled.
-    scale = 2.0 ** -math.frexp(lam.max())[1] if lam.max() > 2.0**512 else 1.0
+    scale = _overflow_scale(lam)  # alpha . rates overflows for finite rates near the float limit
     delta = (region.beta * scale - region.A @ (lam * scale)) / region.A.sum(axis=1)
     return float(delta.min() / scale)
 
@@ -236,6 +256,8 @@ def brute_force_support(model: DiscreteChannelModel, alpha, state_cap: int = BRU
     ``state_cap`` states and ``BRUTE_FORCE_CAP`` allocations.
     """
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
+    scale = _overflow_scale(a)
+    a = a * scale
     state_cap = _read_count(state_cap, "state_cap", 1)
     n_alloc = model.N ** model.K
     if n_alloc > BRUTE_FORCE_CAP:
@@ -247,4 +269,4 @@ def brute_force_support(model: DiscreteChannelModel, alpha, state_cap: int = BRU
         # cartesian sums over one column choice per server = all allocations
         sums = reduce(np.add.outer, [weighted[:, k] for k in range(model.K)])
         total += prob * float(sums.max())
-    return total
+    return total / scale

@@ -2,11 +2,11 @@
 
 A channel state is an N x K matrix of per-link capacities in packets/slot.
 Discrete models carry integer capacities in {0, ..., M} and support exact
-enumeration of the joint state space; continuous models carry nonnegative
-real capacities sampled per link.  A model checks itself once, when it is
-built, and is immutable afterwards, so the library never checks it again
-and it is safe to share; all sampling goes through a caller-owned
-``numpy.random.Generator`` so runs are reproducible.
+enumeration of the joint state space; continuous models carry independent
+nonnegative real capacities per link and are never sampled.  A model checks
+itself once, when it is built, and is immutable afterwards, so the library
+never checks it again and it is safe to share; all sampling goes through a
+caller-owned ``numpy.random.Generator`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -69,16 +69,13 @@ class DiscreteChannelModel:
     def bernoulli(cls, p) -> "DiscreteChannelModel":
         """ON-OFF model from an N x K matrix of success probabilities."""
         p = _read(p, _DISCRETE_KINDS["bernoulli"]["p"], "p")
-        return cls(N=len(p), K=len(p[0]) if p else 0, M=1, kind="bernoulli", p=p)
+        return cls(N=len(p), K=len(p[0]), M=1, kind="bernoulli", p=p)
 
     @classmethod
     def factored(cls, pmfs) -> "DiscreteChannelModel":
         """Independent-link model; ``pmfs[n][k]`` is a pmf over {0..M}."""
         pmfs = _read(pmfs, _DISCRETE_KINDS["factored"]["pmfs"], "pmfs")
-        N = len(pmfs)
-        K = len(pmfs[0]) if N else 0
-        M = len(pmfs[0][0]) - 1 if K else 0
-        return cls(N=N, K=K, M=M, kind="factored", pmfs=pmfs)
+        return cls(N=len(pmfs), K=len(pmfs[0]), M=len(pmfs[0][0]) - 1, kind="factored", pmfs=pmfs)
 
     @classmethod
     def explicit_joint(cls, states, M: int | None = None) -> "DiscreteChannelModel":
@@ -92,9 +89,9 @@ class DiscreteChannelModel:
         if not cleaned:
             raise ValidationError("states must hold a state of positive probability")
         if M is None:
-            M = max(1, max((x for C, _ in cleaned for row in C for x in row), default=1))
+            M = max(1, max(x for C, _ in cleaned for row in C for x in row))
         C = cleaned[0][0]
-        return cls(N=len(C), K=len(C[0]) if C else 0, M=M, kind="explicit_joint", states=cleaned)
+        return cls(N=len(C), K=len(C[0]), M=M, kind="explicit_joint", states=cleaned)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class LinkDistribution:
     """Distribution of one continuous link capacity.
 
     kind: "exponential" (scale = mean), "uniform" (on [0, high]), or
-    "empirical" (resampled uniformly from a table of observed values).
+    "empirical" (uniform over a table of observed values).
     The scale must be finite and positive, the table nonempty, finite and
     nonnegative.
     """
@@ -117,8 +114,6 @@ class LinkDistribution:
         if self.kind != "empirical":
             name = "mean" if self.kind == "exponential" else "high"
             _read_nonnegative(getattr(self, name), name, (), nonzero=True)
-        elif not self.values:
-            raise ValidationError("values must be nonempty")
         else:
             _read_nonnegative(self.values, "values", (None,))
 
@@ -146,7 +141,7 @@ class ContinuousChannelModel:
     @classmethod
     def of(cls, links) -> "ContinuousChannelModel":
         links = _read(links, _CONTINUOUS_FIELDS["links"], "links")
-        return cls(N=len(links), K=len(links[0]) if links else 0, links=links)
+        return cls(N=len(links), K=len(links[0]), links=links)
 
     def link_means(self) -> np.ndarray:
         return np.array(
@@ -216,9 +211,9 @@ def _read(x, spec, where: str):
 
     A spec is ``int`` or ``float`` (a number, not a bool; an integral float
     reads as an int), another class (an instance of it, so ``object`` takes
-    anything), ``[item]`` (a list, tuple or array, read into a tuple),
-    ``[a, b]`` (a list of exactly those entries), ``{key: spec}`` (an object
-    read into a dict; a key ending in ``?`` is optional) or
+    anything), ``[item]`` (a nonempty list, tuple or array, read into a
+    tuple), ``[a, b]`` (a list of exactly those entries), ``{key: spec}``
+    (an object read into a dict; a key ending in ``?`` is optional) or
     ``(tag, {value: spec})`` (an object read into ``(value, dict)``).
     """
     if spec is float or spec is int:
@@ -237,6 +232,8 @@ def _read(x, spec, where: str):
         if not isinstance(x, (list, tuple)) and not (isinstance(x, np.ndarray) and x.ndim):
             raise ValidationError(f"{where} must be a list, got {x!r}")
         if len(spec) == 1:
+            if not len(x):
+                raise ValidationError(f"{where} must be nonempty")
             if (spec[0] is float or spec[0] is int) and all(type(v) is spec[0] for v in x):
                 return tuple(x)  # already read: the common case, without a call per entry
             return tuple(_read(v, spec[0], f"{where}[{i}]") for i, v in enumerate(x))
@@ -318,18 +315,20 @@ def _read_fields(obj, spec: dict) -> None:
 def _read_kind(obj, kinds: dict, what: str) -> None:
     """Read a kind-tagged frozen dataclass against its table ``kinds``, kind -> {field: spec}.
 
-    Every field that the table names, for any kind, is read as
-    ``_read_fields`` reads it.  A kind outside the table, or a field of
-    another kind that is not at its default, is a ValidationError.
+    A kind outside the table is a ValidationError, and so is a field of
+    another kind that is not at its default: the default object itself, or
+    a plain int, float or tuple equal to it (a field of another kind is
+    never read).  The kind's own fields are then read as ``_read_fields``
+    reads them.
     """
-    fields = {name: spec for table in kinds.values() for name, spec in table.items()}
-    _read_fields(obj, fields)
     if not isinstance(obj.kind, str) or obj.kind not in kinds:
         raise ValidationError(f"unknown {what} kind {obj.kind!r}")
-    defaults = type(obj).__dataclass_fields__
-    for name in fields:
-        if name not in kinds[obj.kind] and getattr(obj, name) != defaults[name].default:
+    own, defaults = kinds[obj.kind], type(obj).__dataclass_fields__
+    for name in (name for table in kinds.values() for name in table if name not in own):
+        value, default = getattr(obj, name), defaults[name].default
+        if value is not default and not (type(value) in (int, float, tuple) and value == default):
             raise ValidationError(f"field {name!r} does not belong to kind {obj.kind!r}")
+    _read_fields(obj, own)
 
 
 # each type's kinds and their fields, read by _read_kind; the sizes belong to every discrete kind
@@ -457,37 +456,26 @@ def link_means(model) -> np.ndarray:
 # -- sampling ------------------------------------------------------------
 
 
-def sample_states(model, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. channel matrices; shape (size, N, K).
+def sample_states(model: DiscreteChannelModel, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` i.i.d. channel matrices of a discrete model; shape (size, N, K).
 
     Slots are sampled independently from the stationary law (the models
     carry no temporal correlation).  Links are filled in fixed row-major
-    order so a given generator state always produces the same block.
+    order so a given generator state always produces the same block.  A
+    continuous model is refused: the package never samples one.
 
-    Discrete blocks come in ``np.min_scalar_type(-M - 1)``, the smallest
-    signed integer type holding 0..M (int8 while M < 128), which mixes
-    with int64 exactly; continuous blocks are float64.  The values are
-    those of the literal draws: one ``rng.random((size, N, K)) < p`` for
-    bernoulli models, drawn a chunk of slots at a time, which continues
-    the same stream; per link ``_categorical(rng, pmf, size)`` for factored
-    models and ``_categorical`` over the state probabilities for
-    explicit_joint ones, each the draws of ``rng.choice`` with ``p=``.
+    Blocks come in ``np.min_scalar_type(-M - 1)``, the smallest signed
+    integer type holding 0..M (int8 while M < 128), which mixes with int64
+    exactly.  The values are those of the literal draws: one
+    ``rng.random((size, N, K)) < p`` for bernoulli models, drawn a chunk of
+    slots at a time, which continues the same stream; per link
+    ``_categorical(rng, pmf, size)`` for factored models and
+    ``_categorical`` over the state probabilities for explicit_joint ones,
+    each the draws of ``rng.choice`` with ``p=``.
     """
+    validate_discrete(model)
     size = _read_count(size, "size")
     N, K = model.N, model.K
-    if isinstance(model, ContinuousChannelModel):
-        out = np.empty((size, N, K), dtype=float)
-        for n in range(N):
-            for k in range(K):
-                d = model.links[n][k]
-                if d.kind == "exponential":
-                    out[:, n, k] = rng.exponential(d.mean, size)
-                elif d.kind == "uniform":
-                    out[:, n, k] = rng.uniform(0.0, d.high, size)
-                else:
-                    out[:, n, k] = rng.choice(np.asarray(d.values, dtype=float), size=size)
-        return out
-
     dtype = np.min_scalar_type(-model.M - 1)
     if model.kind == "bernoulli":
         p = np.array(model.p, dtype=float)

@@ -51,8 +51,6 @@ class UtilitySpec:
 
     def __post_init__(self):
         _read_kind(self, _UTILITY_KINDS, "utility")
-        if not self.caps:
-            raise ValidationError("caps must be nonempty")
         _read_nonnegative([c for c in self.caps if c != math.inf], "caps other than inf", (None,))
         if self.kind == "weighted_linear":
             _read_nonnegative(self.weights, "weights", (self.N,))

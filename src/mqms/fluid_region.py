@@ -10,9 +10,9 @@ so the region is a convex surface rather than a polytope.  The support
 values are computed from the link cdfs, exactly up to rounding, for a
 whole array of directions at once.  For two queues the upper boundary is
 traced as the lower envelope of the support lines, with a certified
-bracket below it.  A Monte Carlo estimate of the support value is kept as
-an independent oracle, and the single-server exponential case has a
-closed form.
+bracket below it.  ``capacity_region.support_function`` gives one
+direction's value, and the single-server exponential case has a closed
+form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .channel_models import (
     _read_count,
     _read_nonnegative,
     link_means,
-    sample_states,
 )
 
 # The 16-point Gauss-Legendre rule on [-1, 1], one rule per piece: its
@@ -63,27 +62,6 @@ class BoundaryCurve:
     stderr: np.ndarray
     directions: int
     samples: int
-
-
-def mc_support_function(
-    model: ContinuousChannelModel,
-    alpha,
-    samples: int,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[sum_k max_n alpha[n] * C[n,k]].
-
-    Returns (estimate, standard error), the error infinite for one sample.
-    Deterministic for a fixed seed.  An oracle for the exact support values
-    that ``boundary_trace`` uses.  ``samples`` is a count of at least 1
-    (an integral float reads as one; a bool does not).
-    """
-    a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    samples = _read_count(samples, "samples", 1)
-    block = sample_states(model, np.random.default_rng(seed), samples)
-    vals = (a[:, None] * block).max(axis=1).sum(axis=1)
-    se = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else math.inf
-    return float(vals.mean()), se
 
 
 @functools.cache

@@ -158,7 +158,7 @@ class ArrivalModel:
 
     @property
     def a_max_sq(self) -> float:
-        return max((q.mean_square for q in self.queues), default=0.0)
+        return max(q.mean_square for q in self.queues)
 
     def sample(self, rng: np.random.Generator, T: int) -> np.ndarray:
         """(T, N) integer arrivals for slots 1..T, one queue at a time."""

@@ -40,7 +40,6 @@ from mqms import (
     exp_2q_boundary,
     fw_gap,
     in_v,
-    mc_support_function,
     membership_margin,
     mw_allocate,
     onoff_support,
@@ -101,7 +100,6 @@ BELOW = [
     ("delay_bound", "K", lambda x: delay_bound(1, 1.0, 1, x, 0.5), -2),
     ("boundary_trace", "directions", lambda x: boundary_trace(EXP, directions=x), 2),
     ("boundary_trace", "samples", lambda x: boundary_trace(EXP, samples=x), 0),
-    ("mc_support_function", "samples", lambda x: mc_support_function(EXP, (1.0, 1.0), x), 0),
 ]
 
 # array arguments read as float, each given a length-2 vector (onoff_support's p a 1 x 2 matrix)
@@ -111,7 +109,7 @@ ARRAYS = [
     ("support_function", "alpha", lambda x: support_function(SYM, x)),
     ("support_vertex", "alpha", lambda x: support_vertex(SYM, x)),
     ("brute_force_support", "alpha", lambda x: brute_force_support(SYM, x)),
-    ("mc_support_function", "alpha", lambda x: mc_support_function(EXP, x, 10)),
+    ("support_function-continuous", "alpha", lambda x: support_function(EXP, x)),
     ("UtilitySpec.value", "r", lambda x: UtilitySpec.log_shifted(2).value(x)),
     ("UtilitySpec.gradient", "r", lambda x: UtilitySpec.log_shifted(2).gradient(x)),
     ("fw_gap", "r", lambda x: fw_gap(SYM, x, UtilitySpec.log_shifted(2))),
@@ -145,7 +143,7 @@ FIELDS = [
      "must be a rectangular array of numbers, got ((0.5,), (0.5, 0.5))"),
     *[("factored", size, _discrete("factored", pmfs=PMFS, **{size: 0}), "must be at least 1, got 0")
       for size in ("N", "K")],
-    ("factored", "M", _discrete("factored", M=-1, pmfs=(((),),)), "must be at least 1, got -1"),
+    ("factored", "M", _discrete("factored", M=-1, pmfs=(((1.0,),),)), "must be at least 1, got -1"),
     ("factored", "pmfs", _discrete("factored", pmfs=(((-0.5, 1.5),),)), "must be finite and nonnegative"),
     ("factored", "pmfs[0][0]", _discrete("factored", pmfs=(((0.5, 0.6),),)), "must be normalised, got a sum of 1.1"),
     ("factored", "pmfs", _discrete("factored", N=2, pmfs=(((0.5, 0.5),), ((1.0,),))),

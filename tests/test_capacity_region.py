@@ -52,12 +52,13 @@ def test_support_positive_homogeneity_example():
 
 
 def test_support_rejects_bad_directions():
-    with pytest.raises(ValueError):
-        support_function(SYM, (0, 0))
-    with pytest.raises(ValueError):
-        support_function(SYM, (1, -1))
-    with pytest.raises(ValueError):
-        support_function(SYM, (1, 1, 1))
+    # a continuous model's direction is read as a discrete one's
+    for model in (SYM, ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]] * 2)):
+        for alpha, message in [((0, -0.0), "nonzero"), ((1, -1), "finite and nonnegative"),
+                               ((float("nan"), 1), "finite and nonnegative"), ((1, -float("inf")), "finite"),
+                               ((1, 1, 1), r"shape \(2,\)")]:
+            with pytest.raises(ValidationError, match=f"^alpha must .*{message}"):
+                support_function(model, alpha)
 
 
 @pytest.mark.parametrize("alpha", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, -float("inf"))],
@@ -85,6 +86,16 @@ def test_support_subadditivity(rng):
         assert support_function(model, a + b) <= (
             support_function(model, a) + support_function(model, b) + 1e-9
         )
+
+
+def test_support_of_a_huge_direction_is_finite():
+    # unscaled, values * alpha overflows to inf; the true support is 0.4e308 + 0.9e308
+    model = DiscreteChannelModel.explicit_joint([(((4,), (0,)), 0.1), (((0,), (1,)), 0.9)], M=4)
+    for fn in (support_function, brute_force_support):
+        with np.errstate(all="raise"):
+            got = fn(model, (1e308, 1e308))
+        assert got == 2.0**1000 * fn(model, (1e308 / 2.0**1000, 1e308 / 2.0**1000))
+        assert abs(got - 1.3e308) <= 1e-15 * got
 
 
 def test_support_monotonicity(rng):
@@ -132,6 +143,23 @@ def test_vertex_attains_support_and_stays_inside(rng):
             assert membership_margin(region, r) >= -1e-9
 
 
+def test_vertex_of_a_huge_direction_is_that_of_its_scaled_copy():
+    # unscaled, values * alpha overflows to two equal infs, and the tie goes to queue 0
+    model = DiscreteChannelModel.explicit_joint([(((2,), (3,)), 1.0)], M=3)
+    with np.errstate(all="raise"):
+        got = support_vertex(model, (1e308, 0.9e308))
+    assert got.tolist() == support_vertex(model, (1.0, 0.9)).tolist() == [0.0, 3.0]
+
+
+def test_a_tiny_entry_beside_a_huge_one_keeps_its_digits():
+    # queue 0 never has capacity, so 2**-600 alone sets the support and the vertex;
+    # a scaling that brought 2**1000 down to 2**512 would push 2**-600 to 0
+    model = DiscreteChannelModel.explicit_joint([(((0,), (1,)), 1.0)], M=1)
+    alpha = (2.0**1000, 2.0**-600)
+    assert support_function(model, alpha) == brute_force_support(model, alpha) == 2.0**-600
+    assert support_vertex(model, alpha).tolist() == [0.0, 1.0]
+
+
 @pytest.mark.parametrize("tie_rule", ["lowest_index", "highest_index"])
 def test_vertex_matches_per_state_argmax(rng, tie_rule):
     # literal reference: walk every joint state and give each server to its
@@ -157,15 +185,23 @@ def test_vertex_matches_per_state_argmax(rng, tie_rule):
 # -- regions -------------------------------------------------------------------
 
 
+def one_exponential_link():
+    return ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]])
+
+
 @pytest.mark.parametrize("make", [
     lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="bernoulli", p=((1.5,),)),
     lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="factored", pmfs=(((float("nan"), 1.0),),)),
     lambda: DiscreteChannelModel(N=1, K=1, M=1, kind="explicit_joint", states=((((1,),), 0.6), (((0,),), 0.6))),
-    lambda: ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]]),
+    one_exponential_link,
 ], ids=["bernoulli-p-above-1", "factored-nan", "explicit-unnormalized", "continuous"])
 @pytest.mark.parametrize("fn", [support_function, support_vertex])
 def test_support_validates_models_built_without_classmethods(make, fn):
-    # invalid models fail when built; the continuous one when it reaches a discrete support
+    # invalid models fail when built; the continuous one when it reaches the support vertex,
+    # while its support value is the exact one, sum_k E[max_n alpha[n] C[n,k]] = E[C] here
+    if fn is support_function and make is one_exponential_link:
+        assert fn(make(), (1,)) == 1.0
+        return
     with pytest.raises(ValidationError):
         fn(make(), (1,))
 

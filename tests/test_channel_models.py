@@ -437,11 +437,11 @@ def test_sample_state_certain_links_always_on():
     assert (block == 1).all()
 
 
-def test_sample_state_exponential_mean():
+def test_sample_states_refuses_a_continuous_model():
+    # the package samples discrete models only; a continuous one has its support values exactly
     model = ContinuousChannelModel.of([[LinkDistribution("exponential", mean=2.0)]])
-    block = sample_states(model, np.random.default_rng(5), 1_000_000)
-    # 3 sigma of the sample mean is ~0.006 here
-    assert abs(block.mean() - 2.0) < 0.01
+    with pytest.raises(ValidationError, match="^a discrete channel model is required"):
+        sample_states(model, np.random.default_rng(5), 10)
 
 
 def test_sampling_is_seed_reproducible():
@@ -595,8 +595,20 @@ def test_descriptor_unknown_kind_rejected():
      "descriptor.states must hold a state of positive probability"),
     ({"kind": "continuous", "links": [[{"dist": "exponential", "mean": 1.0}, {"dist": "uniform", "high": -1.0}]]},
      "descriptor.links[0][1].high must be finite and nonnegative, got -1.0"),
+    # an empty list is named where it is, not by the size derived from it
+    ({"kind": "bernoulli", "p": []}, "descriptor.p must be nonempty"),
+    ({"kind": "bernoulli", "p": [[]]}, "descriptor.p[0] must be nonempty"),
+    ({"kind": "factored", "pmfs": [[[]]]}, "descriptor.pmfs[0][0] must be nonempty"),
+    ({"kind": "continuous", "links": []}, "descriptor.links must be nonempty"),
+    ({"kind": "continuous", "links": [[]]}, "descriptor.links[0] must be nonempty"),
+    ({"kind": "explicit_joint", "states": []}, "descriptor.states must be nonempty"),
+    ({"kind": "explicit_joint", "states": [{"C": [], "prob": 1.0}]}, "descriptor.states[0].C must be nonempty"),
+    ({"kind": "explicit_joint", "states": [{"C": [[]], "prob": 1.0}]}, "descriptor.states[0].C[0] must be nonempty"),
+    ({"kind": "continuous", "links": [[{"dist": "empirical", "values": []}]]},
+     "descriptor.links[0][0].values must be nonempty"),
 ], ids=["N", "K", "bool-M", "missing-p", "missing-dist", "p-entry", "pmf-entry", "state-probs", "no-state",
-        "link-field"])
+        "link-field", "p-empty", "p-row-empty", "pmf-empty", "links-empty", "links-row-empty", "states-empty",
+        "C-empty", "C-row-empty", "values-empty"])
 def test_descriptor_contract(descriptor, message):
     with pytest.raises(ValidationError) as info:
         from_descriptor(json.loads(json.dumps(descriptor)))

@@ -222,15 +222,18 @@ def test_delay_bound_subcommand(capsys, bern_model_path, arrivals_path):
     assert payload["bound"] == pytest.approx((2 * 0.3 + 1) / (2 * 0.075))
 
 
-@pytest.mark.parametrize("queues", [[{"kind": "bernoulli_batch", "batch": 1, "prob": 0.3}], []], ids=["one", "none"])
-def test_delay_bound_rejects_arrivals_of_another_dimension(capsys, tmp_path, queues):
+@pytest.mark.parametrize(("queues", "message"), [
+    ([{"kind": "bernoulli_batch", "batch": 1, "prob": 0.3}], "dimension mismatch: 1 arrival queues vs N=2"),
+    ([], "arrivals.queues must be nonempty"),
+], ids=["one", "none"])
+def test_delay_bound_rejects_arrivals_of_another_dimension(capsys, tmp_path, queues, message):
     # with --delta the bound mixed N = 2 with one queue's a_max_sq, and no queues failed in max()
     arrivals = tmp_path / "arrivals.json"
     arrivals.write_text(json.dumps({"queues": queues}))
     argv = ["delay-bound", "--model", str(DEMO_MODELS / "bern_2x2_p05.json"), "--arrivals", str(arrivals),
             "--delta", "0.1"]
     assert main(argv) == 2
-    assert f"error: dimension mismatch: {len(queues)} arrival queues vs N=2" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):

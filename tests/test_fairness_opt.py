@@ -387,6 +387,10 @@ def test_gap_rejects_outside_points():
     spec = UtilitySpec.log_shifted(2)
     with pytest.raises(ValueError, match="outside"):
         fw_gap(SYM, [0.6, 0.6], spec)
+    # a margin of -1e-6 is outside too: the guard forgives rounding, not a step past the boundary
+    two_by_two = DiscreteChannelModel.bernoulli([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="outside"):
+        fw_gap(two_by_two, [0.75 + 1e-6, 0.75 + 1e-6], spec)
 
 
 def test_gap_rejects_utilities_of_another_dimension():

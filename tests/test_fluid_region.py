@@ -17,7 +17,6 @@ from mqms import (
     exp_2q_boundary,
     link_means,
     load_model,
-    mc_support_function,
     support_function,
 )
 import mqms
@@ -60,14 +59,35 @@ def max_of_exponentials_mean(u, v):
 # -- Monte Carlo support values ------------------------------------------------
 
 
+def mc_support(model, alpha, samples, seed):
+    """Monte Carlo estimate of sum_k E[max_n alpha[n] C[n,k]] and its standard error.
+
+    An oracle independent of the package: every link is drawn straight from
+    numpy, in row-major order, and each sample sums over servers the max
+    over queues of the weighted capacities.
+    """
+    rng = np.random.default_rng(seed)
+    draws = np.empty((samples, model.N, model.K))
+    for n, row in enumerate(model.links):
+        for k, d in enumerate(row):
+            if d.kind == "exponential":
+                draws[:, n, k] = rng.exponential(d.mean, samples)
+            elif d.kind == "uniform":
+                draws[:, n, k] = rng.uniform(0.0, d.high, samples)
+            else:
+                draws[:, n, k] = rng.choice(np.array(d.values), samples)
+    vals = (np.asarray(alpha, dtype=float)[:, None] * draws).max(axis=1).sum(axis=1)
+    return float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(samples)
+
+
 def test_mc_support_max_of_two_unit_exponentials():
-    est, se = mc_support_function(exponential_pair(1.0, 1.0), (1, 1), 1_000_000, seed=3)
+    est, se = mc_support(exponential_pair(1.0, 1.0), (1, 1), 1_000_000, seed=3)
     assert abs(est - 1.5) <= 3 * se
     assert se < 0.005
 
 
 def test_mc_support_matches_minmax_identity_asymmetric():
-    est, se = mc_support_function(exponential_pair(2.0, 1.0), (1.0, 1.0), 400_000, seed=11)
+    est, se = mc_support(exponential_pair(2.0, 1.0), (1.0, 1.0), 400_000, seed=11)
     assert abs(est - max_of_exponentials_mean(2.0, 1.0)) <= 3 * se
 
 
@@ -78,39 +98,8 @@ def test_mc_support_axis_direction_sums_link_means():
             [LinkDistribution("exponential", mean=0.5), LinkDistribution("empirical", values=(1.0,))],
         ]
     )
-    est, se = mc_support_function(model, (1, 0), 400_000, seed=2)
+    est, se = mc_support(model, (1, 0), 400_000, seed=2)
     assert abs(est - 2.5) <= 3 * se  # 1.5 + 2.0/2
-
-
-def test_mc_support_rejects_zero_direction():
-    with pytest.raises(ValueError):
-        mc_support_function(exponential_pair(1, 1), (0, 0), 100)
-
-
-@pytest.mark.parametrize("samples", [0, -1])
-def test_mc_support_rejects_fewer_than_one_sample(samples):
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), samples)
-
-
-@pytest.mark.parametrize("alpha", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0)])
-def test_mc_support_rejects_non_finite_or_negative_direction(alpha):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        mc_support_function(exponential_pair(1, 1), alpha, 100)
-
-
-def test_mc_support_homogeneity_under_common_randomness():
-    model = exponential_pair(2.0, 1.0)
-    base, _ = mc_support_function(model, (0.3, 0.7), 50_000, seed=5)
-    for q in (0.5, 2.0):
-        scaled, _ = mc_support_function(model, (q * 0.3, q * 0.7), 50_000, seed=5)
-        assert abs(scaled - q * base) <= 1e-12 * max(1.0, q * base)
-
-
-def test_mc_support_is_seed_deterministic():
-    a = mc_support_function(exponential_pair(2, 1), (1, 1), 10_000, seed=42)
-    b = mc_support_function(exponential_pair(2, 1), (1, 1), 10_000, seed=42)
-    assert a == b
 
 
 def test_mc_support_on_many_servers_agrees_with_the_exact_support():
@@ -118,23 +107,9 @@ def test_mc_support_on_many_servers_agrees_with_the_exact_support():
     rng = np.random.default_rng(930)
     model = random_continuous(rng, 3, 9)
     for alpha in ([1.0, 0.5, 0.25], [0.0, 1.0, 2.0]):
-        est, se = mc_support_function(model, alpha, 100_000, seed=9)
+        est, se = mc_support(model, alpha, 100_000, seed=9)
         assert abs(supports(model, [alpha])[0] - est) <= 4 * se
-        assert mc_support_function(model, alpha, 100_000, seed=9) == (est, se)
-
-
-@pytest.mark.parametrize("samples", [True, 10.5, "10", math.nan])
-def test_mc_support_rejects_samples_that_are_not_integers(samples):
-    with pytest.raises(ValidationError, match="samples must be an integer"):
-        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), samples)
-    # an integral float reads as the integer
-    assert mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 10.0, seed=4) == \
-        mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 10, seed=4)
-
-
-def test_mc_support_of_one_sample_has_infinite_error():
-    est, se = mc_support_function(exponential_pair(1, 1), (1.0, 1.0), 1)
-    assert math.isfinite(est) and se == math.inf
+        assert mc_support(model, alpha, 100_000, seed=9) == (est, se)
 
 
 def record_supports(monkeypatch):
@@ -161,17 +136,14 @@ def test_trace_estimates_equal_mc_support_function(rng, monkeypatch):
     thetas = np.arange(1, D + 1) * (math.pi / 2.0) / (D + 1)
     assert bits(alphas) == bits(np.column_stack([np.cos(thetas), np.sin(thetas)]))
     for alpha, h in zip(alphas, supports):
-        est, se = mc_support_function(model, alpha, 200_000, seed=31)
+        est, se = mc_support(model, alpha, 200_000, seed=31)
         assert abs(h - est) <= 4 * se
 
 
 @pytest.mark.parametrize("D", [3, 181])
 def test_trace_builds_one_evaluator(rng, monkeypatch, D):
-    # one batched call for every direction, and no sampling at all
-    def no_sampling(*args):
-        raise AssertionError("boundary_trace sampled")
-
-    monkeypatch.setattr(fluid_region, "sample_states", no_sampling)
+    # one batched call for every direction, and no sampler to draw with
+    assert not hasattr(fluid_region, "sample_states")
     calls = record_supports(monkeypatch)
     boundary_trace(random_continuous(rng, 2, 2), directions=D, samples=50, seed=3)
     assert [alphas.shape for alphas, _ in calls] == [(D, 2)]
@@ -191,6 +163,7 @@ def test_exact_support_of_two_exponentials_is_the_closed_form(u, v):
     for alpha, h in zip(alphas, supports(model, alphas)):
         truth = max_of_exponentials_mean(alpha[0] * u, alpha[1] * v)
         assert abs(h - truth) <= 1e-14 * truth
+        assert support_function(model, alpha) == h
 
 
 @pytest.mark.parametrize(("m", "h"), [(1.0, 1.0), (0.1, 1.0), (1e-3, 1.0), (0.3, 30.0), (2.0, 3.0)])
@@ -233,7 +206,7 @@ def test_exact_support_agrees_with_monte_carlo_on_mixed_models():
     for _ in range(30):
         model = random_continuous(rng, 2, 2)
         alpha = rng.uniform(0.05, 1.0, 2)
-        est, se = mc_support_function(model, alpha, 400_000, seed=int(rng.integers(1 << 30)))
+        est, se = mc_support(model, alpha, 400_000, seed=int(rng.integers(1 << 30)))
         assert abs(supports(model, [alpha])[0] - est) <= 4 * se
 
 
@@ -318,6 +291,34 @@ def test_exact_support_of_directions_with_a_zero_coordinate():
     assert (np.abs(got[:5] - truth) <= 1e-14 * np.array(truth)).all()
     for alpha, h in zip(alphas, got):
         assert bits(supports(model, [alpha])) == bits([h])
+
+
+# -- support_function on continuous models ---------------------------------------------
+
+
+DEMO_MODELS = pathlib.Path(__file__).parents[1] / "demos" / "models"
+
+
+def test_support_function_of_a_continuous_model_is_the_exact_support(rng):
+    # bit for bit the value a trace uses for that direction, zero and -0.0 entries included
+    models = [load_model(DEMO_MODELS / f"{name}.json") for name in ("exp_2q_mu2_mu1", "mixed_2x2_cont")]
+    models += [random_continuous(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(30)]
+    for model in models:
+        alphas = rng.uniform(0.0, 2.0, (4, model.N)) * rng.choice([-0.0, 0.0, 1.0, 1e-3], (4, model.N))
+        alphas[:, 0] += 0.1
+        alphas = np.vstack([alphas, np.eye(model.N)])
+        for alpha, h in zip(alphas, supports(model, alphas)):
+            got = support_function(model, alpha)
+            assert type(got) is float and bits([got]) == bits([h])
+
+
+def test_continuous_support_of_a_huge_direction_is_finite():
+    # unscaled, the exponential cuts alpha[n] * mean * 4j overflow to inf
+    model = load_model(DEMO_MODELS / "mixed_2x2_cont.json")
+    with np.errstate(all="raise"):
+        got = support_function(model, (5e307, 2.5e307))
+    assert got == 2.0**1021 * support_function(model, (5e307 / 2.0**1021, 2.5e307 / 2.0**1021))
+    assert abs(got - 5e307 * support_function(model, (1.0, 0.5))) <= 1e-15 * got
 
 
 # -- closed-form two-queue boundary ---------------------------------------------
@@ -496,13 +497,11 @@ def test_trace_rejects_non_finite_or_negative_lambda1(values):
 
 @pytest.mark.parametrize("values", [0.5, [[0.1, 0.2], [0.3, 0.4]]], ids=["scalar", "2-d"])
 def test_trace_rejects_lambda1_that_is_not_one_dimensional(monkeypatch, values):
-    # rejected before any sample is drawn
-    def no_sampling(*args):
-        raise AssertionError("sampled before checking lambda1_values")
-
-    monkeypatch.setattr(fluid_region, "sample_states", no_sampling)
+    # rejected before any support value is computed
+    calls = record_supports(monkeypatch)
     with pytest.raises(ValueError, match=r"lambda1_values must have shape \(\*,\)"):
         boundary_trace(exponential_pair(1, 1), directions=5, samples=10, lambda1_values=values)
+    assert calls == []
 
 
 def test_trace_on_no_lambda1_is_an_empty_curve():

@@ -91,6 +91,11 @@ def test_lcq_disconnected_server_has_no_effect():
     assert x_next.tolist() == [4, 7]
 
 
+def test_lcq_sends_a_server_to_its_only_connected_queue():
+    # even when that queue is empty and an unconnected one is not
+    assert as_lcq_allocate([5, 0], [[0], [1]]).tolist() == [[0], [1]]
+
+
 def test_lcq_requires_binary_channels():
     with pytest.raises(ValueError, match="binary"):
         as_lcq_allocate([1, 1], [[2], [0]])
@@ -188,6 +193,7 @@ def test_per_slot_ops_reject_bad_input(call, match):
 def test_delay_bound_arithmetic():
     assert delay_bound(2, 4.0, 1, 2, 0.1) == pytest.approx(60.0)
     assert delay_bound(1, 1.0, 1, 1, 0.5) == pytest.approx(2.0)
+    assert delay_bound(3, 0.5, 2, 3, 0.25) == 75.0  # (M K)^2 = 36, not M K^2 = 18
     assert delay_bound(2.0, 4, 1.0, 2, 0.1) == delay_bound(2, 4.0, 1, 2, 0.1)  # integral floats read as integers
 
 
@@ -277,7 +283,8 @@ def test_arrival_descriptor_reads_like_the_constructors():
     ({"kind": "bernoulli_batch", "batch": -1, "prob": 0.5}, "arrivals.queues[1].batch must be at least 0, got -1"),
     ({"kind": "bounded_pmf", "pmf": [0.5, 0.4]}, "arrivals.queues[1].pmf must be normalised, got a sum of 0.9"),
     ({"kind": "deterministic", "rate": -0.5}, "arrivals.queues[1].rate must be a finite number >= 0, got -0.5"),
-], ids=["prob", "batch", "pmf", "rate"])
+    ({"kind": "bounded_pmf", "pmf": []}, "arrivals.queues[1].pmf must be nonempty"),
+], ids=["prob", "batch", "pmf", "rate", "pmf-empty"])
 def test_an_arrival_fault_is_named_by_its_path(queue, message):
     d = {"queues": [{"kind": "deterministic", "rate": 0.5}, queue]}
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -356,11 +363,14 @@ def test_arrival_descriptor_rejects_non_integral_batch():
     assert arr.mean_rates().tolist() == [1.0]
 
 
-def test_empty_arrivals_have_no_peak_second_moment():
-    # the maximum over no queues, like the empty mean_rates() and the (T, 0) block
-    arr = ArrivalModel(queues=())
-    assert arr.a_max_sq == 0.0 and arr.mean_rates().shape == (0,)
-    assert arr.sample(np.random.default_rng(0), 5).shape == (5, 0)
+def test_empty_arrivals_are_refused():
+    # no model has zero queues; an empty ArrivalModel built and had a_max_sq 0.0
+    for make in (lambda: ArrivalModel(queues=()), lambda: ArrivalModel.deterministic([]),
+                 lambda: ArrivalModel.bounded_pmf([]), lambda: ArrivalModel.bernoulli_batch([], [])):
+        with pytest.raises(ValidationError, match="^queues must be nonempty$"):
+            make()
+    with pytest.raises(ValidationError, match=r"^arrivals\.queues must be nonempty$"):
+        arrivals_from_descriptor({"queues": []})
 
 
 def _literal_arrivals(arr, rng, T):
