@@ -321,6 +321,17 @@ def test_continuous_support_of_a_huge_direction_is_finite():
     assert abs(got - 5e307 * support_function(model, (1.0, 0.5))) <= 1e-15 * got
 
 
+def test_mc_support_rejects_zero_direction():
+    with pytest.raises(ValidationError, match="^alpha must be nonzero"):
+        support_function(exponential_pair(1, 1), (0, 0))
+
+
+@pytest.mark.parametrize("alpha", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (-1.0, 1.0)])
+def test_mc_support_rejects_non_finite_or_negative_direction(alpha):
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        support_function(exponential_pair(1, 1), alpha)
+
+
 # -- closed-form two-queue boundary ---------------------------------------------
 
 
