@@ -43,11 +43,8 @@ from .mqms_sim import (
     RunResult,
     SimStats,
     arrivals_from_descriptor,
-    as_lcq_allocate,
     delay_bound,
-    mw_allocate,
     run,
-    step,
 )
 
 __all__ = [
@@ -65,7 +62,6 @@ __all__ = [
     "UtilitySpec",
     "ValidationError",
     "arrivals_from_descriptor",
-    "as_lcq_allocate",
     "boundary_trace",
     "brute_force_support",
     "build_region",
@@ -83,13 +79,11 @@ __all__ = [
     "link_means",
     "load_model",
     "membership_margin",
-    "mw_allocate",
     "onoff_support",
     "per_server_column_distribution",
     "run",
     "sample_states",
     "solve_fairness",
-    "step",
     "support_function",
     "support_vertex",
     "to_descriptor",

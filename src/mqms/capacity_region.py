@@ -16,7 +16,6 @@ margins used both for verdicts and for occupancy bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -36,7 +35,7 @@ from .channel_models import (
     enumerate_states,
     validate_discrete,
 )
-from .fluid_region import _exact_supports
+from .fluid_region import _exact_supports, _overflow_scale
 
 BRUTE_FORCE_CAP = 4096
 _VERDICT_TOL = 1e-9  # a margin within this of 0 reads as "boundary"
@@ -104,34 +103,19 @@ def support_function(model, alpha) -> float:
     """
     laws = None if isinstance(model, ContinuousChannelModel) else column_laws(model)
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    scale = _overflow_scale(a)
+    scale = _overflow_scale(a.max())
     a = a * scale
     if laws is None:
         return float(_exact_supports(model, a[None])[0]) / scale
     return sum(float(probs @ (values * a).max(axis=1)) for values, probs in laws) / scale
 
 
-def _overflow_scale(x: np.ndarray) -> float:
-    """1.0, or once x's largest entry passes 2**896 the power of two that brings it just below.
-
-    Products and sums of entries of x overflow near the float limit even
-    where their result is finite, but not below 2**896, which leaves 2**128
-    for an int64 capacity times a sum of up to 2**64 terms.  Multiplying by
-    a power of two is exact, so x times the scale keeps its digits, and a
-    result divided by it comes back.  Below the threshold nothing is
-    scaled, so a tiny entry beside a large one is never pushed under the
-    normal range.
-    """
-    top = x.max()
-    return 2.0 ** (896 - math.frexp(top)[1]) if top > 2.0**896 else 1.0
-
-
 def max_weight_argmax(weights, tie_rule: str = "lowest_index") -> np.ndarray:
     """Index of the largest weight along the last axis, ties broken by tie_rule.
 
     This is the one max-weight decision of a server: support_vertex applies
-    it to alpha-weighted column states, mw_allocate to backlog-weighted
-    capacities and as_lcq_allocate to the backlogs of connected queues.
+    it to alpha-weighted column states and run's batched slot loop to
+    backlog-weighted capacities.
     """
     w = np.asarray(weights)
     if tie_rule == "lowest_index":
@@ -151,7 +135,7 @@ def support_vertex(model: DiscreteChannelModel, alpha, tie_rule: str = "lowest_i
     column-law order.
     """
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    return np.array(_vertex_kernel(model, tie_rule)((a * _overflow_scale(a)).tolist()))
+    return np.array(_vertex_kernel(model, tie_rule)((a * _overflow_scale(a.max())).tolist()))
 
 
 def _vertex_kernel(model: DiscreteChannelModel, tie_rule: str = "lowest_index"):
@@ -241,7 +225,7 @@ def membership_margin(region: StabilityRegion, rates) -> float:
     lam = _read_nonnegative(rates, "rates", (region.N,))
     if not len(region.beta):
         raise ValueError("region has no inequalities")
-    scale = _overflow_scale(lam)  # alpha . rates overflows for finite rates near the float limit
+    scale = _overflow_scale(lam.max())  # alpha . rates overflows for finite rates near the float limit
     delta = (region.beta * scale - region.A @ (lam * scale)) / region.A.sum(axis=1)
     return float(delta.min() / scale)
 
@@ -256,7 +240,7 @@ def brute_force_support(model: DiscreteChannelModel, alpha, state_cap: int = BRU
     ``state_cap`` states and ``BRUTE_FORCE_CAP`` allocations.
     """
     a = _read_nonnegative(alpha, "alpha", (model.N,), nonzero=True)
-    scale = _overflow_scale(a)
+    scale = _overflow_scale(a.max())
     a = a * scale
     state_cap = _read_count(state_cap, "state_cap", 1)
     n_alloc = model.N ** model.K

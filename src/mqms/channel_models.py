@@ -266,15 +266,14 @@ def _read_count(x, name: str, least: int = 0) -> int:
     return n
 
 
-def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=float) -> np.ndarray:
-    """x as an array of ``shape``, finite and >= 0; else ValidationError naming ``name``.
+def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False) -> np.ndarray:
+    """x as a float array of ``shape``, finite and >= 0; else ValidationError naming ``name``.
 
     A ``None`` in ``shape`` is a free axis.  With ``nonzero`` some entry
-    must be positive.  x is read as float, or with ``dtype=None`` in its
-    own boolean, integer or float type.  A float read refuses bools, also
-    one among numbers in a list or tuple (an array is not scanned); every
-    read refuses strings, other objects and ragged lists.  A scalar
-    (``shape`` ``()``) is first read as ``_read(x, float, name)`` reads it.
+    must be positive.  Bools are refused, also one among numbers in a list
+    or tuple (an array is not scanned), and so are strings, other objects
+    and ragged lists.  A scalar (``shape`` ``()``) is first read as
+    ``_read(x, float, name)`` reads it.
     """
     got = ""
     if shape == ():
@@ -285,13 +284,11 @@ def _read_nonnegative(x, name: str, shape: tuple, nonzero: bool = False, dtype=f
     except (ValueError, Warning):  # a ragged list: numpy >= 1.24 raises, older numpy warns (an error under -W error)
         a = None
     # where older numpy only warns, a ragged list reads as an object array
-    if a is None or a.dtype.kind not in ("biuf" if dtype is None else "iuf") or (
-            dtype is not None and isinstance(x, (list, tuple)) and _holds_bool(x)):
+    if a is None or a.dtype.kind not in "iuf" or isinstance(x, (list, tuple)) and _holds_bool(x):
         raise ValidationError(f"{name} must be a rectangular array of numbers, got {x!r}")
     if a.shape != shape and (a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape))):
         raise ValidationError(f"{name} must have shape {str(shape).replace('None', '*')}, got {a.shape}")
-    if dtype is not None:
-        a = a.astype(dtype, copy=False)
+    a = a.astype(float, copy=False)
     if not (np.isfinite(a) & (a >= 0)).all():
         raise ValidationError(f"{name} must be finite and nonnegative{got}")
     if nonzero and not a.any():

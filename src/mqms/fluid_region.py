@@ -101,31 +101,70 @@ def _exact_supports(model: ContinuousChannelModel, alphas) -> np.ndarray:
     Every sum is a ufunc reduction, not a BLAS product, so the bits do not
     depend on the BLAS build, and each row's value does not depend on the
     other rows: evaluating the directions in blocks gives the same bits.
+    h is homogeneous in the link parameters: once a breakpoint may reach
+    2**896 they are scaled by a power of two (``_overflow_scale``), exact
+    unless a product falls below the normal range, and h is scaled back.
     """
     alphas = np.asarray(alphas, dtype=float)
     on = alphas > 0                      # alpha[n] = 0 (or -0.0): Y_n = 0, never above x
     safe = np.where(on, alphas, 1.0)     # divisors, masked by ``on`` wherever used
+    # once scaled, every breakpoint alpha[n] b stays below 2**896 and every b
+    # (its cuts are formed before alpha[n] multiplies them) below 2**1024
+    reach = alphas.T.copy().max(axis=1, initial=2.0**-128).tolist()  # 4x faster than alphas.max(axis=0)
+    scale = min(_overflow_scale(r, max(map(_breakpoint_bits, row))) for r, row in zip(reach, model.links))
     total = np.zeros(len(alphas))
     for k in range(model.K):
-        total += _server_supports([row[k] for row in model.links], alphas, on, safe)
-    return total
+        total += _server_supports([row[k] for row in model.links], alphas, on, safe, scale)
+    return total / scale
 
 
-def _server_supports(links, alphas, on, safe) -> np.ndarray:
-    """E[max_n alpha[n] C[n]] for one server's links, for every row of alphas (D, N)."""
+def _breakpoint_bits(d) -> int:
+    """e with link d's largest breakpoint parameter below 2**e: its top atom, top, or 40 < 2**6 means."""
+    if d.kind == "exponential":
+        return math.frexp(d.mean)[1] + 6
+    return math.frexp(max(d.values) if d.kind == "empirical" else d.high)[1]
+
+
+def _overflow_scale(top: float, bits: int = 0) -> float:
+    """1.0, or the power of two that brings top * f below 2**896 once it may reach it, for any f < 2**bits.
+
+    Sums and products of such values then stay finite, with 2**128 to
+    spare for an int64 capacity times a sum of up to 2**64 terms.  The
+    scaling is exact, so a result divided by the scale comes back, and
+    nothing below the threshold is scaled, so a tiny entry beside a large
+    one keeps its digits.  top * f must stay below 2**1970 (a scale of at
+    least 2**-1074).
+    """
+    exponent = math.frexp(top)[1] + bits
+    return 2.0 ** (896 - exponent) if exponent > 896 else 1.0
+
+
+def _cdf_argument(x, divisor, out=None) -> np.ndarray:
+    """x / divisor, a quotient past the float range read as the +-inf it rounds to.
+
+    Such a cdf argument, at a tiny weight, lies past every atom and top, or 2**1024 scales
+    out on an exponential link, where the cdf is 1: +-inf reads that exactly.
+    """
+    with np.errstate(over="ignore"):
+        return np.divide(x, divisor, out=out)
+
+
+def _server_supports(links, alphas, on, safe, scale) -> np.ndarray:
+    """E[max_n alpha[n] C[n]] for every row of alphas (D, N), one server's link parameters times scale."""
     D = len(alphas)
     steps, ramps, exps = [], [], []  # (n, sorted atoms, cdf below and at each), (n, top), (n, mean)
     tops = [np.zeros((D, 1))]
     for n, d in enumerate(links):
         if d.kind == "empirical":
-            atoms, counts = np.unique(np.asarray(d.values, dtype=float), return_counts=True)
+            atoms, counts = np.unique(np.asarray(d.values, dtype=float) * scale, return_counts=True)
             steps.append((n, atoms, np.concatenate(([0.0], np.cumsum(counts) / len(d.values)))))
             tops.append(alphas[:, n, None] * atoms)
         elif d.kind == "uniform":
-            ramps.append((n, d.high))
-            tops.append(alphas[:, n, None] * d.high)
+            high = d.high * scale
+            ramps.append((n, high))
+            tops.append(alphas[:, n, None] * high)
         else:
-            exps.append((n, d.mean))
+            exps.append((n, d.mean * scale))
     tops = np.concatenate(tops, axis=1)
     T = tops.max(axis=1)
     support = _up_to_top(steps, ramps, exps, tops, T, alphas, on, safe) if steps or ramps else 0.0
@@ -156,7 +195,8 @@ def _up_to_top(steps, ramps, exps, tops, T, alphas, on, safe) -> np.ndarray:
     # empirical cdfs are constant on each piece: read them at its midpoint
     below = np.ones_like(mid)
     for n, atoms, cdf in steps:
-        below *= _masked(cdf[np.searchsorted(atoms, mid / safe[rows, n], side="right")], on[rows, n])
+        arg = _cdf_argument(mid, safe[rows, n])
+        below *= _masked(cdf[np.searchsorted(atoms, arg, side="right")], on[rows, n])
     pieces = np.zeros(live.shape)
     if not (ramps or exps):
         pieces[live] = (hi - lo) * (1.0 - below)
@@ -168,10 +208,10 @@ def _up_to_top(steps, ramps, exps, tops, T, alphas, on, safe) -> np.ndarray:
     below = np.repeat(below[:, None], len(nodes), axis=1)
     cdf = np.empty_like(x)  # one work array for every link's cdf
     for n, high in ramps:
-        np.divide(x, (safe[rows, n] * high)[:, None], out=cdf)
+        _cdf_argument(x, (safe[rows, n] * high)[:, None], out=cdf)
         below *= _masked(np.minimum(cdf, 1.0, out=cdf), on[rows, n, None])
     for n, mean in exps:
-        np.divide(x, -(safe[rows, n] * mean)[:, None], out=cdf)
+        _cdf_argument(x, -(safe[rows, n] * mean)[:, None], out=cdf)
         below *= _masked(np.negative(np.expm1(cdf, out=cdf), out=cdf), on[rows, n, None])
     np.subtract(1.0, below, out=below)
     below *= weights
@@ -257,8 +297,11 @@ def boundary_trace(
     for b in range(0, directions, _TRACE_BLOCK):
         block = slice(b, b + _TRACE_BLOCK)
         h[block] = _exact_supports(model, np.column_stack([cos_t[block], sin_t[block]]))
-        # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t
-        cand = (h[None, block] - lam1[:, None] * cos_t[None, block]) / sin_t[None, block]
+        # envelope over directions: lambda2 = min_t (h(t) - lambda1 cos t) / sin t.  A
+        # candidate past the float range is +inf: it loses the minimum to a finite one,
+        # or every candidate is past box2 and the clip below gives its exact result
+        with np.errstate(over="ignore"):
+            cand = (h[None, block] - lam1[:, None] * cos_t[None, block]) / sin_t[None, block]
         np.minimum(lam2, cand.min(axis=1), out=lam2)
     lam2 = np.clip(lam2, 0.0, box2)
     floor = _bracket_floor(h, cos_t, sin_t, box1, box2, lam1)

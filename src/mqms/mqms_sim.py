@@ -4,10 +4,9 @@ Queues evolve by
     X[n](t) = max(X[n](t-1) - served[n](t), 0) + A[n](t),
 with service determined by a per-slot allocation matrix: each server picks
 exactly one queue.  The max-weight policy gives server k to the queue
-maximizing X[n](t-1) * C[n, k](t); for ON-OFF channels the equivalent
-longest-connected-queue rule is provided as well; on such channels it
-delivers exactly the service of max-weight with lowest-index ties, which is
-how ``run`` simulates it.  Runs are reproducible:
+maximizing X[n](t-1) * C[n, k](t).  On ON-OFF channels the
+longest-connected-queue rule delivers exactly the service of max-weight
+with lowest-index ties, which is how ``run`` simulates it.  Runs are reproducible:
 replication i draws everything from ``default_rng(seed + i)``, sampling
 the whole channel block first and then the arrival block.  From 8
 replications on, ``run`` advances them all in one slot loop over (K, R, N)
@@ -189,82 +188,7 @@ def arrivals_from_descriptor(d: dict) -> ArrivalModel:
     return ArrivalModel(queues=qs)
 
 
-# -- per-slot operations ---------------------------------------------------
-
-
-def _is_binary(a: np.ndarray) -> bool:
-    return bool(((a == 0) | (a == 1)).all())
-
-
-def _backlogs_and_capacities(X, C) -> tuple[np.ndarray, np.ndarray]:
-    """X of shape (N,) and C of shape (N, K), both finite and >= 0, else ValueError."""
-    X = _read_nonnegative(X, "queue lengths", (None,), dtype=None)
-    return X, _read_nonnegative(C, "capacities", (len(X), None), dtype=None)
-
-
-def _allocation(weights, tie_rule: str) -> np.ndarray:
-    """Allocation matrix giving server k to the max-weight queue of column k."""
-    winner = max_weight_argmax(np.asarray(weights).T, tie_rule)
-    return (np.arange(len(weights))[:, None] == winner).astype(np.int64)
-
-
-def mw_allocate(X, C, tie_rule: str = "lowest_index") -> np.ndarray:
-    """Max-weight allocation: server k to argmax_n X[n] * C[n, k].
-
-    Every column sums to 1 -- servers are always assigned, even when all
-    weights are zero (then the tie rule sends them to a fixed queue and
-    the queue update wastes the capacity harmlessly).  X of shape (N,) and
-    C of shape (N, K) must be finite and nonnegative, else ValueError.
-    """
-    X, C = _backlogs_and_capacities(X, C)
-    return _allocation(X[:, None] * C, tie_rule)
-
-
-def as_lcq_allocate(X, C) -> np.ndarray:
-    """Longest-connected-queue allocation for ON-OFF channels.
-
-    Each server goes to the connected queue (C[n, k] = 1) with the largest
-    backlog at the start of the slot, ties to the lowest index; a server
-    with no connected queue parks on queue 0 with zero effect.  For binary
-    channels the delivered service per queue coincides with mw_allocate.
-    X of shape (N,) must be finite and nonnegative and C of shape (N, K)
-    binary, else ValueError.
-    """
-    X, C = _backlogs_and_capacities(X, C)
-    if not _is_binary(C):
-        raise ValueError("longest-connected-queue requires a binary channel matrix")
-    return _allocation(np.where(C == 1, X[:, None], -1), "lowest_index")
-
-
-def step(X, C, I, A) -> tuple[np.ndarray, np.ndarray]:
-    """One queue update; returns (next queue vector, departures).
-
-    Offered service is summed per queue from the allocation, clipped at the
-    backlog (the positive-part projection applies before arrivals), and
-    arrivals are added at the end of the slot.  X and A of shape (N,) must
-    be nonnegative integers below 2**63 (integral floats pass), and so must
-    the next queue vector; C of shape (N, K) must be finite and nonnegative,
-    and the allocation I of shape (N, K) must hold only 0s and 1s, else
-    ValueError.  Its columns need not sum to 1.
-    """
-    X, C = _backlogs_and_capacities(X, C)
-    I = np.asarray(I)
-    if I.shape != C.shape:
-        raise ValueError(f"allocation must have shape {C.shape}, got {I.shape}")
-    if not _is_binary(I):
-        raise ValueError("allocation entries must be 0 or 1")
-    A = _read_nonnegative(A, "arrivals", X.shape, dtype=None)
-    for a, name in ((X, "queue lengths"), (A, "arrivals")):
-        if a.dtype.kind == "f" and (a % 1).any():
-            raise ValueError(f"{name} must be integers")
-        if (a >= 2**63).any():
-            raise ValueError(f"{name} must be below 2**63")
-    X, A = X.astype(np.int64), A.astype(np.int64)
-    offered = (C * I).sum(axis=1)
-    departures = np.minimum(X, offered)
-    if (A > np.iinfo(np.int64).max - (X - departures)).any():
-        raise ValueError("next queue lengths overflow int64")
-    return X - departures + A, departures
+# -- occupancy bound -------------------------------------------------------
 
 
 def delay_bound(N: int, a_max_sq: float, M: int, K: int, delta: float) -> float:

@@ -25,7 +25,6 @@ from mqms import (
     exp_2q_boundary,
     in_v,
     membership_margin,
-    mw_allocate,
     onoff_support,
     run,
     solve_fairness,
@@ -34,6 +33,7 @@ from mqms import (
     UtilitySpec,
     wn_count,
 )
+from mqms.capacity_region import max_weight_argmax
 from conftest import random_bernoulli, random_discrete
 
 
@@ -187,8 +187,8 @@ def test_criterion_6_property_suite():
             M = int(rng.integers(1, 3))
             X = rng.integers(0, 9, N)
             C = rng.integers(0, M + 1, (N, K))
-            I = mw_allocate(X, C)
-            value = int((X[:, None] * C * I).sum())
+            winner = max_weight_argmax((X[:, None] * C).T)
+            value = int((X[winner] * C[winner, np.arange(K)]).sum())
             best = max(
                 sum(int(X[pick[k]] * C[pick[k], k]) for k in range(K))
                 for pick in itertools.product(range(N), repeat=K)

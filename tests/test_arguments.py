@@ -41,13 +41,11 @@ from mqms import (
     fw_gap,
     in_v,
     membership_margin,
-    mw_allocate,
     onoff_support,
     per_server_column_distribution,
     run,
     sample_states,
     solve_fairness,
-    step,
     support_function,
     support_vertex,
     wn_count,
@@ -118,12 +116,6 @@ ARRAYS = [
 ]
 LEAKS = [("strings", ["0.1", "0.2"]), ("bools", [True, False]), ("mixed", [True, 0.2]),
          ("ragged", [[0.1, 0.2], [0.3]]), ("object", {"a": 1})]
-# the per-slot operations keep bools (ON-OFF blocks are bool) but refuse ragged lists and objects
-SLOT_ARRAYS = [
-    ("mw_allocate", "queue lengths", lambda x: mw_allocate(x, [[1, 0], [0, 1]])),
-    ("mw_allocate", "capacities", lambda x: mw_allocate([1, 1], x)),
-    ("step", "arrivals", lambda x: step([1, 1], [[1, 0], [0, 1]], [[1, 0], [0, 1]], x)),
-]
 
 
 def _discrete(kind, **fields):
@@ -209,9 +201,6 @@ def cases():
     for fn, name, call in ARRAYS:
         for kind, x in LEAKS:
             yield pytest.param(call, x, _named(name), id=f"{fn}-{name}-{kind}")
-    for fn, name, call in SLOT_ARRAYS:
-        for kind, x in LEAKS[3:]:
-            yield pytest.param(call, x, _named(name), id=f"{fn}-{name}-{kind}")
     # a field's whole message is matched
     for i, (kind, name, make, rest) in enumerate(FIELDS):
         message = rf"^{re.escape(f'{name} {rest}')}$"
@@ -229,10 +218,6 @@ def test_a_bad_argument_is_rejected_by_name(call, x, message):
 def test_a_nested_bool_among_numbers_is_refused(p):
     with pytest.raises(ValidationError, match=r"^p must be a rectangular array of numbers"):
         onoff_support(p, [0])
-
-
-def test_the_per_slot_operations_keep_bools_among_numbers():
-    assert mw_allocate([True, 2], [[1, 0], [0, True]]).tolist() == mw_allocate([1, 2], [[1, 0], [0, 1]]).tolist()
 
 
 def test_a_numpy_seed_is_stored_as_an_int():

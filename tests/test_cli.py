@@ -248,6 +248,18 @@ def test_fluid_boundary_csv(capsys, exp_model_path, tmp_path):
     assert first[0] == 0.0 and 0.8 <= first[1] <= 1.2
 
 
+def test_fluid_boundary_near_the_float_limit(capsys, tmp_path):
+    # unscaled, the cdf argument x / alpha[n] at a small direction coordinate
+    # passes the float range; scaled, the trace is finite and warns nothing
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps({"N": 2, "K": 1, "kind": "continuous", "links": [
+        [{"dist": "empirical", "values": [1e308, 0]}], [{"dist": "uniform", "high": 1.7e308}]]}))
+    out = tmp_path / "curve.csv"
+    assert main(["fluid-boundary", "--model", str(model), "--out", str(out)]) == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 201 and rows[0] == [0.0, 8.5e307, 0.0]
+
+
 def test_fluid_boundary_rejects_seed_and_samples(capsys, exp_model_path):
     # the support values are exact and the trace draws nothing, so neither option exists
     for option in (["--samples", "10"], ["--seed", "1"]):

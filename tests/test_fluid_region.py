@@ -321,6 +321,33 @@ def test_continuous_support_of_a_huge_direction_is_finite():
     assert abs(got - 5e307 * support_function(model, (1.0, 0.5))) <= 1e-15 * got
 
 
+def test_continuous_support_of_a_huge_link_parameter_is_finite():
+    # 40 means of the exponential link overflow unscaled, and so does the top 4e308 of the empirical one
+    exp_link = ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1e307)],
+                                          [LinkDistribution("uniform", high=1.0)]])
+    assert support_function(exp_link, (1, 1)) == pytest.approx(1e307, rel=1e-15)
+    atom = ContinuousChannelModel.of([[LinkDistribution("empirical", values=(1e308,) + (0.0,) * 99)],
+                                      [LinkDistribution("uniform", high=1.0)]])
+    assert support_function(atom, (4, 1)) == pytest.approx(4e306 + 0.495, rel=1e-12)  # was nan
+
+
+def huge_2x2(scale):
+    return ContinuousChannelModel.of([
+        [LinkDistribution("exponential", mean=4e307 * scale), LinkDistribution("uniform", high=1e308 * scale)],
+        [LinkDistribution("empirical", values=(1e308 * scale, 0.0, 5e307 * scale)),
+         LinkDistribution("exponential", mean=3e307 * scale)],
+    ])
+
+
+def test_trace_near_the_float_limit_is_the_scaled_trace():
+    # the supports scale the link parameters by a power of two, which is exact: the
+    # trace of parameters near 1e308 is 2**600 times the trace of them times 2**-600
+    big, small = boundary_trace(huge_2x2(1.0)), boundary_trace(huge_2x2(2.0**-600))
+    for name in ("lambda1", "lambda2", "stderr"):
+        assert bits(getattr(big, name)) == bits(np.ldexp(getattr(small, name), 600))
+    assert np.isfinite(big.lambda2).all() and big.lambda2[0] == 8e307
+
+
 def test_mc_support_rejects_zero_direction():
     with pytest.raises(ValidationError, match="^alpha must be nonzero"):
         support_function(exponential_pair(1, 1), (0, 0))
