@@ -50,6 +50,7 @@ from mqms import (
     support_vertex,
     wn_count,
 )
+from per_slot import mw_allocate, step
 
 SYM = DiscreteChannelModel.bernoulli([[0.5], [0.5]])
 EXP = ContinuousChannelModel.of([[LinkDistribution("exponential", mean=1.0)]] * 2)
@@ -116,6 +117,13 @@ ARRAYS = [
 ]
 LEAKS = [("strings", ["0.1", "0.2"]), ("bools", [True, False]), ("mixed", [True, 0.2]),
          ("ragged", [[0.1, 0.2], [0.3]]), ("object", {"a": 1})]
+# the tests' per-slot reference (tests/per_slot.py) keeps bools (ON-OFF blocks
+# are bool) but refuses ragged lists and objects, with ValueError
+SLOT_ARRAYS = [
+    ("mw_allocate", "queue lengths", lambda x: mw_allocate(x, [[1, 0], [0, 1]])),
+    ("mw_allocate", "capacities", lambda x: mw_allocate([1, 1], x)),
+    ("step", "arrivals", lambda x: step([1, 1], [[1, 0], [0, 1]], [[1, 0], [0, 1]], x)),
+]
 
 
 def _discrete(kind, **fields):
@@ -218,6 +226,19 @@ def test_a_bad_argument_is_rejected_by_name(call, x, message):
 def test_a_nested_bool_among_numbers_is_refused(p):
     with pytest.raises(ValidationError, match=r"^p must be a rectangular array of numbers"):
         onoff_support(p, [0])
+
+
+@pytest.mark.parametrize(("call", "x", "message"), [
+    pytest.param(call, x, _named(name), id=f"{fn}-{name}-{kind}")
+    for fn, name, call in SLOT_ARRAYS for kind, x in LEAKS[3:]
+])
+def test_the_per_slot_reference_refuses_a_bad_argument_by_name(call, x, message):
+    with pytest.raises(ValueError, match=message):
+        call(x)
+
+
+def test_the_per_slot_operations_keep_bools_among_numbers():
+    assert mw_allocate([True, 2], [[1, 0], [0, True]]).tolist() == mw_allocate([1, 2], [[1, 0], [0, 1]]).tolist()
 
 
 def test_a_numpy_seed_is_stored_as_an_int():

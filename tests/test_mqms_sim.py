@@ -103,6 +103,11 @@ def test_lcq_sends_a_server_to_its_only_connected_queue():
     assert as_lcq_allocate([5, 0], [[0], [1]]).tolist() == [[0], [1]]
 
 
+def test_lcq_requires_binary_channels():
+    with pytest.raises(ValueError, match="binary"):
+        as_lcq_allocate([1, 1], [[2], [0]])
+
+
 def test_lcq_delivers_same_service_as_mw_for_onoff(rng):
     for _ in range(300):
         N, K = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -132,6 +137,62 @@ def test_step_identity_without_service_or_arrivals():
     x_next, dep = step([1, 1], [[0], [0]], [[1], [0]], [0, 0])
     assert x_next.tolist() == [1, 1]
     assert dep.tolist() == [0, 0]
+
+
+def test_step_accepts_integral_floats():
+    x_next, dep = step([3.0, 0.0], [[1], [0]], [[1], [0]], [1.0, 2.0])
+    assert x_next.dtype == np.int64 and x_next.tolist() == [3, 2]
+    assert dep.tolist() == [1, 0]
+
+
+def test_step_accepts_the_int64_range():
+    # departures come off before arrivals, so a full queue may still take one
+    x_next, dep = step([2**63 - 1, 0], [[1], [0]], [[1], [0]], [1, 0])
+    assert x_next.tolist() == [2**63 - 1, 0] and dep.tolist() == [1, 0]
+    x_next, _ = step([2.0**63 - 1024, 0], [[0], [0]], [[1], [0]], [0, 0])
+    assert x_next.tolist() == [2**63 - 1024, 0]
+
+
+C_2x2 = [[1, 2], [0, 1]]
+I_2x2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(("call", "match"), [
+    (lambda: step([[3, 3]], C_2x2, I_2x2, [0, 0]), "queue lengths must have shape"),
+    (lambda: mw_allocate([3, 3], [1, 2]), "capacities must have shape"),
+    (lambda: as_lcq_allocate([3, 3, 3], I_2x2), "capacities must have shape"),
+    (lambda: step([3, 3], C_2x2, [[1], [0]], [0, 0]), "allocation must have shape"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [1]), "arrivals must have shape"),
+    (lambda: mw_allocate([float("nan"), 1], I_2x2), "queue lengths must be finite"),
+    (lambda: as_lcq_allocate([1, float("inf")], I_2x2), "queue lengths must be finite"),
+    (lambda: step([-2, 3], C_2x2, I_2x2, [0, 0]), "queue lengths must be finite and nonnegative"),
+    (lambda: mw_allocate([1, 1], [[1, float("inf")], [0, 1]]), "capacities must be finite"),
+    (lambda: mw_allocate([1, 1], [[-1, 2], [0, 1]]), "capacities must be finite and nonnegative"),
+    (lambda: step([3, 3], [[-1, 2], [0, 1]], I_2x2, [0, 0]), "capacities must be finite and nonnegative"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [float("nan"), 0]), "arrivals must be finite"),
+    (lambda: step([3, 3], C_2x2, I_2x2, [-1, 0]), "arrivals must be finite and nonnegative"),
+    (lambda: step([3, 3], C_2x2, [[2, 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
+    (lambda: step([3, 3], C_2x2, [[float("nan"), 0], [0, 1]], [0, 0]), "allocation entries must be 0 or 1"),
+    (lambda: step([2.5, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be integers"),
+    (lambda: step([2, 0], [[1], [0]], [[1], [0]], [0.5, 0]), "arrivals must be integers"),
+    (lambda: step([1e300, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([2.0**63, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([2**63, 0], [[1], [0]], [[1], [0]], [0, 0]), "queue lengths must be below 2"),
+    (lambda: step([0, 0], [[1], [0]], [[1], [0]], [2.0**63, 0]), "arrivals must be below 2"),
+    (lambda: step([2**62, 0], [[0], [0]], [[1], [0]], [2**62, 0]), "overflow int64"),
+    (lambda: step([2**63 - 1, 0], [[0], [0]], [[1], [0]], [1, 0]), "overflow int64"),
+], ids=[
+    "X-2d", "C-1d", "C-rows", "I-shape", "A-shape", "X-nan", "X-inf", "X-negative", "C-inf",
+    "C-negative-mw", "C-negative-step", "A-nan", "A-negative", "I-two", "I-nan", "X-fraction", "A-fraction",
+    "X-float-huge", "X-float-2**63", "X-int-2**63", "A-float-2**63", "X-plus-A-int", "X-max-plus-A",
+])
+def test_per_slot_ops_reject_bad_input(call, match):
+    # the reference is defined only on (N,) backlogs and arrivals that are
+    # counts below 2**63, (N, K) capacities and a 0/1 allocation; without
+    # these checks a (2, 1) allocation or one arrival broadcast over both
+    # queues, or a negative backlog or capacity, would replay without error
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # -- occupancy bound -------------------------------------------------------------
